@@ -40,13 +40,7 @@ from .moments import expected_log_lr, solve_moments
 from .red import RedConfig
 from .red.objective import solve_stack
 from .riccati import solve_value_coeffs
-from .sde import (
-    Trajectory,
-    log_lr_samples,
-    mix_seed,
-    monte_carlo,
-    simulate_path,
-)
+from .sde import Trajectory, log_lr_samples, mix_seed, monte_carlo
 from .stackelberg import baseline_summary, play_rounds, solve_red
 
 
@@ -107,7 +101,7 @@ def parse_time_function(text, horizon: float, key: str) -> TimeFunction:
     """Parse "constant:c", "affine:a,b", "sinusoid:amp,omega[,phase]",
     "grid:v0,v1,...".  A bare number is shorthand for a constant."""
     if isinstance(text, (int, float)) and not isinstance(text, bool):
-        return Constant(float(text))
+        return Constant(_finite(key, text))
     if not isinstance(text, str):
         raise ConfigError(f"{key}: expected a string or number")
     kind, _, rest = text.partition(":")
@@ -116,6 +110,8 @@ def parse_time_function(text, horizon: float, key: str) -> TimeFunction:
         args = [float(p) for p in rest.split(",")] if rest.strip() else []
     except ValueError:
         raise ConfigError(f"{key}: non-numeric argument in {text!r}") from None
+    if not all(map(math.isfinite, args)):
+        raise ConfigError(f"{key}: non-finite argument in {text!r}")
     if kind == "constant" and len(args) == 1:
         return Constant(args[0])
     if kind == "affine" and len(args) == 2:
@@ -128,11 +124,21 @@ def parse_time_function(text, horizon: float, key: str) -> TimeFunction:
     raise ConfigError(f"{key}: cannot parse time function {text!r}")
 
 
+def _finite(key: str, value) -> float:
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{key}: expected a finite number, got {value}")
+    return x
+
+
 def _coerce(key: str, kind: str, value):
     if kind == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{key}: expected a number")
-        return float(value)
+        return _finite(key, value)
     if kind == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{key}: expected an integer")
@@ -243,8 +249,10 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def write_json(path: Path, obj) -> None:
+    """Raises ValueError, before opening the file, on a NaN or infinity."""
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        fh.write(text + "\n")
 
 
 def _coeff_rows(grid: GridConfig, coeffs):
@@ -399,15 +407,18 @@ def cmd_blue_solve(cfg: RunConfig, plots: bool = False) -> int:
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     write_coeffs_csv(out / "coeffs.csv", cfg.grid, policy.coeffs)
+    # sample trajectories are the first paths of the Monte Carlo ensemble
     summary = monte_carlo(
-        policy, cfg.pattern, cfg.grid, cfg.n_paths, cfg.seed, threads=cfg.threads
+        policy,
+        cfg.pattern,
+        cfg.grid,
+        cfg.n_paths,
+        cfg.seed,
+        threads=cfg.threads,
+        n_sample=cfg.n_sample,
     )
     write_json(out / "mc_summary.json", summary.as_dict())
-    # sample trajectories are the first paths of the Monte Carlo ensemble
-    trajectories = [
-        simulate_path(policy, cfg.grid, mix_seed(cfg.seed, i))
-        for i in range(cfg.n_sample)
-    ]
+    trajectories = list(summary.sample_trajectories)
     write_trajectories_csv(out / "trajectories.csv", trajectories)
     if plots:
         _plot_trajectories(out, trajectories)
@@ -459,9 +470,7 @@ def cmd_stackelberg(cfg: RunConfig, plots: bool = False) -> int:
     for record in records:
         rdir = out / f"round_{record.round_index:02d}"
         rdir.mkdir(parents=True, exist_ok=True)
-        pattern = Pattern(record.f_c_used, Constant(0.0))
-        coeffs = solve_value_coeffs(cfg.params, pattern, cfg.grid)
-        write_coeffs_csv(rdir / "coeffs.csv", cfg.grid, coeffs)
+        write_coeffs_csv(rdir / "coeffs.csv", cfg.grid, record.coeffs)
         write_fc_csv(rdir / "fc_used.csv", cfg.grid, record.f_c_used.values)
         write_json(rdir / "mc_summary.json", record.mc.as_dict())
         write_trajectories_csv(rdir / "trajectories.csv", record.sample_trajectories)

@@ -1,17 +1,26 @@
 """Euler-Maruyama path simulation, pathwise statistics, and Monte Carlo.
 
-Noise handling is fully deterministic: each path draws its increments from a
-generator seeded by a counter-based mix of (master_seed, path_index), blocks
-of paths write into disjoint slices of preallocated arrays, and reductions
-run in index order.  Results are therefore bit-identical for any thread
-count.
+An ensemble is simulated in fixed blocks of 1024 paths (``_BLOCK_PATHS``).
+Block b draws all of its noise with one call on a generator seeded by
+``mix_seed(master_seed, b)``, in path-major order, so ensemble member i
+depends only on (master_seed, i): not on the ensemble size, the thread
+count, or which function asked for it.  The sample trajectories of a run
+are therefore the first members of its ensemble, a larger ensemble extends
+a smaller one, and ``simulate_path(policy, grid, seed)`` is member 0 of the
+ensemble keyed by ``seed``.
+
+Within a block the paths are stored time-major, shape (n_steps + 1, paths),
+so each Euler step reads and writes contiguous rows.  Blocks write into
+disjoint slices of preallocated arrays and reductions run in index order,
+so results are bit-identical for any thread count.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,8 +28,8 @@ from .controls import FeedbackPolicy
 from .errors import GridMismatchError, NonFiniteStateError
 from .model import GridConfig, GridSampled, ModelParams, Pattern, sample_on_grid
 
-# Paths per simulation block.  Fixed so that results never depend on the
-# parallelism degree.
+# Paths per simulation block, and per noise stream.  Fixed so that results
+# never depend on the parallelism degree.
 _BLOCK_PATHS = 1024
 
 
@@ -43,6 +52,10 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class McSummary:
+    """Ensemble statistics; ``sample_trajectories`` holds the first
+    ensemble members when they were asked for, and is not part of
+    ``as_dict``."""
+
     n_paths: int
     mean_primary_cost: float
     mean_log_lr: float
@@ -50,6 +63,9 @@ class McSummary:
     se_primary_cost: float
     se_log_lr: float
     master_seed: int
+    sample_trajectories: tuple[Trajectory, ...] = field(
+        default=(), compare=False, repr=False
+    )
 
     def as_dict(self) -> dict:
         return {
@@ -63,51 +79,107 @@ class McSummary:
         }
 
 
-def _step_paths(policy: FeedbackPolicy, grid: GridConfig, noise: np.ndarray):
-    """Vectorized Euler-Maruyama over a block of paths.
+def _step_paths(policy: FeedbackPolicy, grid: GridConfig, dw: np.ndarray):
+    """Vectorized Euler-Maruyama over a block of paths, time-major.
 
-    noise has shape (paths, n_steps, 2); returns v, y of shape
-    (paths, n_steps + 1) and realized controls of shape (paths, n_steps).
+    dw holds the scaled noise increments sigma sqrt(h) Z, shape
+    (2, n_steps, paths) (V channel first); returns v, y of shape
+    (n_steps + 1, paths) and realized controls of shape (n_steps, paths).
     """
     p = policy.params
     n = grid.n_steps
     h = grid.h
-    sq = math.sqrt(h)
-    m = noise.shape[0]
-    v = np.empty((m, n + 1))
-    y = np.empty((m, n + 1))
-    alpha = np.empty((m, n))
-    beta = np.empty((m, n))
-    v[:, 0] = p.v0
-    y[:, 0] = p.y0
+    m = dw.shape[2]
+    v = np.empty((n + 1, m))
+    y = np.empty((n + 1, m))
+    alpha = np.empty((n, m))
+    beta = np.empty((n, m))
+    v[0] = p.v0
+    y[0] = p.y0
     av, ay, a0 = policy.alpha_v, policy.alpha_y, policy.alpha_0
     bv, by, b0 = policy.beta_v, policy.beta_y, policy.beta_0
+    dwb, dww = dw
+    tmp = np.empty(m)
     for k in range(n):
-        vk = v[:, k]
-        yk = y[:, k]
-        ak = av[k] * vk + ay[k] * yk + a0[k]
-        bk = bv[k] * vk + by[k] * yk + b0[k]
-        alpha[:, k] = ak
-        beta[:, k] = bk
-        v[:, k + 1] = vk + ak * h + p.sigma_b * sq * noise[:, k, 0]
-        y[:, k + 1] = yk + (vk + bk) * h + p.sigma_w * sq * noise[:, k, 1]
+        vk = v[k]
+        yk = y[k]
+        # alpha_k = av vk + ay yk + a0 and v_{k+1} = vk + alpha_k h + dW_B,
+        # evaluated in place with the additions in that order
+        ak = np.multiply(vk, av[k], out=alpha[k])
+        ak += np.multiply(yk, ay[k], out=tmp)
+        ak += a0[k]
+        bk = np.multiply(vk, bv[k], out=beta[k])
+        bk += np.multiply(yk, by[k], out=tmp)
+        bk += b0[k]
+        vn = np.multiply(ak, h, out=v[k + 1])
+        vn += vk
+        vn += dwb[k]
+        yn = np.add(vk, bk, out=y[k + 1])
+        yn *= h
+        yn += yk
+        yn += dww[k]
     if not (np.all(np.isfinite(v)) and np.all(np.isfinite(y))):
         raise NonFiniteStateError("path simulation overflowed")
     return v, y, alpha, beta
 
 
-def simulate_path(policy: FeedbackPolicy, grid: GridConfig, seed: int) -> Trajectory:
-    """One path driven by increments from a generator seeded with ``seed``."""
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((1, grid.n_steps, 2))
-    v, y, alpha, beta = _step_paths(policy, grid, noise)
+def _run_blocks(
+    policy: FeedbackPolicy,
+    grid: GridConfig,
+    n_paths: int,
+    master_seed: int,
+    consume: Callable,
+    threads: int = 1,
+) -> list:
+    """Simulate ensemble members 0..n_paths-1 and hand each block to consume.
+
+    ``consume(start, paths)`` gets the block's time-major (v, y, alpha, beta),
+    whose column j is member start + j; its results come back in block
+    order.  With threads > 1 blocks run on a pool, so consume may write only
+    to its own slice of shared output.
+    """
+    p = policy.params
+    n = grid.n_steps
+    sq = math.sqrt(grid.h)
+
+    def run(block):
+        start = block * _BLOCK_PATHS
+        m = min(_BLOCK_PATHS, n_paths - start)
+        rng = np.random.default_rng(mix_seed(master_seed, block))
+        z = rng.standard_normal((m, n, 2))
+        dw = np.empty((2, n, m))
+        np.multiply(z[:, :, 0].T, p.sigma_b * sq, out=dw[0])
+        np.multiply(z[:, :, 1].T, p.sigma_w * sq, out=dw[1])
+        del z
+        paths = _step_paths(policy, grid, dw)
+        del dw  # free the noise before consume allocates its temporaries
+        return consume(start, paths)
+
+    blocks = range(-(-n_paths // _BLOCK_PATHS))
+    if threads > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run, blocks))
+    return [run(block) for block in blocks]
+
+
+def _trajectory(times: np.ndarray, paths, j: int) -> Trajectory:
+    v, y, alpha, beta = paths
     return Trajectory(
-        times=grid.times(),
-        v_path=v[0],
-        y_path=y[0],
-        alpha_path=alpha[0],
-        beta_path=beta[0],
+        times=times,
+        v_path=v[:, j].copy(),
+        y_path=y[:, j].copy(),
+        alpha_path=alpha[:, j].copy(),
+        beta_path=beta[:, j].copy(),
     )
+
+
+def simulate_path(policy: FeedbackPolicy, grid: GridConfig, seed: int) -> Trajectory:
+    """Member 0 of the ensemble keyed by ``seed``."""
+    times = grid.times()
+    (traj,) = _run_blocks(
+        policy, grid, 1, seed, lambda start, paths: _trajectory(times, paths, 0)
+    )
+    return traj
 
 
 def _primary_costs(
@@ -117,16 +189,16 @@ def _primary_costs(
     params: ModelParams,
     grid: GridConfig,
 ) -> np.ndarray:
-    """Left-Riemann running cost plus terminal term, per path."""
+    """Left-Riemann running cost plus terminal term, per path (time-major)."""
     n = grid.n_steps
     h = grid.h
     vb = np.asarray(params.vbar(grid.times()), dtype=float)[:n]
     run = (0.5 * h) * (
-        params.r_alpha * np.sum(alpha * alpha, axis=1)
-        + params.r_beta * np.sum(beta * beta, axis=1)
-        + params.r_v * np.sum((v[:, :n] - vb) ** 2, axis=1)
+        params.r_alpha * np.sum(alpha * alpha, axis=0)
+        + params.r_beta * np.sum(beta * beta, axis=0)
+        + params.r_v * np.sum((v[:n] - vb[:, None]) ** 2, axis=0)
     )
-    term = 0.5 * params.t_v * (v[:, n] - params.vbar_final) ** 2
+    term = 0.5 * params.t_v * (v[n] - params.vbar_final) ** 2
     return run + term
 
 
@@ -138,18 +210,19 @@ def _log_lrs(
     params: ModelParams,
     grid: GridConfig,
 ) -> np.ndarray:
-    """Left-endpoint discretization of the log likelihood ratio, per path.
+    """Left-endpoint discretization of the log likelihood ratio, per path
+    (time-major).
 
     With g_k = f_c(t_k) Y_k + f_d(t_k):
         (1/sigma_w^2) [ sum g_k (Y_{k+1}-Y_k) - sum V_k g_k h - 1/2 sum g_k^2 h ]
     """
     n = grid.n_steps
     h = grid.h
-    g = fc_nodes[:n] * y[:, :n] + fd_nodes[:n]
-    dy = y[:, 1:] - y[:, :n]
-    stoch = np.sum(g * dy, axis=1)
-    drift = np.sum(v[:, :n] * g, axis=1) * h
-    quad = 0.5 * h * np.sum(g * g, axis=1)
+    g = fc_nodes[:n, None] * y[:n] + fd_nodes[:n, None]
+    dy = y[1:] - y[:n]
+    stoch = np.sum(g * dy, axis=0)
+    drift = np.sum(v[:n] * g, axis=0) * h
+    quad = 0.5 * h * np.sum(g * g, axis=0)
     return (stoch - drift - quad) / params.sigma_w**2
 
 
@@ -175,9 +248,9 @@ def primary_cost(traj: Trajectory, params: ModelParams) -> float:
     grid = GridConfig(traj.times.size - 1, float(traj.times[-1]))
     return float(
         _primary_costs(
-            traj.v_path[None, :],
-            traj.alpha_path[None, :],
-            traj.beta_path[None, :],
+            traj.v_path[:, None],
+            traj.alpha_path[:, None],
+            traj.beta_path[:, None],
             params,
             grid,
         )[0]
@@ -193,7 +266,7 @@ def log_likelihood_ratio(
     fd = sample_on_grid(pattern.f_d, grid)
     return float(
         _log_lrs(
-            traj.v_path[None, :], traj.y_path[None, :], fc, fd, params, grid
+            traj.v_path[:, None], traj.y_path[:, None], fc, fd, params, grid
         )[0]
     )
 
@@ -203,23 +276,21 @@ def sample_paths(
 ) -> tuple[np.ndarray, np.ndarray]:
     """V and Y node values for a whole ensemble, shape (n_paths, n_steps+1).
 
-    Path i is bit-identical to path i of monte_carlo with the same master
-    seed (same per-path generators, same block layout).
+    Row i is ensemble member i of monte_carlo with the same master seed.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     n = grid.n_steps
     v_all = np.empty((n_paths, n + 1))
     y_all = np.empty((n_paths, n + 1))
-    for start in range(0, n_paths, _BLOCK_PATHS):
-        stop = min(start + _BLOCK_PATHS, n_paths)
-        noise = np.empty((stop - start, n, 2))
-        for j in range(stop - start):
-            rng = np.random.default_rng(mix_seed(master_seed, start + j))
-            noise[j] = rng.standard_normal((n, 2))
-        v, y, _, _ = _step_paths(policy, grid, noise)
-        v_all[start:stop] = v
-        y_all[start:stop] = y
+
+    def consume(start, paths):
+        v, y, _, _ = paths
+        stop = start + v.shape[1]
+        v_all[start:stop] = v.T
+        y_all[start:stop] = y.T
+
+    _run_blocks(policy, grid, n_paths, master_seed, consume)
     return v_all, y_all
 
 
@@ -230,11 +301,19 @@ def log_lr_samples(
     n_paths: int,
     master_seed: int,
 ) -> np.ndarray:
-    """Per-path log likelihood ratios, seeded exactly like monte_carlo."""
-    v, y = sample_paths(policy, grid, n_paths, master_seed)
+    """Per-path log likelihood ratios of the monte_carlo ensemble."""
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     fc = sample_on_grid(pattern.f_c, grid)
     fd = sample_on_grid(pattern.f_d, grid)
-    return _log_lrs(v, y, fc, fd, policy.params, grid)
+    out = np.empty(n_paths)
+
+    def consume(start, paths):
+        v, y, _, _ = paths
+        out[start : start + v.shape[1]] = _log_lrs(v, y, fc, fd, policy.params, grid)
+
+    _run_blocks(policy, grid, n_paths, master_seed, consume)
+    return out
 
 
 def monte_carlo(
@@ -244,54 +323,60 @@ def monte_carlo(
     n_paths: int,
     master_seed: int,
     threads: int = 1,
+    n_sample: int = 0,
 ) -> McSummary:
     """Seeded Monte Carlo estimate of the primary cost and log-LR means.
 
     The `pattern` argument is the one the likelihood statistic tests for;
     it may differ from the pattern the policy was solved with (used to
-    evaluate statistics on null-hypothesis paths).
+    evaluate statistics on null-hypothesis paths).  The first `n_sample`
+    ensemble members are returned as ``sample_trajectories``; members past
+    n_paths are simulated for that purpose only and left out of the
+    statistics.  Raises NonFiniteStateError if a statistic is not finite.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
+    if n_sample < 0:
+        raise ValueError("n_sample must be >= 0")
     params = policy.params
-    n = grid.n_steps
     fc = sample_on_grid(pattern.f_c, grid)
     fd = sample_on_grid(pattern.f_d, grid)
-    primary = np.empty(n_paths)
-    loglr = np.empty(n_paths)
+    times = grid.times()
+    total = max(n_paths, n_sample)
+    primary = np.empty(total)
+    loglr = np.empty(total)
 
-    def run_block(bounds):
-        start, stop = bounds
-        m = stop - start
-        noise = np.empty((m, n, 2))
-        for j in range(m):
-            rng = np.random.default_rng(mix_seed(master_seed, start + j))
-            noise[j] = rng.standard_normal((n, 2))
-        v, y, alpha, beta = _step_paths(policy, grid, noise)
+    def consume(start, paths):
+        v, y, alpha, beta = paths
+        stop = start + v.shape[1]
         primary[start:stop] = _primary_costs(v, alpha, beta, params, grid)
         loglr[start:stop] = _log_lrs(v, y, fc, fd, params, grid)
+        return [
+            _trajectory(times, paths, i - start)
+            for i in range(start, min(stop, n_sample))
+        ]
 
-    blocks = [
-        (start, min(start + _BLOCK_PATHS, n_paths))
-        for start in range(0, n_paths, _BLOCK_PATHS)
-    ]
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_block, blocks))
-    else:
-        for bounds in blocks:
-            run_block(bounds)
-
-    mean_primary = float(np.mean(primary))
-    mean_loglr = float(np.mean(loglr))
-    se_primary = float(np.std(primary, ddof=1) / math.sqrt(n_paths))
-    se_loglr = float(np.std(loglr, ddof=1) / math.sqrt(n_paths))
+    sampled = _run_blocks(policy, grid, total, master_seed, consume, threads)
+    primary = primary[:n_paths]
+    loglr = loglr[:n_paths]
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = {
+            "mean_primary_cost": float(np.mean(primary)),
+            "mean_log_lr": float(np.mean(loglr)),
+            "se_primary_cost": float(np.std(primary, ddof=1) / math.sqrt(n_paths)),
+            "se_log_lr": float(np.std(loglr, ddof=1) / math.sqrt(n_paths)),
+        }
+        stats["mean_blue_cost"] = (
+            stats["mean_primary_cost"] - params.lam * stats["mean_log_lr"]
+        )
+    bad = sorted(k for k, x in stats.items() if not math.isfinite(x))
+    if bad:
+        raise NonFiniteStateError(
+            "Monte Carlo statistics are not finite: " + ", ".join(bad)
+        )
     return McSummary(
         n_paths=n_paths,
-        mean_primary_cost=mean_primary,
-        mean_log_lr=mean_loglr,
-        mean_blue_cost=mean_primary - params.lam * mean_loglr,
-        se_primary_cost=se_primary,
-        se_log_lr=se_loglr,
         master_seed=master_seed,
+        sample_trajectories=tuple(t for block in sampled for t in block),
+        **stats,
     )

@@ -1,10 +1,10 @@
 """Multi-round interaction between the pattern optimizer and the controller.
 
 Each round: the controller best-responds to the current pattern (coefficient
-solve, Monte Carlo metrics, a few sample paths), then the optimizer anchors
-its trust penalty at that pattern and instills a new one, which the
-controller adopts next round.  All randomness is derived from one master
-seed so a run is reproducible end to end.
+solve, Monte Carlo metrics, whose first ensemble members are the sample
+paths), then the optimizer anchors its trust penalty at that pattern and
+instills a new one, which the controller adopts next round.  All randomness
+is derived from one master seed so a run is reproducible end to end.
 """
 
 from __future__ import annotations
@@ -34,12 +34,12 @@ from .red import (
     fpi_solve,
     nn_solve,
 )
-from .riccati import solve_value_coeffs
-from .sde import McSummary, Trajectory, mix_seed, monte_carlo, simulate_path
+from .riccati import ValueCoeffs, solve_value_coeffs
+from .sde import McSummary, Trajectory, mix_seed, monte_carlo
 
-# Stream tags for per-round seed derivation.
+# Stream tags for per-round seed derivation.  Tag 1 is retired; the others
+# keep their values so the optimizer and baseline streams do not move.
 _STREAM_MC = 0
-_STREAM_TRAJ = 1
 _STREAM_RED = 2
 _STREAM_BASELINE = 3
 
@@ -48,9 +48,13 @@ _STREAM_BASELINE = 3
 class RoundRecord:
     round_index: int
     f_c_used: GridSampled
+    coeffs: ValueCoeffs
     mc: McSummary
     expected_log_lr_moment: float
-    sample_trajectories: list[Trajectory]
+
+    @property
+    def sample_trajectories(self) -> list[Trajectory]:
+        return list(self.mc.sample_trajectories)
 
 
 def solve_red(
@@ -82,7 +86,8 @@ def play_rounds(
     """Run the loop and return one record per round, in order.
 
     The pattern of round k+1 is bit-identical to the optimizer output of
-    round k (anchored at round k's pattern and seeded by red_seed).
+    round k (anchored at round k's pattern and seeded by red_seed).  The
+    last round runs no optimizer, since its output would never be played.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
@@ -100,14 +105,13 @@ def play_rounds(
             mc_paths,
             mix_seed(seed, rnd, _STREAM_MC),
             threads=threads,
+            n_sample=n_sample_trajectories,
         )
         moments = solve_moments(params, coeffs, f_c, grid)
         elr = expected_log_lr(params, coeffs, f_c, moments, grid)
-        trajectories = [
-            simulate_path(policy, grid, mix_seed(seed, rnd, _STREAM_TRAJ, j))
-            for j in range(n_sample_trajectories)
-        ]
-        records.append(RoundRecord(rnd, f_c, mc, elr, trajectories))
+        records.append(RoundRecord(rnd, f_c, coeffs, mc, elr))
+        if rnd == n_rounds:
+            break
         config = replace(red_config, f_c_initial=f_c)
         report = solve_red(params, config, grid, red_seed(seed, rnd))
         f_nodes = report.f_c.values

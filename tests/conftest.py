@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from redblue import Affine, Constant, GridConfig, ModelParams
+
+# Property tests draw the same examples on every run, so the suite stays
+# deterministic; the simulations they call are too slow for a deadline.
+settings.register_profile("redblue", derandomize=True, deadline=None, database=None)
+settings.load_profile("redblue")
 
 
 def make_params(**overrides) -> ModelParams:

@@ -132,6 +132,14 @@ def test_write_csv_formatting(tmp_path):
     assert "\r" not in raw
 
 
+def test_write_json_rejects_non_finite(tmp_path):
+    path = tmp_path / "t.json"
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            write_json(path, {"a": value})
+    assert not path.exists()
+
+
 def test_write_json_sorted_with_newline(tmp_path):
     path = tmp_path / "t.json"
     write_json(path, {"b": 1, "a": 2})
@@ -155,6 +163,41 @@ def test_main_config_errors_exit_1(tmp_path):
     assert main(["blue-solve", "--config", unknown]) == 1
     out_of_range = write_config(tmp_path, base_doc(**{"model.lambda": 5.0}), "l.json")
     assert main(["blue-solve", "--config", out_of_range]) == 1
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("pattern.f_c", "constant:inf"),
+        ("pattern.f_c", "sinusoid:1,nan"),
+        ("pattern.f_c", "grid:nan,1"),
+        ("pattern.f_d", math.inf),
+        ("red.tolerance", math.inf),
+        ("model.v0", math.nan),
+    ],
+)
+def test_non_finite_inputs_are_config_errors(tmp_path, key, value):
+    with pytest.raises(ConfigError, match="finite"):
+        build_run_config(base_doc(**{key: value}))
+    # json writes these as Infinity / NaN, which json.load accepts
+    cfg = write_config(tmp_path, base_doc(**{key: value}))
+    for command in ("blue-solve", "red-optimize"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_non_finite_monte_carlo_exits_2(tmp_path, capsys):
+    # Euler-Maruyama is unstable at this step size: the paths stay finite
+    # but their costs overflow, which must not be written as Infinity
+    doc = base_doc(
+        **{"model.T": 1e6, "grid.n_steps": 20, "pattern.f_c": "constant:0"}
+    )
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main(["blue-solve", "--config", cfg, "--out", str(out)]) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not (out / "mc_summary.json").exists()
 
 
 def test_blue_solve_writes_deterministic_outputs(tmp_path):

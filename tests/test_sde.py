@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from redblue import (
     Constant,
@@ -8,6 +10,7 @@ from redblue import (
     GridMismatchError,
     GridSampled,
     ModelParams,
+    NonFiniteStateError,
     Pattern,
     Trajectory,
     ZERO_PATTERN,
@@ -123,25 +126,92 @@ def test_monte_carlo_deterministic():
     assert a.mean_primary_cost != c.mean_primary_cost
 
 
-def test_thread_count_does_not_change_results():
-    params = make_params()
-    grid = GridConfig(100, 0.1)
+def _policy(n_steps: int) -> tuple[FeedbackPolicy, GridConfig, Pattern]:
+    grid = GridConfig(n_steps, 0.1)
     pattern = Pattern(Constant(1.0), Constant(0.0))
-    policy = FeedbackPolicy.solve(params, pattern, grid)
-    # more paths than one block so the pool actually splits the work
-    single = monte_carlo(policy, pattern, grid, 3000, 5, threads=1)
-    pooled = monte_carlo(policy, pattern, grid, 3000, 5, threads=4)
+    return FeedbackPolicy.solve(make_params(), pattern, grid), grid, pattern
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=25)
+@given(
+    n_steps=st.integers(2, 6),
+    n_paths=st.integers(2, 3000),
+    seed=seeds,
+    threads=st.integers(2, 4),
+)
+@example(n_steps=4, n_paths=3000, seed=5, threads=4)
+def test_thread_count_does_not_change_results(n_steps, n_paths, seed, threads):
+    policy, grid, pattern = _policy(n_steps)
+    single = monte_carlo(policy, pattern, grid, n_paths, seed, threads=1, n_sample=3)
+    pooled = monte_carlo(
+        policy, pattern, grid, n_paths, seed, threads=threads, n_sample=3
+    )
     assert single.as_dict() == pooled.as_dict()
+    for a, b in zip(single.sample_trajectories, pooled.sample_trajectories):
+        np.testing.assert_array_equal(a.v_path, b.v_path)
+        np.testing.assert_array_equal(a.beta_path, b.beta_path)
 
 
-def test_simulate_path_matches_ensemble_member():
-    params = make_params()
-    grid = GridConfig(80, 0.1)
-    policy = FeedbackPolicy.solve(params, ZERO_PATTERN, grid)
+@settings(max_examples=25)
+@given(
+    n_steps=st.integers(2, 6),
+    n_paths=st.integers(1, 2100),
+    k=st.integers(1, 2100),
+    seed=seeds,
+)
+@example(n_steps=3, n_paths=2100, k=1023, seed=11)
+@example(n_steps=3, n_paths=2100, k=1024, seed=11)
+@example(n_steps=3, n_paths=2100, k=1025, seed=11)
+def test_ensemble_prefix_is_a_smaller_ensemble(n_steps, n_paths, k, seed):
+    # member i depends only on (seed, i): not on the size of the ensemble
+    k = min(k, n_paths)
+    policy, grid, _ = _policy(n_steps)
+    v, y = sample_paths(policy, grid, n_paths, seed)
+    vk, yk = sample_paths(policy, grid, k, seed)
+    np.testing.assert_array_equal(v[:k], vk)
+    np.testing.assert_array_equal(y[:k], yk)
+
+
+@pytest.mark.parametrize("n_paths, n_sample", [(40, 3), (2, 4), (1100, 1030)])
+def test_sample_trajectories_are_ensemble_members(n_paths, n_sample):
+    policy, grid, pattern = _policy(30)
+    summary = monte_carlo(policy, pattern, grid, n_paths, 99, n_sample=n_sample)
+    v, y = sample_paths(policy, grid, n_sample, 99)
+    assert len(summary.sample_trajectories) == n_sample
+    for i, traj in enumerate(summary.sample_trajectories):
+        np.testing.assert_array_equal(traj.v_path, v[i])
+        np.testing.assert_array_equal(traj.y_path, y[i])
+    # members simulated only to be sampled stay out of the statistics
+    plain = monte_carlo(policy, pattern, grid, n_paths, 99)
+    assert summary.as_dict() == plain.as_dict()
+
+
+def test_simulate_path_is_member_zero():
+    policy, grid, _ = _policy(80)
     v, y = sample_paths(policy, grid, 5, master_seed=99)
-    traj = simulate_path(policy, grid, mix_seed(99, 3))
-    np.testing.assert_array_equal(traj.v_path, v[3])
-    np.testing.assert_array_equal(traj.y_path, y[3])
+    traj = simulate_path(policy, grid, 99)
+    np.testing.assert_array_equal(traj.v_path, v[0])
+    np.testing.assert_array_equal(traj.y_path, y[0])
+
+
+def test_log_lr_samples_match_monte_carlo():
+    policy, grid, pattern = _policy(40)
+    samples = log_lr_samples(policy, pattern, grid, 1500, 8)
+    summary = monte_carlo(policy, pattern, grid, 1500, 8)
+    assert float(np.mean(samples)) == summary.mean_log_lr
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_non_finite_statistics_raise():
+    # the paths stay finite, but squaring them for the cost overflows
+    params = make_params(v0=1e200)
+    grid = GridConfig(10, 0.1)
+    policy = FeedbackPolicy.solve(params, ZERO_PATTERN, grid)
+    with pytest.raises(NonFiniteStateError, match="mean_primary_cost"):
+        monte_carlo(policy, ZERO_PATTERN, grid, 10, 1)
 
 
 def test_blue_cost_identity():

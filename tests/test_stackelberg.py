@@ -7,10 +7,13 @@ from redblue import (
     Affine,
     Constant,
     GridConfig,
+    Pattern,
     RedConfig,
     baseline_summary,
     play_rounds,
+    solve_value_coeffs,
 )
+from redblue import stackelberg
 from redblue.stackelberg import red_seed, solve_red
 from conftest import make_params
 
@@ -49,6 +52,29 @@ def test_rounds_are_deterministic():
         assert ra.mc.as_dict() == rb.mc.as_dict()
         np.testing.assert_array_equal(ra.f_c_used.values, rb.f_c_used.values)
         assert ra.expected_log_lr_moment == rb.expected_log_lr_moment
+
+
+def test_rounds_carry_coeffs_and_skip_the_unplayed_solve(monkeypatch):
+    params = make_params(lam=0.08)
+    grid = GridConfig(60, 0.1)
+    calls = []
+
+    def counting_solve_red(*args):
+        calls.append(args)
+        return solve_red(*args)
+
+    monkeypatch.setattr(stackelberg, "solve_red", counting_solve_red)
+    records = play_rounds(params, Constant(1.0), quick_config(), 3, 100, 9, grid)
+    assert len(records) == 3
+    assert len(calls) == 2
+    for record in records:
+        fresh = solve_value_coeffs(
+            params, Pattern(record.f_c_used, Constant(0.0)), grid
+        )
+        for name in ("mu", "eta", "rho", "gamma", "theta", "xi"):
+            np.testing.assert_array_equal(
+                getattr(record.coeffs, name), getattr(fresh, name)
+            )
 
 
 def test_huge_penalty_freezes_pattern_between_rounds():
