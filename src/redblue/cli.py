@@ -640,7 +640,7 @@ def cmd_validate(cfg: RunConfig, plots: bool = False) -> int:
     for name, fn in _VALIDATE_CHECKS:
         try:
             ok, detail = fn(cfg)
-        except (RedBlueError, ValueError) as exc:
+        except (RedBlueError, ValueError, ArithmeticError) as exc:
             ok, detail = False, f"error: {exc}"
         if not ok:
             failures += 1
@@ -696,7 +696,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](cfg, plots=args.plots)
-    except (RedBlueError, ValueError) as exc:
+    except (RedBlueError, ValueError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
 

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dynamics import misdirection_gain
 from .errors import GridMismatchError, OutOfDomainError
 from .model import GridConfig, ModelParams, Pattern, sample_on_grid
-from .riccati import ValueCoeffs, check_same_grid, misdirection_gain, solve_value_coeffs
+from .riccati import ValueCoeffs, check_same_grid, solve_value_coeffs
 
 
 @dataclass(eq=False)

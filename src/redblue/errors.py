@@ -43,7 +43,3 @@ class DegenerateDenominatorError(RedBlueError):
 
 class NegativeDiscriminantError(RedBlueError):
     """Quadratic root for the log-penalty minimizer has no real solution."""
-
-
-class UnsupportedError(RedBlueError):
-    """Requested a combination the solvers do not cover."""

@@ -2,9 +2,10 @@
 
 In the simplified setting (f_d identically zero, zero velocity target) the
 closed-loop dynamics are linear and homogeneous, so the second moments
-h20 = E[V^2], h11 = E[V Y], h02 = E[Y^2] close under three coupled ODEs.
-They give the expected log likelihood ratio of the instilled pattern in
-closed form, which is what the pattern optimizers maximize.
+h20 = E[V^2], h11 = E[V Y], h02 = E[Y^2] close under three coupled ODEs, the
+G of ``redblue.dynamics``.  They give the expected log likelihood ratio of the
+instilled pattern in closed form, which is what the pattern optimizers
+maximize.
 """
 
 from __future__ import annotations
@@ -13,15 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import Dynamics
 from .errors import GridMismatchError
 from .model import GridConfig, ModelParams, TimeFunction, sample_on_half_grid
-from .odeint import OdeSystem, integrate_forward
-from .riccati import (
-    ValueCoeffs,
-    check_same_grid,
-    half_grid_index,
-    misdirection_gain,
-)
+from .odeint import integrate_forward
+from .riccati import ValueCoeffs, check_same_grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,38 +67,14 @@ def solve_moments(
     eta_h = nodes_to_half_grid(coeffs.eta)
     rho_h = nodes_to_half_grid(coeffs.rho)
     fc_h = sample_on_half_grid(f_c, grid)
-    index = half_grid_index(grid)
+    dyn = Dynamics.of(params)
+    moment_rhs = dyn.moment_rhs
 
-    r_alpha = params.r_alpha
-    r_beta = params.r_beta
-    u = misdirection_gain(params)
-    sb2 = params.sigma_b**2
-    sw2 = params.sigma_w**2
-
-    def rhs(t: float, state: np.ndarray) -> np.ndarray:
+    def rhs(j: int, state: np.ndarray) -> np.ndarray:
         h20, h11, h02 = state
-        j = index(t)
-        mu = mu_h[j]
-        eta = eta_h[j]
-        rho = rho_h[j]
-        fc_t = fc_h[j]
-        d20 = -2.0 * (mu / r_alpha) * h20 - 2.0 * (eta / r_alpha) * h11 + sb2
-        d11 = (
-            (u * fc_t - rho / r_beta - mu / r_alpha) * h11
-            + (1.0 - eta / r_beta) * h20
-            - (eta / r_alpha) * h02
-        )
-        d02 = (
-            2.0 * (1.0 - eta / r_beta) * h11
-            + 2.0 * (u * fc_t - rho / r_beta) * h02
-            + sw2
-        )
-        return np.array([d20, d11, d02])
+        return np.array(moment_rhs(h20, h11, h02, mu_h[j], eta_h[j], rho_h[j], fc_h[j]))
 
-    initial = np.array(
-        [params.v0**2, params.v0 * params.y0, params.y0**2]
-    )
-    states = integrate_forward(OdeSystem(3, rhs), initial, grid)
+    states = integrate_forward(rhs, dyn.moment_initial(), grid)
     return MomentCurves(
         grid=grid,
         h20=states[:, 0].copy(),
@@ -117,24 +90,15 @@ def expected_log_lr(
     moments: MomentCurves,
     grid: GridConfig,
 ) -> float:
-    """Trapezoid quadrature of the expected log likelihood ratio.
-
-    Integrand at each node:
-        (1/sigma_w^2) [ (-eta h11 - rho h02) f_c / r_beta
-                        + (u - 1/2) h02 f_c^2 ]
-    with u = lam / (r_beta sigma_w^2).
-    """
+    """Trapezoid quadrature of the expected log likelihood ratio, whose
+    integrand at each node is the payoff of ``redblue.dynamics`` over
+    sigma_w^2."""
     check_same_grid(coeffs.grid, grid)
     check_same_grid(moments.grid, grid)
     for curve in (coeffs.eta, coeffs.rho, moments.h11, moments.h02):
         if curve.shape != (grid.n_steps + 1,):
             raise GridMismatchError("curve length does not match the grid")
     fc = np.asarray(f_c(grid.times()), dtype=float)
-    u = misdirection_gain(params)
-    integrand = (
-        (-coeffs.eta * moments.h11 - coeffs.rho * moments.h02)
-        / params.r_beta
-        * fc
-        + (u - 0.5) * moments.h02 * fc * fc
-    ) / params.sigma_w**2
+    dyn = Dynamics.of(params)
+    integrand = dyn.payoff(coeffs.eta, coeffs.rho, moments.h11, moments.h02, fc) / dyn.sw2
     return float(np.trapezoid(integrand, dx=grid.h))

@@ -8,7 +8,6 @@ from .objective import (
     SOLVER_NN,
     OptimizationReport,
     RedConfig,
-    coupling_term,
     penalty,
     red_objective,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "MlpNetwork",
     "OptimizationReport",
     "RedConfig",
-    "coupling_term",
     "fbs_solve",
     "fpi_solve",
     "fpi_update",

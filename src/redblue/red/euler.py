@@ -8,8 +8,9 @@ the same grid:
     coefficients (backward):  s_k     = s_{k+1} - h F(s_{k+1}, f_{k+1})
     moments (forward):        m_{k+1} = m_k     + h G(m_k, s_k, f_k)
 
-followed by trapezoid quadrature for the payoff and the penalty.  The
-gradient is computed by reverse accumulation through exactly these
+followed by trapezoid quadrature for the payoff and the penalty.  F, G, the
+payoff and their transposed-Jacobian products come from ``redblue.dynamics``.
+The gradient is computed by reverse accumulation through exactly these
 recursions, so it matches central finite differences to rounding error.
 """
 
@@ -17,10 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..dynamics import Dynamics
 from ..errors import NonFiniteStateError, NonPositiveFcError
 from ..model import GridConfig, ModelParams, sample_on_grid
-from ..riccati import misdirection_gain, pattern_curvature
-from .objective import PENALTY_LOGARITHMIC, PENALTY_QUADRATIC, RedConfig
+from .objective import PENALTY_QUADRATIC, RedConfig
 
 
 def _trapezoid_weights(grid: GridConfig) -> np.ndarray:
@@ -30,53 +31,22 @@ def _trapezoid_weights(grid: GridConfig) -> np.ndarray:
     return w
 
 
-def _euler_states(f: np.ndarray, params: ModelParams, grid: GridConfig):
-    """Node curves (mu, eta, rho, h20, h11, h02) from the Euler recursions."""
+def _euler_states(f: list[float], dyn: Dynamics, grid: GridConfig):
+    """Rows (mu, eta, rho) and (h20, h11, h02) at every node from the Euler
+    recursions, as tuples of floats."""
     n = grid.n_steps
     h = grid.h
-    ra, rb = params.r_alpha, params.r_beta
-    u = misdirection_gain(params)
-    c2 = pattern_curvature(params)
-    sb2 = params.sigma_b**2
-    sw2 = params.sigma_w**2
-
-    mu = np.empty(n + 1)
-    eta = np.empty(n + 1)
-    rho = np.empty(n + 1)
-    mu[n] = params.t_v
-    eta[n] = 0.0
-    rho[n] = 0.0
+    s = [dyn.coeff_terminal()] * (n + 1)
     for k in range(n - 1, -1, -1):
-        m1, e1, r1 = mu[k + 1], eta[k + 1], rho[k + 1]
-        fk1 = f[k + 1]
-        d_mu = m1 * m1 / ra + e1 * e1 / rb - 2.0 * e1 - params.r_v
-        d_eta = m1 * e1 / ra + r1 * e1 / rb - r1 - u * e1 * fk1
-        d_rho = e1 * e1 / ra + r1 * r1 / rb - 2.0 * u * r1 * fk1 + c2 * fk1 * fk1
-        mu[k] = m1 - h * d_mu
-        eta[k] = e1 - h * d_eta
-        rho[k] = r1 - h * d_rho
-
-    h20 = np.empty(n + 1)
-    h11 = np.empty(n + 1)
-    h02 = np.empty(n + 1)
-    h20[0] = params.v0**2
-    h11[0] = params.v0 * params.y0
-    h02[0] = params.y0**2
+        mu, eta, rho = s[k + 1]
+        d_mu, d_eta, d_rho = dyn.coeff_rhs(mu, eta, rho, f[k + 1])
+        s[k] = (mu - h * d_mu, eta - h * d_eta, rho - h * d_rho)
+    m = [dyn.moment_initial()]
     for k in range(n):
-        a, b, c = h20[k], h11[k], h02[k]
-        mk, ek, rk = mu[k], eta[k], rho[k]
-        fk = f[k]
-        d20 = -2.0 * (mk / ra) * a - 2.0 * (ek / ra) * b + sb2
-        d11 = (u * fk - rk / rb - mk / ra) * b + (1.0 - ek / rb) * a - (ek / ra) * c
-        d02 = 2.0 * (1.0 - ek / rb) * b + 2.0 * (u * fk - rk / rb) * c + sw2
-        h20[k + 1] = a + h * d20
-        h11[k + 1] = b + h * d11
-        h02[k + 1] = c + h * d02
-
-    for curve in (mu, eta, rho, h20, h11, h02):
-        if not np.all(np.isfinite(curve)):
-            raise NonFiniteStateError("Euler recursion overflowed")
-    return mu, eta, rho, h20, h11, h02
+        h20, h11, h02 = m[k]
+        d20, d11, d02 = dyn.moment_rhs(h20, h11, h02, *s[k], f[k])
+        m.append((h20 + h * d20, h11 + h * d11, h02 + h * d02))
+    return s, m
 
 
 def _penalty_terms(f, anchor, w, config: RedConfig):
@@ -99,16 +69,20 @@ def euler_objective_and_gradient(
     if f.shape != (n + 1,):
         raise ValueError(f"expected {n + 1} node values")
     h = grid.h
-    ra, rb = params.r_alpha, params.r_beta
-    u = misdirection_gain(params)
-    c2 = pattern_curvature(params)
-    sw2 = params.sigma_w**2
+    dyn = Dynamics.of(params)
+    sw2 = dyn.sw2
     w = _trapezoid_weights(grid)
 
-    mu, eta, rho, h20, h11, h02 = _euler_states(f, params, grid)
+    # The recursions and sweeps run on Python floats: the same IEEE double
+    # arithmetic as numpy scalars, at a fraction of the cost per operation.
+    f_list = f.tolist()
+    s, m = _euler_states(f_list, dyn, grid)
+    states = np.column_stack([np.array(s, dtype=float), np.array(m, dtype=float)])
+    if not np.all(np.isfinite(states)):
+        raise NonFiniteStateError("Euler recursion overflowed")
+    mu, eta, rho, h20, h11, h02 = states.T
 
-    integrand = (-(eta * h11 + rho * h02) / rb * f + (u - 0.5) * h02 * f * f) / sw2
-    elr = float(np.sum(w * integrand))
+    elr = float(np.sum(w * (dyn.payoff(eta, rho, h11, h02, f) / sw2)))
     if config.lambda_reg != 0.0:
         anchor = sample_on_grid(config.f_c_initial, grid)
         pen, dpen = _penalty_terms(f, anchor, w, config)
@@ -118,62 +92,51 @@ def euler_objective_and_gradient(
         objective = elr
 
     # Direct derivatives of the quadrature with respect to f and the states.
-    grad = w * (-(eta * h11 + rho * h02) / rb + 2.0 * (u - 0.5) * h02 * f) / sw2
+    l_eta, l_rho, l_h11, l_h02, l_f = dyn.payoff_grad(eta, rho, h11, h02, f)
+    grad = w * l_f / sw2
     if dpen is not None:
         grad = grad + (config.lambda_reg / sw2) * dpen
-    bar_eta = w * (-h11 * f / rb) / sw2
-    bar_rho = w * (-h02 * f / rb) / sw2
-    bar_h11 = w * (-eta * f / rb) / sw2
-    bar_h02 = w * (-rho * f / rb + (u - 0.5) * f * f) / sw2
+    bar_eta = w * l_eta / sw2
+    bar_rho = w * l_rho / sw2
+    bar_h11 = w * l_h11 / sw2
+    bar_h02 = w * l_h02 / sw2
 
     # Reverse sweep of the forward moment recursion; p = dJ/d(m_k) running
     # adjoint, bs_* collect sensitivities pushed onto the coefficient curves.
-    bs_mu = np.zeros(n + 1)
-    bs_eta = bar_eta.copy()
-    bs_rho = bar_rho.copy()
-    p1 = 0.0
-    p2 = bar_h11[n]
-    p3 = bar_h02[n]
+    grad = grad.tolist()
+    bar_h11 = bar_h11.tolist()
+    bar_h02 = bar_h02.tolist()
+    bs_mu = [0.0] * (n + 1)
+    bs_eta = bar_eta.tolist()
+    bs_rho = bar_rho.tolist()
+    p = (0.0, bar_h11[n], bar_h02[n])
     for k in range(n - 1, -1, -1):
-        a, b, c = h20[k], h11[k], h02[k]
-        mk, ek, rk = mu[k], eta[k], rho[k]
-        fk = f[k]
-        bs_mu[k] += h * (p1 * (-2.0 * a / ra) + p2 * (-b / ra))
-        bs_eta[k] += h * (
-            p1 * (-2.0 * b / ra) + p2 * (-a / rb - c / ra) + p3 * (-2.0 * b / rb)
+        d20, d11, d02, d_mu, d_eta, d_rho, d_f = dyn.moment_vjp(p, *m[k], *s[k], f_list[k])
+        bs_mu[k] += h * d_mu
+        bs_eta[k] += h * d_eta
+        bs_rho[k] += h * d_rho
+        grad[k] += h * d_f
+        p = (
+            p[0] + h * d20,
+            p[1] + h * d11 + bar_h11[k],
+            p[2] + h * d02 + bar_h02[k],
         )
-        bs_rho[k] += h * (p2 * (-b / rb) + p3 * (-2.0 * c / rb))
-        grad[k] += h * (p2 * u * b + p3 * 2.0 * u * c)
-        q1 = p1 + h * (p1 * (-2.0 * mk / ra) + p2 * (1.0 - ek / rb))
-        q2 = p2 + h * (
-            p1 * (-2.0 * ek / ra)
-            + p2 * (u * fk - rk / rb - mk / ra)
-            + p3 * 2.0 * (1.0 - ek / rb)
-        )
-        q3 = p3 + h * (p2 * (-ek / ra) + p3 * 2.0 * (u * fk - rk / rb))
-        p1, p2, p3 = q1 + 0.0, q2 + bar_h11[k], q3 + bar_h02[k]
 
     # Reverse sweep of the backward coefficient recursion, which runs from
     # k=0 upward because that recursion fills k from the top down.
-    q1, q2, q3 = bs_mu[0], bs_eta[0], bs_rho[0]
+    q = (bs_mu[0], bs_eta[0], bs_rho[0])
     for k in range(n):
-        m1, e1, r1 = mu[k + 1], eta[k + 1], rho[k + 1]
-        fk1 = f[k + 1]
-        grad[k + 1] += -h * (
-            q2 * (-u * e1) + q3 * (-2.0 * u * r1 + 2.0 * c2 * fk1)
-        )
-        t1 = q1 - h * (q1 * 2.0 * m1 / ra + q2 * e1 / ra)
-        t2 = q2 - h * (
-            q1 * (2.0 * e1 / rb - 2.0)
-            + q2 * (m1 / ra + r1 / rb - u * fk1)
-            + q3 * 2.0 * e1 / ra
-        )
-        t3 = q3 - h * (q2 * (e1 / rb - 1.0) + q3 * (2.0 * r1 / rb - 2.0 * u * fk1))
+        d_mu, d_eta, d_rho, d_f = dyn.coeff_vjp(q, *s[k + 1], f_list[k + 1])
+        grad[k + 1] += -h * d_f
         if k + 1 < n:
-            q1, q2, q3 = t1 + bs_mu[k + 1], t2 + bs_eta[k + 1], t3 + bs_rho[k + 1]
+            q = (
+                q[0] - h * d_mu + bs_mu[k + 1],
+                q[1] - h * d_eta + bs_eta[k + 1],
+                q[2] - h * d_rho + bs_rho[k + 1],
+            )
         # k+1 == n: the terminal condition is a constant, nothing to push.
 
-    return objective, grad
+    return objective, np.array(grad)
 
 
 def euler_objective(

@@ -16,16 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..dynamics import Dynamics
 from ..model import GridConfig, GridSampled, ModelParams, sample_on_half_grid
 from ..moments import MomentCurves, nodes_to_half_grid
-from ..odeint import OdeSystem, integrate_backward
-from ..riccati import (
-    ValueCoeffs,
-    check_same_grid,
-    half_grid_index,
-    misdirection_gain,
-    pattern_curvature,
-)
+from ..odeint import integrate_backward
+from ..riccati import ValueCoeffs, check_same_grid
 from .objective import (
     SOLVER_FBS,
     OptimizationReport,
@@ -34,7 +29,6 @@ from .objective import (
     closed_form_update,
     finish_report,
     penalty,
-    require_unit_log_anchor,
     solve_stack,
 )
 
@@ -59,61 +53,40 @@ def solve_adjoint(
     moments: MomentCurves,
     grid: GridConfig,
 ) -> AdjointState:
-    """Backward RK4 solve of the six costate equations given the states."""
+    """Backward RK4 solve of the six costate equations given the states.
+
+    psi' = -(psi . d(F, G)/dx + dL/dx) with x = (mu, eta, rho, h20, h11, h02)
+    and L the payoff integrand, all from ``redblue.dynamics``.
+    """
     check_same_grid(coeffs.grid, grid)
     check_same_grid(moments.grid, grid)
-    x1 = nodes_to_half_grid(coeffs.mu)
-    x2 = nodes_to_half_grid(coeffs.eta)
-    x3 = nodes_to_half_grid(coeffs.rho)
-    x4 = nodes_to_half_grid(moments.h20)
-    x5 = nodes_to_half_grid(moments.h11)
-    x6 = nodes_to_half_grid(moments.h02)
-    fc = sample_on_half_grid(GridSampled(f_nodes, grid.horizon), grid)
-    index = half_grid_index(grid)
+    curves = (coeffs.mu, coeffs.eta, coeffs.rho, moments.h20, moments.h11, moments.h02)
+    fc_h = sample_on_half_grid(GridSampled(f_nodes, grid.horizon), grid)
+    # One row per half-grid point, (mu, eta, rho, h20, h11, h02, f), as Python
+    # floats: the same arithmetic as numpy scalars at a fraction of the cost.
+    rows = np.column_stack([nodes_to_half_grid(c) for c in curves] + [fc_h]).tolist()
+    dyn = Dynamics.of(params)
 
-    ra = params.r_alpha
-    rb = params.r_beta
-    u = misdirection_gain(params)
+    def rhs(j: int, psi: np.ndarray) -> np.ndarray:
+        mu, eta, rho, h20, h11, h02, f = rows[j]
+        p = psi.tolist()
+        c_mu, c_eta, c_rho, _ = dyn.coeff_vjp(p[:3], mu, eta, rho, f)
+        g20, g11, g02, g_mu, g_eta, g_rho, _ = dyn.moment_vjp(
+            p[3:], h20, h11, h02, mu, eta, rho, f
+        )
+        l_eta, l_rho, l_h11, l_h02, _ = dyn.payoff_grad(eta, rho, h11, h02, f)
+        return -np.array(
+            [
+                c_mu + g_mu,
+                c_eta + g_eta + l_eta,
+                c_rho + g_rho + l_rho,
+                g20,
+                g11 + l_h11,
+                g02 + l_h02,
+            ]
+        )
 
-    def rhs(t: float, psi: np.ndarray) -> np.ndarray:
-        p1, p2, p3, p4, p5, p6 = psi
-        j = index(t)
-        a1, a2, a3 = x1[j], x2[j], x3[j]
-        a4, a5, a6 = x4[j], x5[j], x6[j]
-        f = fc[j]
-        d1 = -p1 * 2.0 * a1 / ra - p2 * a2 / ra + p4 * 2.0 * a4 / ra + p5 * a5 / ra
-        d2 = (
-            f * a5 / rb
-            - 2.0 * p1 * (a2 / rb - 1.0)
-            - p2 * (a1 / ra + a3 / rb - f * u)
-            - p3 * 2.0 * a2 / ra
-            + p4 * 2.0 * a5 / ra
-            + p5 * (a4 / rb + a6 / ra)
-            + p6 * 2.0 * a5 / rb
-        )
-        d3 = (
-            f * a6 / rb
-            - p2 * (a2 / rb - 1.0)
-            - 2.0 * p3 * (a3 / rb - f * u)
-            + p5 * a5 / rb
-            + p6 * 2.0 * a6 / rb
-        )
-        d4 = p4 * 2.0 * a1 / ra + p5 * (a2 / rb - 1.0)
-        d5 = (
-            f * a2 / rb
-            + p4 * 2.0 * a2 / ra
-            + p5 * (-u * f + a3 / rb + a1 / ra)
-            + 2.0 * p6 * (a2 / rb - 1.0)
-        )
-        d6 = (
-            f * a3 / rb
-            - 0.5 * f * f * (2.0 * u - 1.0)
-            + p5 * a2 / ra
-            + 2.0 * p6 * (a3 / rb - f * u)
-        )
-        return np.array([d1, d2, d3, d4, d5, d6])
-
-    states = integrate_backward(OdeSystem(6, rhs), np.zeros(6), grid)
+    states = integrate_backward(rhs, np.zeros(6), grid)
     return AdjointState(
         grid=grid,
         psi1=states[:, 0].copy(),
@@ -126,24 +99,22 @@ def solve_adjoint(
 
 
 def _hamiltonian_coeffs(
-    coeffs: ValueCoeffs,
-    moments: MomentCurves,
-    psi: AdjointState,
-    params: ModelParams,
+    dyn: Dynamics, coeffs: ValueCoeffs, moments: MomentCurves, psi: AdjointState
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nodewise quadratic and linear coefficients of the Hamiltonian in f_c.
+    """Nodewise (a, b) of the Hamiltonian L + psi . (F, G) = (a/2) f^2 + b f + ...
 
-    With all costates zero these reduce to the fixed-point coefficients.
+    The costates enter b through the f-components of the vjps at f = 0, and
+    a through psi3 c2 f^2, the only term of F or G quadratic in f.  With all
+    costates zero these are the payoff's coefficients, as in the fixed-point
+    update.
     """
-    u = misdirection_gain(params)
-    c2 = pattern_curvature(params)
-    x2, x3 = coeffs.eta, coeffs.rho
-    x5, x6 = moments.h11, moments.h02
-    a = x6 * (2.0 * u - 1.0) + 2.0 * c2 * psi.psi3
-    b = -(x2 * x5 + x3 * x6) / params.r_beta + u * (
-        psi.psi5 * x5 + 2.0 * psi.psi6 * x6 - psi.psi2 * x2 - 2.0 * psi.psi3 * x3
-    )
-    return a, b
+    mu, eta, rho = coeffs.mu, coeffs.eta, coeffs.rho
+    h20, h11, h02 = moments.h20, moments.h11, moments.h02
+    a, b = dyn.payoff_coeffs(eta, rho, h11, h02)
+    zero = np.zeros_like(a)
+    c_f = dyn.coeff_vjp((psi.psi1, psi.psi2, psi.psi3), mu, eta, rho, zero)[3]
+    g_f = dyn.moment_vjp((psi.psi4, psi.psi5, psi.psi6), h20, h11, h02, mu, eta, rho, zero)[6]
+    return a + 2.0 * dyn.c2 * psi.psi3, b + c_f + g_f
 
 
 def fbs_solve(
@@ -151,8 +122,8 @@ def fbs_solve(
 ) -> OptimizationReport:
     if config.solver != SOLVER_FBS:
         raise ValueError(f"config selects solver {config.solver!r}, not fbs")
-    require_unit_log_anchor(config, grid)
     anchor = anchor_values(config, grid)
+    dyn = Dynamics.of(params)
     scale = config.lambda_reg / params.sigma_w**2
     f = anchor.copy()
     omega = config.fbs_relaxation
@@ -166,7 +137,7 @@ def fbs_solve(
             omega *= 0.5
         history.append(objective)
         psi = solve_adjoint(params, f, coeffs, moments, grid)
-        a, b = _hamiltonian_coeffs(coeffs, moments, psi, params)
+        a, b = _hamiltonian_coeffs(dyn, coeffs, moments, psi)
         f_hat = closed_form_update(a, b, anchor, config)
         f_new = (1.0 - omega) * f + omega * f_hat
         delta = float(np.linalg.norm(f_new - f))

@@ -10,21 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import UnsupportedError
+from ..dynamics import Dynamics
 from ..model import GridConfig, ModelParams
-from ..moments import MomentCurves
-from ..riccati import ValueCoeffs, misdirection_gain
 from .objective import (
-    PENALTY_QUADRATIC,
     SOLVER_FPI,
     OptimizationReport,
     RedConfig,
     anchor_values,
     closed_form_update,
     finish_report,
-    hamiltonian_coeffs_fpi,
     penalty,
-    require_unit_log_anchor,
     solve_stack,
 )
 
@@ -40,29 +35,11 @@ def fpi_update(
 ) -> float:
     """Closed-form minimizer at a single node.
 
-    ``f_c_initial_t`` is the anchor value at the node (only the quadratic
-    penalty supports anchors other than one).
+    ``f_c_initial_t`` is the anchor value at the node.
     """
-    u = misdirection_gain(params)
-    if config.penalty_kind != PENALTY_QUADRATIC and f_c_initial_t != 1.0:
-        raise UnsupportedError(
-            "logarithmic penalty update supports only an anchor of one"
-        )
-    a = np.array([(2.0 * u - 1.0) * h02_t])
-    b = np.array([-(eta_t * h11_t + rho_t * h02_t) / params.r_beta])
+    a, b = Dynamics.of(params).payoff_coeffs(eta_t, rho_t, h11_t, h02_t)
     anchor = np.array([f_c_initial_t])
-    return float(closed_form_update(a, b, anchor, config)[0])
-
-
-def _update_nodes(
-    coeffs: ValueCoeffs,
-    moments: MomentCurves,
-    anchor: np.ndarray,
-    params: ModelParams,
-    config: RedConfig,
-) -> np.ndarray:
-    a, b = hamiltonian_coeffs_fpi(coeffs, moments, params)
-    return closed_form_update(a, b, anchor, config)
+    return float(closed_form_update(np.array([a]), np.array([b]), anchor, config)[0])
 
 
 def fpi_solve(
@@ -70,8 +47,8 @@ def fpi_solve(
 ) -> OptimizationReport:
     if config.solver != SOLVER_FPI:
         raise ValueError(f"config selects solver {config.solver!r}, not fpi")
-    require_unit_log_anchor(config, grid)
     anchor = anchor_values(config, grid)
+    dyn = Dynamics.of(params)
     scale = config.lambda_reg / params.sigma_w**2
     f = anchor.copy()
     history: list[float] = []
@@ -80,7 +57,8 @@ def fpi_solve(
     for it in range(config.max_iters):
         coeffs, moments, elr = solve_stack(params, f, grid)
         history.append(elr + scale * penalty(f, config, grid))
-        f_new = _update_nodes(coeffs, moments, anchor, params, config)
+        a, b = dyn.payoff_coeffs(coeffs.eta, coeffs.rho, moments.h11, moments.h02)
+        f_new = closed_form_update(a, b, anchor, config)
         delta = float(np.linalg.norm(f_new - f))
         f = f_new
         iterations = it + 1

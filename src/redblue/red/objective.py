@@ -20,7 +20,6 @@ from ..errors import (
     DegenerateDenominatorError,
     NegativeDiscriminantError,
     NonPositiveFcError,
-    UnsupportedError,
 )
 from ..model import (
     Constant,
@@ -32,8 +31,8 @@ from ..model import (
     grid_function,
     sample_on_grid,
 )
-from ..moments import MomentCurves, expected_log_lr, solve_moments
-from ..riccati import ValueCoeffs, misdirection_gain, pattern_curvature, solve_value_coeffs
+from ..moments import expected_log_lr, solve_moments
+from ..riccati import solve_value_coeffs
 
 PENALTY_QUADRATIC = "quadratic"
 PENALTY_LOGARITHMIC = "logarithmic"
@@ -144,35 +143,16 @@ def red_objective(params: ModelParams, f_c, config: RedConfig, grid: GridConfig)
     return elr + (config.lambda_reg / params.sigma_w**2) * penalty(f, config, grid)
 
 
-def coupling_term(
-    coeffs: ValueCoeffs, moments: MomentCurves, params: ModelParams
-) -> np.ndarray:
-    """(eta h11 + rho h02) / r_beta at every node.
-
-    Measures how strongly the controller's cross terms couple into the
-    payoff; identically zero for a zero pattern.  Diagnostic only.
-    """
-    return (coeffs.eta * moments.h11 + coeffs.rho * moments.h02) / params.r_beta
-
-
-def require_unit_log_anchor(config: RedConfig, grid: GridConfig) -> None:
-    """The log-penalty closed forms are derived for an anchor of one."""
-    if config.penalty_kind != PENALTY_LOGARITHMIC:
-        return
-    anchor = sample_on_grid(config.f_c_initial, grid)
-    if not np.allclose(anchor, 1.0, rtol=0.0, atol=1e-12):
-        raise UnsupportedError(
-            "logarithmic penalty solvers support only f_c_initial == 1"
-        )
-
-
 def closed_form_update(
     a: np.ndarray, b: np.ndarray, anchor: np.ndarray, config: RedConfig
 ) -> np.ndarray:
     """Minimizer of (a/2) f^2 + b f plus the scaled penalty, nodewise.
 
+    (a, b) are the payoff coefficients of ``redblue.dynamics`` (plus costate
+    terms for the sweep); their 1/sigma_w^2 prefactor cancels against the
+    penalty scaling lambda_reg / sigma_w^2 and is omitted from both.
     Quadratic penalty: f = (2 lambda_reg anchor - b) / (a + 2 lambda_reg).
-    Logarithmic (anchor 1): positive root of a f^2 + b f - lambda_reg = 0.
+    Logarithmic: positive root of a f^2 + b f - lambda_reg anchor = 0.
     """
     lreg = config.lambda_reg
     if config.penalty_kind == PENALTY_QUADRATIC:
@@ -183,30 +163,17 @@ def closed_form_update(
                 "lam too small or lambda_reg too weak"
             )
         return (2.0 * lreg * anchor - b) / den
+    if np.any(anchor <= 0.0):
+        raise NonPositiveFcError("logarithmic penalty needs a positive anchor")
     if np.any(a <= 0.0):
         raise DegenerateDenominatorError(
             "logarithmic update needs a positive leading coefficient "
             "(requires lam > r_beta sigma_w^2 / 2)"
         )
-    disc = b * b + 4.0 * a * lreg
+    disc = b * b + 4.0 * a * (lreg * anchor)
     if np.any(disc < 0.0):
         raise NegativeDiscriminantError("no real root for the logarithmic update")
     return (-b + np.sqrt(disc)) / (2.0 * a)
-
-
-def hamiltonian_coeffs_fpi(
-    coeffs: ValueCoeffs, moments: MomentCurves, params: ModelParams
-):
-    """Nodewise (a, b) of the payoff integrand seen as a function of f_c.
-
-    a = (2u - 1) h02 and b = -(eta h11 + rho h02)/r_beta, with
-    u = lam/(r_beta sigma_w^2); the 1/sigma_w^2 payoff prefactor cancels
-    against the penalty scaling and is omitted from both.
-    """
-    u = misdirection_gain(params)
-    a = (2.0 * u - 1.0) * moments.h02
-    b = -coupling_term(coeffs, moments, params)
-    return a, b
 
 
 def finish_report(

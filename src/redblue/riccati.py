@@ -5,9 +5,10 @@ The blue team's value function is quadratic in (v, y):
     V(t, v, y) = mu/2 v^2 + eta v y + rho/2 y^2 + gamma v + theta y + xi,
 
 so dynamic programming reduces to six coupled scalar ODEs integrated backward
-from the terminal cost.  The (mu, eta, rho) block is autonomous; gamma, theta
-pick up the running target vbar and the pattern offset f_d; xi collects the
-constant terms.
+from the terminal cost.  The (mu, eta, rho) block is autonomous and its
+equations F are stated in ``redblue.dynamics``; this module adds the gamma,
+theta lines, which pick up the running target vbar and the pattern offset
+f_d, and the xi line, which collects the constant terms.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import Dynamics
 from .errors import GridMismatchError
 from .model import GridConfig, ModelParams, Pattern, sample_on_half_grid
-from .odeint import OdeSystem, integrate_backward
+from .odeint import integrate_backward
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,51 +52,11 @@ def check_same_grid(a: GridConfig, b: GridConfig) -> None:
         raise GridMismatchError(f"grids differ: {a} vs {b}")
 
 
-def misdirection_gain(params: ModelParams) -> float:
-    """lam / (r_beta * sigma_w^2), the weight of the pattern in beta-hat.
-
-    Zero misdirection weight short-circuits to 0.0, which keeps degenerate
-    sigma_w = 0 parameter sets usable in deterministic simulation tests.
-    """
-    if params.lam == 0.0:
-        return 0.0
-    return params.lam / (params.r_beta * params.sigma_w**2)
-
-
-def pattern_curvature(params: ModelParams) -> float:
-    """Coefficient of f_c^2 in the rho equation.
-
-    Written in factored form so it is exactly zero at the upper misdirection
-    bound lam = r_beta * sigma_w^2, where the coefficient system decouples.
-    """
-    if params.lam == 0.0:
-        return 0.0
-    u = misdirection_gain(params)
-    return (params.lam / params.sigma_w**2) * (u - 1.0)
-
-
-def half_grid_index(grid: GridConfig):
-    """Map a stage time (node or midpoint) to its half-grid array index."""
-    scale = 2.0 * grid.n_steps / grid.horizon
-    top = 2 * grid.n_steps
-
-    def index(t: float) -> int:
-        j = int(round(t * scale))
-        if j < 0:
-            return 0
-        if j > top:
-            return top
-        return j
-
-    return index
-
-
 def terminal_conditions(params: ModelParams) -> np.ndarray:
+    """(mu, eta, rho, gamma, theta, xi) at t = T."""
     return np.array(
         [
-            params.t_v,
-            0.0,
-            0.0,
+            *Dynamics.of(params).coeff_terminal(),
             -params.t_v * params.vbar_final,
             0.0,
             0.5 * params.t_v * params.vbar_final**2,
@@ -114,30 +76,17 @@ def solve_value_coeffs(
     fc = sample_on_half_grid(pattern.f_c, grid)
     fd = sample_on_half_grid(pattern.f_d, grid)
     vb = sample_on_half_grid(params.vbar, grid)
-    index = half_grid_index(grid)
+    dyn = Dynamics.of(params)
+    coeff_rhs = dyn.coeff_rhs
+    r_alpha, r_beta, r_v = dyn.r_alpha, dyn.r_beta, dyn.r_v
+    u, c2, sb2, sw2 = dyn.u, dyn.c2, dyn.sb2, dyn.sw2
 
-    r_alpha = params.r_alpha
-    r_beta = params.r_beta
-    r_v = params.r_v
-    u = misdirection_gain(params)
-    c2 = pattern_curvature(params)
-    sb2 = params.sigma_b**2
-    sw2 = params.sigma_w**2
-
-    def rhs(t: float, state: np.ndarray) -> np.ndarray:
+    def rhs(j: int, state: np.ndarray) -> np.ndarray:
         mu, eta, rho, gamma, theta, xi = state
-        j = index(t)
         fc_t = fc[j]
         fd_t = fd[j]
         vb_t = vb[j]
-        d_mu = mu * mu / r_alpha + eta * eta / r_beta - 2.0 * eta - r_v
-        d_eta = mu * eta / r_alpha + rho * eta / r_beta - rho - u * eta * fc_t
-        d_rho = (
-            eta * eta / r_alpha
-            + rho * rho / r_beta
-            - 2.0 * u * rho * fc_t
-            + c2 * fc_t * fc_t
-        )
+        d_mu, d_eta, d_rho = coeff_rhs(mu, eta, rho, fc_t)
         d_gamma = (
             mu * gamma / r_alpha
             + eta * theta / r_beta
@@ -163,8 +112,7 @@ def solve_value_coeffs(
         )
         return np.array([d_mu, d_eta, d_rho, d_gamma, d_theta, d_xi])
 
-    system = OdeSystem(6, rhs)
-    states = integrate_backward(system, terminal_conditions(params), grid)
+    states = integrate_backward(rhs, terminal_conditions(params), grid)
     return ValueCoeffs(
         grid=grid,
         mu=states[:, 0].copy(),

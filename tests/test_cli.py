@@ -35,6 +35,29 @@ def base_doc(**overrides):
     return doc
 
 
+# The example config of the README, verbatim.
+README_DOC = {
+    "model.T": 0.1,
+    "model.sigma_B": 0.1,
+    "model.sigma_W": 0.1,
+    "model.r_alpha": 1.0,
+    "model.r_beta": 10.0,
+    "model.r_v": 1.0,
+    "model.t_v": 1.0,
+    "model.lambda": 0.1,
+    "model.v0": 1.0,
+    "model.y0": 2.0,
+    "grid.n_steps": 200,
+    "pattern.f_c": "constant:1",
+    "red.penalty": "logarithmic",
+    "red.lambda_reg": 1.0,
+    "red.solver": "fpi",
+    "mc.n_paths": 10000,
+    "stackelberg.n_rounds": 3,
+    "seed": 7,
+}
+
+
 def write_config(tmp_path: Path, doc, name="cfg.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -262,6 +285,39 @@ def test_numeric_failure_exits_2(tmp_path):
     )
     cfg = write_config(tmp_path, doc)
     assert main(["blue-solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("solver", ["fpi", "fbs"])
+def test_readme_stackelberg_example_runs(tmp_path, solver):
+    # rounds after the first anchor the logarithmic penalty at the previous
+    # round's pattern, which is not identically one
+    cfg = write_config(tmp_path, dict(README_DOC, **{"red.solver": solver}))
+    out = tmp_path / "o"
+    assert main(["stackelberg", "--config", cfg, "--out", str(out)]) == 0
+    rounds = json.loads((out / "rounds.json").read_text())["rounds"]
+    assert [r["round_index"] for r in rounds] == [1, 2, 3]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("red-optimize", {"model.sigma_W": 1e-300, "model.lambda": 0.0}),
+        ("red-optimize", {"model.v0": 1e300}),
+        ("validate", {"model.v0": 1e300}),
+    ],
+)
+def test_arithmetic_errors_exit_2(tmp_path, capsys, command, overrides):
+    # sigma_W^2 underflows to zero and v0^2 overflows a Python float
+    cfg = write_config(tmp_path, dict(README_DOC, **overrides))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    if command == "validate":
+        assert "validate: 3 check(s) failed" in captured.out
+        assert "gradient-stationarity        FAIL  error: " in captured.out
+    else:
+        assert captured.err.startswith("numeric failure: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_validate_passes_on_sound_config(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,14 @@ from redblue import (
     Constant,
     DegenerateDenominatorError,
     GridConfig,
+    NonPositiveFcError,
     RedConfig,
-    UnsupportedError,
     fpi_solve,
     fpi_update,
     penalty,
 )
+from redblue.model import grid_function
+from redblue.red.objective import anchor_values, closed_form_update
 from conftest import make_params
 
 
@@ -45,11 +49,45 @@ def test_logarithmic_update_hand_computed():
     assert value == pytest.approx(2.0, rel=1e-14)
 
 
-def test_logarithmic_update_requires_unit_anchor():
+def _golden_minimum(phi, lo, hi, iters=200):
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(iters):
+        x1 = hi - inv * (hi - lo)
+        x2 = lo + inv * (hi - lo)
+        if phi(x1) < phi(x2):
+            hi = x2
+        else:
+            lo = x1
+    return 0.5 * (lo + hi)
+
+
+def test_logarithmic_update_with_grid_anchor_minimizes_nodewise_objective():
+    # a non-unit, time-varying anchor: every node value must minimize
+    # (a/2) f^2 + b f - lambda_reg anchor log(f / anchor) over f > 0
+    grid = GridConfig(8, 0.1)
+    anchor_nodes = np.linspace(0.3, 2.5, 9)
+    config = RedConfig(
+        lambda_reg=0.7,
+        penalty_kind="logarithmic",
+        f_c_initial=grid_function(anchor_nodes, grid),
+    )
+    rng = np.random.default_rng(3)
+    a = rng.uniform(0.2, 3.0, 9)
+    b = rng.uniform(-2.0, 2.0, 9)
+    update = closed_form_update(a, b, anchor_values(config, grid), config)
+    for ak, bk, ck, fk in zip(a, b, anchor_nodes, update):
+        def phi(f):
+            return 0.5 * ak * f * f + bk * f - 0.7 * ck * math.log(f / ck)
+
+        assert fk == pytest.approx(_golden_minimum(phi, 1e-9, 50.0), rel=1e-6)
+
+
+@pytest.mark.parametrize("anchor", [0.0, -0.1, -5.0])
+def test_logarithmic_update_rejects_non_positive_anchor(anchor):
     params = full_intensity_params()
     config = RedConfig(lambda_reg=1.0, penalty_kind="logarithmic")
-    with pytest.raises(UnsupportedError):
-        fpi_update(0.0, 0.0, 0.0, 1.0, params, config, f_c_initial_t=2.0)
+    with pytest.raises(NonPositiveFcError):
+        fpi_update(2.0, 0.0, 5.0, 1.0, params, config, f_c_initial_t=anchor)
 
 
 def test_degenerate_denominator_raises():
