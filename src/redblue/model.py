@@ -182,6 +182,16 @@ def validate_params(params: ModelParams) -> ModelParams:
     for name, value in positives.items():
         if not (value > 0.0) or not math.isfinite(value):
             raise NonPositiveWeightError(f"{name} must be positive, got {value}")
+    # sigma_w^2 divides the payoff and sets lam's upper bound, so it must be a
+    # positive finite float; sigma_b^2 is only added, so 0.0 is harmless there
+    if params.sigma_w * params.sigma_w in (0.0, math.inf):
+        raise NonPositiveWeightError(
+            f"sigma_w**2 must be a positive finite float, got sigma_w={params.sigma_w}"
+        )
+    if params.sigma_b * params.sigma_b == math.inf:
+        raise NonPositiveWeightError(
+            f"sigma_b**2 must be finite, got sigma_b={params.sigma_b}"
+        )
     if not math.isfinite(params.lam) or params.lam < 0.0:
         raise LambdaOutOfRangeError(f"lam must be >= 0, got {params.lam}")
     if params.lam > params.lam_upper:

@@ -63,16 +63,21 @@ def solve_moments(
     """
     check_same_grid(coeffs.grid, grid)
     _require_simplified(coeffs)
-    mu_h = nodes_to_half_grid(coeffs.mu)
-    eta_h = nodes_to_half_grid(coeffs.eta)
-    rho_h = nodes_to_half_grid(coeffs.rho)
-    fc_h = sample_on_half_grid(f_c, grid)
+    # one row per half-grid point, (mu, eta, rho, f), as Python floats
+    rows = np.column_stack(
+        [
+            nodes_to_half_grid(coeffs.mu),
+            nodes_to_half_grid(coeffs.eta),
+            nodes_to_half_grid(coeffs.rho),
+            sample_on_half_grid(f_c, grid),
+        ]
+    ).tolist()
     dyn = Dynamics.of(params)
     moment_rhs = dyn.moment_rhs
 
-    def rhs(j: int, state: np.ndarray) -> np.ndarray:
+    def rhs(j: int, state: tuple[float, ...]) -> tuple[float, ...]:
         h20, h11, h02 = state
-        return np.array(moment_rhs(h20, h11, h02, mu_h[j], eta_h[j], rho_h[j], fc_h[j]))
+        return moment_rhs(h20, h11, h02, *rows[j])
 
     states = integrate_forward(rhs, dyn.moment_initial(), grid)
     return MomentCurves(

@@ -7,23 +7,24 @@ nodes and midpoints.  A right-hand side is called as ``rhs(j, state)``, where
 j is the half-grid index of the stage time t = j h / 2, so curves sampled on
 the half grid are read by index.  A backward solve runs the same loop from
 t = T with the signed step -h.
+
+States are tuples of Python floats, and a right-hand side returns a sequence
+of floats: the same IEEE arithmetic as numpy scalars, at a fraction of the
+per-operation cost on systems of a few components.  Float ``*``, ``+`` and
+``-`` overflow to inf or nan without raising, so the loop runs to the end and
+finiteness is checked once per solve, on the output array.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from .errors import NonFiniteStateError
 from .model import GridConfig
 
-Rhs = Callable[[int, np.ndarray], np.ndarray]
-
-
-def _check_finite(state: np.ndarray, t: float) -> None:
-    if not np.all(np.isfinite(state)):
-        raise NonFiniteStateError(f"non-finite state at t={t}: {state}")
+Rhs = Callable[[int, tuple[float, ...]], Sequence[float]]
 
 
 def _rk4(rhs: Rhs, state, grid: GridConfig, direction: int) -> np.ndarray:
@@ -31,21 +32,34 @@ def _rk4(rhs: Rhs, state, grid: GridConfig, direction: int) -> np.ndarray:
     from node n_steps (direction -1); row k is the state at node k."""
     n = grid.n_steps
     h = direction * grid.h
+    half = 0.5 * h
+    sixth = h / 6.0
+    s = tuple(np.asarray(state, dtype=float).tolist())
     node = 0 if direction > 0 else n
-    state = np.array(state, dtype=float)
-    _check_finite(state, node * grid.h)
-    out = np.empty((n + 1, state.size))
-    out[node] = state
+    # each node's state goes straight into the output, so only the stage
+    # tuples of the current step are alive as Python objects
+    out = np.empty((n + 1, len(s)))
+    out[node] = s
     for _ in range(n):
         j = 2 * node
-        k1 = rhs(j, state)
-        k2 = rhs(j + direction, state + 0.5 * h * k1)
-        k3 = rhs(j + direction, state + 0.5 * h * k2)
-        k4 = rhs(j + 2 * direction, state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = rhs(j, s)
+        k2 = rhs(j + direction, tuple([x + half * k for x, k in zip(s, k1)]))
+        k3 = rhs(j + direction, tuple([x + half * k for x, k in zip(s, k2)]))
+        k4 = rhs(j + 2 * direction, tuple([x + h * k for x, k in zip(s, k3)]))
+        s = tuple(
+            [
+                x + sixth * (a + 2.0 * b + 2.0 * c + d)
+                for x, a, b, c, d in zip(s, k1, k2, k3, k4)
+            ]
+        )
         node += direction
-        _check_finite(state, node * grid.h)
-        out[node] = state
+        out[node] = s
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        # the first non-finite node in stepping order
+        bad = np.flatnonzero(~finite)
+        node = int(bad[0] if direction > 0 else bad[-1])
+        raise NonFiniteStateError(f"non-finite state at t={node * grid.h}: {out[node]}")
     return out
 
 

@@ -67,26 +67,23 @@ def solve_adjoint(
     rows = np.column_stack([nodes_to_half_grid(c) for c in curves] + [fc_h]).tolist()
     dyn = Dynamics.of(params)
 
-    def rhs(j: int, psi: np.ndarray) -> np.ndarray:
+    def rhs(j: int, psi: tuple[float, ...]) -> tuple[float, ...]:
         mu, eta, rho, h20, h11, h02, f = rows[j]
-        p = psi.tolist()
-        c_mu, c_eta, c_rho, _ = dyn.coeff_vjp(p[:3], mu, eta, rho, f)
+        c_mu, c_eta, c_rho, _ = dyn.coeff_vjp(psi[:3], mu, eta, rho, f)
         g20, g11, g02, g_mu, g_eta, g_rho, _ = dyn.moment_vjp(
-            p[3:], h20, h11, h02, mu, eta, rho, f
+            psi[3:], h20, h11, h02, mu, eta, rho, f
         )
         l_eta, l_rho, l_h11, l_h02, _ = dyn.payoff_grad(eta, rho, h11, h02, f)
-        return -np.array(
-            [
-                c_mu + g_mu,
-                c_eta + g_eta + l_eta,
-                c_rho + g_rho + l_rho,
-                g20,
-                g11 + l_h11,
-                g02 + l_h02,
-            ]
+        return (
+            -(c_mu + g_mu),
+            -(c_eta + g_eta + l_eta),
+            -(c_rho + g_rho + l_rho),
+            -g20,
+            -(g11 + l_h11),
+            -(g02 + l_h02),
         )
 
-    states = integrate_backward(rhs, np.zeros(6), grid)
+    states = integrate_backward(rhs, (0.0,) * 6, grid)
     return AdjointState(
         grid=grid,
         psi1=states[:, 0].copy(),

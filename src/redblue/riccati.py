@@ -73,15 +73,15 @@ def solve_value_coeffs(
     target curves are pre-sampled at nodes and midpoints, the only times the
     integrator touches.
     """
-    fc = sample_on_half_grid(pattern.f_c, grid)
-    fd = sample_on_half_grid(pattern.f_d, grid)
-    vb = sample_on_half_grid(params.vbar, grid)
+    fc = sample_on_half_grid(pattern.f_c, grid).tolist()
+    fd = sample_on_half_grid(pattern.f_d, grid).tolist()
+    vb = sample_on_half_grid(params.vbar, grid).tolist()
     dyn = Dynamics.of(params)
     coeff_rhs = dyn.coeff_rhs
     r_alpha, r_beta, r_v = dyn.r_alpha, dyn.r_beta, dyn.r_v
     u, c2, sb2, sw2 = dyn.u, dyn.c2, dyn.sb2, dyn.sw2
 
-    def rhs(j: int, state: np.ndarray) -> np.ndarray:
+    def rhs(j: int, state: tuple[float, ...]) -> tuple[float, ...]:
         mu, eta, rho, gamma, theta, xi = state
         fc_t = fc[j]
         fd_t = fd[j]
@@ -110,7 +110,7 @@ def solve_value_coeffs(
             - 0.5 * r_v * vb_t * vb_t
             + 0.5 * c2 * fd_t * fd_t
         )
-        return np.array([d_mu, d_eta, d_rho, d_gamma, d_theta, d_xi])
+        return d_mu, d_eta, d_rho, d_gamma, d_theta, d_xi
 
     states = integrate_backward(rhs, terminal_conditions(params), grid)
     return ValueCoeffs(

@@ -189,17 +189,22 @@ def _primary_costs(
     params: ModelParams,
     grid: GridConfig,
 ) -> np.ndarray:
-    """Left-Riemann running cost plus terminal term, per path (time-major)."""
+    """Left-Riemann running cost plus terminal term, per path (time-major).
+
+    An overflow gives inf or nan with no numpy warning; monte_carlo raises
+    on it.
+    """
     n = grid.n_steps
     h = grid.h
     vb = np.asarray(params.vbar(grid.times()), dtype=float)[:n]
-    run = (0.5 * h) * (
-        params.r_alpha * np.sum(alpha * alpha, axis=0)
-        + params.r_beta * np.sum(beta * beta, axis=0)
-        + params.r_v * np.sum((v[:n] - vb[:, None]) ** 2, axis=0)
-    )
-    term = 0.5 * params.t_v * (v[n] - params.vbar_final) ** 2
-    return run + term
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = (0.5 * h) * (
+            params.r_alpha * np.sum(alpha * alpha, axis=0)
+            + params.r_beta * np.sum(beta * beta, axis=0)
+            + params.r_v * np.sum((v[:n] - vb[:, None]) ** 2, axis=0)
+        )
+        term = 0.5 * params.t_v * (v[n] - params.vbar_final) ** 2
+        return run + term
 
 
 def _log_lrs(
@@ -215,15 +220,19 @@ def _log_lrs(
 
     With g_k = f_c(t_k) Y_k + f_d(t_k):
         (1/sigma_w^2) [ sum g_k (Y_{k+1}-Y_k) - sum V_k g_k h - 1/2 sum g_k^2 h ]
+
+    An overflow gives inf or nan with no numpy warning; monte_carlo and
+    log_lr_samples raise on it.
     """
     n = grid.n_steps
     h = grid.h
-    g = fc_nodes[:n, None] * y[:n] + fd_nodes[:n, None]
-    dy = y[1:] - y[:n]
-    stoch = np.sum(g * dy, axis=0)
-    drift = np.sum(v[:n] * g, axis=0) * h
-    quad = 0.5 * h * np.sum(g * g, axis=0)
-    return (stoch - drift - quad) / params.sigma_w**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = fc_nodes[:n, None] * y[:n] + fd_nodes[:n, None]
+        dy = y[1:] - y[:n]
+        stoch = np.sum(g * dy, axis=0)
+        drift = np.sum(v[:n] * g, axis=0) * h
+        quad = 0.5 * h * np.sum(g * g, axis=0)
+        return (stoch - drift - quad) / params.sigma_w**2
 
 
 def _check_traj(traj: Trajectory, pattern: Pattern | None) -> None:
@@ -301,7 +310,10 @@ def log_lr_samples(
     n_paths: int,
     master_seed: int,
 ) -> np.ndarray:
-    """Per-path log likelihood ratios of the monte_carlo ensemble."""
+    """Per-path log likelihood ratios of the monte_carlo ensemble.
+
+    Raises NonFiniteStateError if a sample is not finite.
+    """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     fc = sample_on_grid(pattern.f_c, grid)
@@ -313,6 +325,11 @@ def log_lr_samples(
         out[start : start + v.shape[1]] = _log_lrs(v, y, fc, fd, policy.params, grid)
 
     _run_blocks(policy, grid, n_paths, master_seed, consume)
+    bad = int(np.count_nonzero(~np.isfinite(out)))
+    if bad:
+        raise NonFiniteStateError(
+            f"log likelihood ratio samples are not finite on {bad} of {n_paths} paths"
+        )
     return out
 
 

@@ -298,26 +298,49 @@ def test_readme_stackelberg_example_runs(tmp_path, solver):
     assert [r["round_index"] for r in rounds] == [1, 2, 3]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
 @pytest.mark.parametrize(
     "command, overrides",
     [
-        ("red-optimize", {"model.sigma_W": 1e-300, "model.lambda": 0.0}),
         ("red-optimize", {"model.v0": 1e300}),
         ("validate", {"model.v0": 1e300}),
     ],
+    ids=["red-optimize-v0", "validate-v0"],
 )
-def test_arithmetic_errors_exit_2(tmp_path, capsys, command, overrides):
-    # sigma_W^2 underflows to zero and v0^2 overflows a Python float
+def test_arithmetic_errors_exit_2(tmp_path, capsys, recwarn, command, overrides):
+    # v0^2 overflows a Python float, and the paths overflow their statistics
     cfg = write_config(tmp_path, dict(README_DOC, **overrides))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     captured = capsys.readouterr()
+    assert "RuntimeWarning" not in captured.err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     if command == "validate":
         assert "validate: 3 check(s) failed" in captured.out
+        assert "martingale-normalization     FAIL  error: " in captured.out
         assert "gradient-stationarity        FAIL  error: " in captured.out
     else:
         assert captured.err.startswith("numeric failure: ")
         assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"model.sigma_W": 1e-300, "model.lambda": 0.0},
+        {"model.sigma_W": 1e200},
+        {"model.sigma_B": 1e200},
+    ],
+    ids=["sigma_W-underflow", "sigma_W-overflow", "sigma_B-overflow"],
+)
+def test_noise_scales_with_unusable_squares_are_config_errors(
+    tmp_path, capsys, overrides
+):
+    # sigma_W^2 underflows to zero or overflows; sigma_B^2 overflows
+    cfg = write_config(tmp_path, dict(README_DOC, **overrides))
+    assert main(["red-optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "**2 must be" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_validate_passes_on_sound_config(tmp_path, capsys):

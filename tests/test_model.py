@@ -88,6 +88,16 @@ def test_validate_params_rejects_bad_values():
         validate_params(make_params(lam=-0.01))
     with pytest.raises(LambdaOutOfRangeError):
         validate_params(make_params(lam=0.1001))
+    # sigma_w^2 underflows to 0.0 or overflows; sigma_b^2 overflows
+    for bad in (dict(sigma_w=1e-300, lam=0.0), dict(sigma_w=1e200), dict(sigma_b=1e200)):
+        with pytest.raises(NonPositiveWeightError, match=r"\*\*2 must be"):
+            validate_params(make_params(**bad))
+
+
+def test_validate_params_accepts_underflowing_sigma_b_square():
+    # sigma_b^2 is only ever added, so its underflow to 0.0 is harmless
+    params = make_params(sigma_b=1e-300)
+    assert validate_params(params) is params
 
 
 def test_lam_upper():

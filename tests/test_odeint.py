@@ -8,6 +8,34 @@ from redblue import GridConfig, NonFiniteStateError
 from redblue.odeint import integrate_backward, integrate_forward
 
 
+def reference_rk4(rhs, state, grid, direction):
+    """The array-based RK4 loop the tuple loop replaced, kept as the
+    reference: numpy arrays per stage and a finiteness check per node."""
+    n = grid.n_steps
+    h = direction * grid.h
+    node = 0 if direction > 0 else n
+    state = np.array(state, dtype=float)
+
+    def check_finite(state, t):
+        if not np.all(np.isfinite(state)):
+            raise NonFiniteStateError(f"non-finite state at t={t}: {state}")
+
+    check_finite(state, node * grid.h)
+    out = np.empty((n + 1, state.size))
+    out[node] = state
+    for _ in range(n):
+        j = 2 * node
+        k1 = rhs(j, state)
+        k2 = rhs(j + direction, state + 0.5 * h * k1)
+        k3 = rhs(j + direction, state + 0.5 * h * k2)
+        k4 = rhs(j + 2 * direction, state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        node += direction
+        check_finite(state, node * grid.h)
+        out[node] = state
+    return out
+
+
 def exp_rhs(j, x):
     return x
 
@@ -42,7 +70,9 @@ def test_forward_time_dependent_rhs():
 def test_backward_riccati_closed_form():
     # mu' = mu^2 - 1 with mu(T) = 1/2 has solution tanh(atanh(1/2) + T - t)
     grid = GridConfig(400, 1.0)
-    states = integrate_backward(lambda j, x: x * x - 1.0, np.array([0.5]), grid)
+    states = integrate_backward(
+        lambda j, x: (x[0] * x[0] - 1.0,), np.array([0.5]), grid
+    )
     c = math.atanh(0.5)
     expected = np.tanh(c + 1.0 - grid.times())
     np.testing.assert_allclose(states[:, 0], expected, atol=1e-9)
@@ -51,7 +81,9 @@ def test_backward_riccati_closed_form():
 
 def test_backward_terminal_row_exact():
     terminal = np.array([3.0, -1.5])
-    states = integrate_backward(lambda j, x: -x, terminal, GridConfig(10, 1.0))
+    states = integrate_backward(
+        lambda j, x: (-x[0], -x[1]), terminal, GridConfig(10, 1.0)
+    )
     np.testing.assert_array_equal(states[-1], terminal)
 
 
@@ -107,8 +139,88 @@ def test_round_trip_property(x_end, v_end, horizon, n):
     np.testing.assert_allclose(forward, back, atol=1e-8)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_non_finite_detection():
     # x' = x^2 escapes in finite time from x(0)=10 on [0, 1]
     with pytest.raises(NonFiniteStateError):
-        integrate_forward(lambda j, x: x * x, np.array([10.0]), GridConfig(20, 1.0))
+        integrate_forward(
+            lambda j, x: (x[0] * x[0],), np.array([10.0]), GridConfig(20, 1.0)
+        )
+
+
+@st.composite
+def polynomial_systems(draw):
+    """A random polynomial right-hand side of degree <= 2 with a
+    half-grid-indexed time term, its dimension and its start state."""
+    dim = draw(st.integers(1, 6))
+    coef = st.floats(-2.0, 2.0)
+    index = st.integers(0, dim - 1)
+    components = [
+        (
+            draw(coef),
+            draw(coef),
+            draw(st.lists(st.tuples(coef, index, index | st.none()), max_size=4)),
+        )
+        for _ in range(dim)
+    ]
+    start = draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim))
+    return components, start
+
+
+def polynomial_rhs(components, half_times):
+    def rhs(j, x):
+        out = []
+        for const, slope, terms in components:
+            acc = const + slope * half_times[j]
+            for c, a, b in terms:
+                acc = acc + (c * x[a] if b is None else c * x[a] * x[b])
+            out.append(acc)
+        return out
+
+    return rhs
+
+
+def run_both(rhs, start, grid, direction):
+    """(result or error message) of the tuple loop and of the reference."""
+    new = integrate_forward if direction > 0 else integrate_backward
+    try:
+        got = new(rhs, start, grid)
+    except NonFiniteStateError as exc:
+        got = str(exc)
+    with np.errstate(all="ignore"):
+        try:
+            want = reference_rk4(lambda j, x: np.array(rhs(j, x)), start, grid, direction)
+        except NonFiniteStateError as exc:
+            want = str(exc)
+    return got, want
+
+
+@given(
+    system=polynomial_systems(),
+    direction=st.sampled_from([1, -1]),
+    n=st.integers(2, 300),
+    horizon=st.floats(0.05, 1.0),
+)
+def test_tuple_loop_matches_array_reference(system, direction, n, horizon):
+    components, start = system
+    grid = GridConfig(n, horizon)
+    rhs = polynomial_rhs(components, grid.half_times().tolist())
+    got, want = run_both(rhs, start, grid, direction)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.shape == want.shape == (n + 1, len(start))
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("direction, start", [(1, 10.0), (-1, -10.0)])
+def test_blow_up_names_first_non_finite_node_in_stepping_order(direction, start):
+    # x' = x^2 from x(0) = 10 escapes at node 7 of 40; backward from
+    # x(1) = -10 is its mirror image and escapes at node 33.  Every node past
+    # the escape stays inf, so the error must name the one nearest the start
+    # of the solve, not the lowest index.
+    grid = GridConfig(40, 1.0)
+    rhs = polynomial_rhs([(0.0, 0.0, [(1.0, 0, 0)])], grid.half_times().tolist())
+    got, want = run_both(rhs, [start], grid, direction)
+    assert isinstance(want, str) and got == want
+    node = 7 if direction > 0 else 33
+    assert got.startswith(f"non-finite state at t={node * grid.h}: ")
