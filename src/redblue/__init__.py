@@ -1,12 +1,10 @@
 """Misdirection-aware linear-quadratic control and pattern optimization."""
 
-from .controls import FeedbackPolicy, optimal_alpha, optimal_beta
-from .dynamics import misdirection_gain, pattern_curvature
+from .controls import FeedbackPolicy
 from .errors import (
     DegenerateDenominatorError,
     GridMismatchError,
     LambdaOutOfRangeError,
-    NegativeDiscriminantError,
     NonFiniteStateError,
     NonPositiveFcError,
     NonPositiveHorizonError,
@@ -24,53 +22,18 @@ from .model import (
     Sinusoid,
     TimeFunction,
     ZERO_PATTERN,
-    eval_time_function,
-    grid_function,
-    sample_on_grid,
-    sample_on_half_grid,
     validate_params,
 )
-from .moments import MomentCurves, expected_log_lr, solve_moments
-from .red import (
-    PENALTY_LOGARITHMIC,
-    PENALTY_QUADRATIC,
-    SOLVER_FBS,
-    SOLVER_FPI,
-    SOLVER_NN,
-    AdjointState,
-    MlpNetwork,
-    OptimizationReport,
-    RedConfig,
-    fbs_solve,
-    fpi_solve,
-    fpi_update,
-    init_network,
-    nn_forward,
-    nn_gradient,
-    nn_solve,
-    penalty,
-    red_objective,
-    solve_adjoint,
-)
-from .riccati import ValueCoeffs, solve_value_coeffs, terminal_conditions
-from .sde import (
-    McSummary,
-    Trajectory,
-    log_likelihood_ratio,
-    log_lr_samples,
-    mix_seed,
-    monte_carlo,
-    primary_cost,
-    sample_paths,
-    simulate_path,
-)
-from .stackelberg import RoundRecord, baseline_summary, play_rounds
+from .moments import expected_log_lr, solve_moments
+from .red import RedConfig, solve_red
+from .riccati import solve_value_coeffs
+from .sde import monte_carlo
+from .stackelberg import baseline_summary, play_rounds
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Affine",
-    "AdjointState",
     "Constant",
     "DegenerateDenominatorError",
     "FeedbackPolicy",
@@ -78,61 +41,24 @@ __all__ = [
     "GridMismatchError",
     "GridSampled",
     "LambdaOutOfRangeError",
-    "McSummary",
-    "MlpNetwork",
     "ModelParams",
-    "MomentCurves",
-    "NegativeDiscriminantError",
     "NonFiniteStateError",
     "NonPositiveFcError",
     "NonPositiveHorizonError",
     "NonPositiveWeightError",
-    "OptimizationReport",
     "OutOfDomainError",
-    "PENALTY_LOGARITHMIC",
-    "PENALTY_QUADRATIC",
     "Pattern",
     "RedBlueError",
     "RedConfig",
-    "RoundRecord",
-    "SOLVER_FBS",
-    "SOLVER_FPI",
-    "SOLVER_NN",
     "Sinusoid",
     "TimeFunction",
-    "Trajectory",
-    "ValueCoeffs",
     "ZERO_PATTERN",
     "baseline_summary",
-    "eval_time_function",
     "expected_log_lr",
-    "fbs_solve",
-    "fpi_solve",
-    "fpi_update",
-    "grid_function",
-    "init_network",
-    "log_likelihood_ratio",
-    "log_lr_samples",
-    "misdirection_gain",
-    "mix_seed",
     "monte_carlo",
-    "nn_forward",
-    "nn_gradient",
-    "nn_solve",
-    "optimal_alpha",
-    "optimal_beta",
-    "pattern_curvature",
-    "penalty",
     "play_rounds",
-    "primary_cost",
-    "red_objective",
-    "sample_on_grid",
-    "sample_on_half_grid",
-    "sample_paths",
-    "simulate_path",
-    "solve_adjoint",
     "solve_moments",
+    "solve_red",
     "solve_value_coeffs",
-    "terminal_conditions",
     "validate_params",
 ]

@@ -37,11 +37,11 @@ from .model import (
     validate_params,
 )
 from .moments import expected_log_lr, solve_moments
-from .red import RedConfig
+from .red import RedConfig, solve_red
 from .red.objective import solve_stack
 from .riccati import solve_value_coeffs
 from .sde import Trajectory, log_lr_samples, mix_seed, monte_carlo
-from .stackelberg import baseline_summary, play_rounds, solve_red
+from .stackelberg import baseline_summary, play_rounds
 
 
 class ConfigError(Exception):

@@ -39,7 +39,3 @@ class NonPositiveFcError(RedBlueError):
 
 class DegenerateDenominatorError(RedBlueError):
     """Closed-form minimizer denominator is zero or has the wrong sign."""
-
-
-class NegativeDiscriminantError(RedBlueError):
-    """Quadratic root for the log-penalty minimizer has no real solution."""

@@ -108,14 +108,6 @@ class GridSampled(TimeFunction):
         return _scalar_or_array(t, np.interp(arr, self.nodes(), self.values))
 
 
-def eval_time_function(f: TimeFunction, t, horizon: float):
-    """Evaluate ``f`` at ``t``, rejecting times outside [0, horizon]."""
-    arr = _as_float_array(t)
-    if np.any(arr < -_DOMAIN_SLACK) or np.any(arr > horizon + _DOMAIN_SLACK):
-        raise OutOfDomainError(f"time {t} outside [0, {horizon}]")
-    return f(t)
-
-
 @dataclass(frozen=True)
 class Pattern:
     """The observer-facing hypothesis shape: drift term f_c(t)*y + f_d(t)."""
@@ -201,6 +193,14 @@ def validate_params(params: ModelParams) -> ModelParams:
     for name in ("vbar_final", "v0", "y0"):
         if not math.isfinite(getattr(params, name)):
             raise NonPositiveWeightError(f"{name} must be finite")
+    # the moment solve starts from v0**2, v0*y0 and y0**2; |v0*y0| is at most
+    # the larger square, so finite squares keep all three finite
+    for name in ("v0", "y0"):
+        value = getattr(params, name)
+        if value * value == math.inf:
+            raise NonPositiveWeightError(
+                f"{name}**2 must be finite, got {name}={value}"
+            )
     return params
 
 

@@ -1,38 +1,20 @@
 """Observer-side pattern optimization: objective, penalties, and solvers."""
 
-from .objective import (
-    PENALTY_LOGARITHMIC,
-    PENALTY_QUADRATIC,
-    SOLVER_FBS,
-    SOLVER_FPI,
-    SOLVER_NN,
-    OptimizationReport,
-    RedConfig,
-    penalty,
-    red_objective,
-)
-from .fpi import fpi_solve, fpi_update
-from .fbs import AdjointState, fbs_solve, solve_adjoint
-from .nn import MlpNetwork, init_network, nn_forward, nn_gradient, nn_solve
+from ..model import GridConfig, ModelParams
+from .fbs import fbs_solve
+from .fpi import fpi_solve
+from .nn import nn_solve
+from .objective import SOLVER_FBS, SOLVER_FPI, OptimizationReport, RedConfig
 
-__all__ = [
-    "PENALTY_LOGARITHMIC",
-    "PENALTY_QUADRATIC",
-    "SOLVER_FBS",
-    "SOLVER_FPI",
-    "SOLVER_NN",
-    "AdjointState",
-    "MlpNetwork",
-    "OptimizationReport",
-    "RedConfig",
-    "fbs_solve",
-    "fpi_solve",
-    "fpi_update",
-    "init_network",
-    "nn_forward",
-    "nn_gradient",
-    "nn_solve",
-    "penalty",
-    "red_objective",
-    "solve_adjoint",
-]
+__all__ = ["RedConfig", "solve_red"]
+
+
+def solve_red(
+    params: ModelParams, config: RedConfig, grid: GridConfig, seed: int
+) -> OptimizationReport:
+    """Dispatch to the solver named by the config (seed used by nn only)."""
+    if config.solver == SOLVER_FPI:
+        return fpi_solve(params, config, grid)
+    if config.solver == SOLVER_FBS:
+        return fbs_solve(params, config, grid)
+    return nn_solve(params, config, grid, seed)

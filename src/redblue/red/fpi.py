@@ -24,24 +24,6 @@ from .objective import (
 )
 
 
-def fpi_update(
-    eta_t: float,
-    rho_t: float,
-    h11_t: float,
-    h02_t: float,
-    params: ModelParams,
-    config: RedConfig,
-    f_c_initial_t: float = 1.0,
-) -> float:
-    """Closed-form minimizer at a single node.
-
-    ``f_c_initial_t`` is the anchor value at the node.
-    """
-    a, b = Dynamics.of(params).payoff_coeffs(eta_t, rho_t, h11_t, h02_t)
-    anchor = np.array([f_c_initial_t])
-    return float(closed_form_update(np.array([a]), np.array([b]), anchor, config)[0])
-
-
 def fpi_solve(
     params: ModelParams, config: RedConfig, grid: GridConfig
 ) -> OptimizationReport:

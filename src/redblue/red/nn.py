@@ -27,6 +27,9 @@ from .objective import (
 HIDDEN_WIDTH = 32
 N_HIDDEN_LAYERS = 3
 DEFAULT_EPOCHS = 500
+# converged: the objective moved by at most tolerance (relative) over this
+# many final epochs
+CONVERGENCE_WINDOW = 50
 LEARNING_RATE = 1e-3
 
 
@@ -152,6 +155,9 @@ def nn_solve(
         grad_w, grad_b = _backprop(net, activations, out, bar_f)
         adam.update(arrays, grad_w + grad_b)
     f_final, _, _ = _forward_cache(net, times)
-    return finish_report(
-        params, config, grid, f_final, history, n_epochs, converged=True
+    converged = (
+        len(history) > CONVERGENCE_WINDOW
+        and abs(history[-1] - history[-1 - CONVERGENCE_WINDOW])
+        <= config.tolerance * abs(history[-1])
     )
+    return finish_report(params, config, grid, f_final, history, n_epochs, converged)

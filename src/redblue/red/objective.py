@@ -16,11 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import (
-    DegenerateDenominatorError,
-    NegativeDiscriminantError,
-    NonPositiveFcError,
-)
+from ..errors import DegenerateDenominatorError, NonPositiveFcError
 from ..model import (
     Constant,
     GridConfig,
@@ -135,14 +131,6 @@ def solve_stack(params: ModelParams, f_nodes: np.ndarray, grid: GridConfig):
     return coeffs, moments, elr
 
 
-def red_objective(params: ModelParams, f_c, config: RedConfig, grid: GridConfig) -> float:
-    f = node_values(f_c, grid)
-    _, _, elr = solve_stack(params, f, grid)
-    if config.lambda_reg == 0.0:
-        return elr
-    return elr + (config.lambda_reg / params.sigma_w**2) * penalty(f, config, grid)
-
-
 def closed_form_update(
     a: np.ndarray, b: np.ndarray, anchor: np.ndarray, config: RedConfig
 ) -> np.ndarray:
@@ -170,9 +158,8 @@ def closed_form_update(
             "logarithmic update needs a positive leading coefficient "
             "(requires lam > r_beta sigma_w^2 / 2)"
         )
+    # a > 0, anchor > 0 and lreg >= 0 make the discriminant >= 0 (or nan)
     disc = b * b + 4.0 * a * (lreg * anchor)
-    if np.any(disc < 0.0):
-        raise NegativeDiscriminantError("no real root for the logarithmic update")
     return (-b + np.sqrt(disc)) / (2.0 * a)
 
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controls import FeedbackPolicy
-from .errors import GridMismatchError, NonFiniteStateError
-from .model import GridConfig, GridSampled, ModelParams, Pattern, sample_on_grid
+from .errors import NonFiniteStateError
+from .model import GridConfig, ModelParams, Pattern, sample_on_grid
 
 # Paths per simulation block, and per noise stream.  Fixed so that results
 # never depend on the parallelism degree.
@@ -233,51 +233,6 @@ def _log_lrs(
         drift = np.sum(v[:n] * g, axis=0) * h
         quad = 0.5 * h * np.sum(g * g, axis=0)
         return (stoch - drift - quad) / params.sigma_w**2
-
-
-def _check_traj(traj: Trajectory, pattern: Pattern | None) -> None:
-    n1 = traj.times.size
-    if traj.v_path.size != n1 or traj.y_path.size != n1:
-        raise GridMismatchError("state paths and times have different lengths")
-    if traj.alpha_path.size != n1 - 1 or traj.beta_path.size != n1 - 1:
-        raise GridMismatchError("control paths must have length n_steps")
-    if pattern is None:
-        return
-    horizon = float(traj.times[-1])
-    for f in (pattern.f_c, pattern.f_d):
-        if isinstance(f, GridSampled):
-            if f.values.size != n1 or f.horizon != horizon:
-                raise GridMismatchError(
-                    "grid-sampled pattern does not match the trajectory grid"
-                )
-
-
-def primary_cost(traj: Trajectory, params: ModelParams) -> float:
-    _check_traj(traj, None)
-    grid = GridConfig(traj.times.size - 1, float(traj.times[-1]))
-    return float(
-        _primary_costs(
-            traj.v_path[:, None],
-            traj.alpha_path[:, None],
-            traj.beta_path[:, None],
-            params,
-            grid,
-        )[0]
-    )
-
-
-def log_likelihood_ratio(
-    traj: Trajectory, pattern: Pattern, params: ModelParams
-) -> float:
-    _check_traj(traj, pattern)
-    grid = GridConfig(traj.times.size - 1, float(traj.times[-1]))
-    fc = sample_on_grid(pattern.f_c, grid)
-    fd = sample_on_grid(pattern.f_d, grid)
-    return float(
-        _log_lrs(
-            traj.v_path[:, None], traj.y_path[:, None], fc, fd, params, grid
-        )[0]
-    )
 
 
 def sample_paths(

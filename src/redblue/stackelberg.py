@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .controls import FeedbackPolicy
 from .model import (
     Constant,
@@ -25,15 +23,7 @@ from .model import (
     sample_on_grid,
 )
 from .moments import expected_log_lr, solve_moments
-from .red import (
-    SOLVER_FBS,
-    SOLVER_FPI,
-    OptimizationReport,
-    RedConfig,
-    fbs_solve,
-    fpi_solve,
-    nn_solve,
-)
+from .red import RedConfig, solve_red
 from .riccati import ValueCoeffs, solve_value_coeffs
 from .sde import McSummary, Trajectory, mix_seed, monte_carlo
 
@@ -55,17 +45,6 @@ class RoundRecord:
     @property
     def sample_trajectories(self) -> list[Trajectory]:
         return list(self.mc.sample_trajectories)
-
-
-def solve_red(
-    params: ModelParams, config: RedConfig, grid: GridConfig, seed: int
-) -> OptimizationReport:
-    """Dispatch to the solver named by the config (seed used by nn only)."""
-    if config.solver == SOLVER_FPI:
-        return fpi_solve(params, config, grid)
-    if config.solver == SOLVER_FBS:
-        return fbs_solve(params, config, grid)
-    return nn_solve(params, config, grid, seed)
 
 
 def red_seed(master_seed: int, round_index: int) -> int:

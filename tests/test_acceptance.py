@@ -23,21 +23,18 @@ from redblue import (
     Sinusoid,
     baseline_summary,
     expected_log_lr,
-    init_network,
-    log_lr_samples,
     monte_carlo,
-    nn_forward,
-    nn_gradient,
-    optimal_beta,
     play_rounds,
-    sample_paths,
     solve_moments,
+    solve_red,
     solve_value_coeffs,
 )
 from redblue.cli import main as cli_main
+from redblue.controls import optimal_beta
 from redblue.red.euler import euler_objective
+from redblue.red.nn import init_network, nn_forward, nn_gradient
 from redblue.red.objective import solve_stack
-from redblue.stackelberg import solve_red
+from redblue.sde import log_lr_samples, sample_paths
 from conftest import make_params, random_params, tracking_params
 
 ZERO = Pattern(Constant(0.0), Constant(0.0))

@@ -1,0 +1,77 @@
+"""The public API is the README's list, and no module keeps a dead import."""
+
+import ast
+import re
+from pathlib import Path
+
+import redblue
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "redblue"
+
+
+def readme_api_section() -> str:
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Library API\n", 1)[1]
+    return section.split("\n## ", 1)[0]
+
+
+def test_exports_are_the_readme_list():
+    # the bulleted list, continuation lines included, before the example
+    prose = readme_api_section().split("```python", 1)[0]
+    bullets = [line for line in prose.splitlines() if line.startswith(("- ", "  "))]
+    listed = sorted(name for line in bullets for name in re.findall(r"`(\w+)`", line))
+    assert sorted(redblue.__all__) == listed
+    assert len(set(listed)) == len(listed)
+
+
+def test_every_export_resolves():
+    for name in redblue.__all__:
+        assert getattr(redblue, name) is not None, name
+
+
+def test_readme_example_runs(capsys):
+    (code,) = re.findall(r"```python\n(.*?)```", readme_api_section(), re.S)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by a top-level import and never used in the module.
+
+    A name listed in the module's ``__all__`` counts as used.
+    """
+    tree = ast.parse(source)
+    bound = {}
+    exported: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(
+        f"{name} (line {line})"
+        for name, line in bound.items()
+        if name not in used and name not in exported
+    )
+
+
+def test_unused_imports_check_flags_a_dead_import():
+    source = "import numpy as np\nfrom .a import b, c\n__all__ = ['c']\n"
+    assert unused_imports(source) == ["b (line 2)", "np (line 1)"]
+
+
+def test_no_module_has_an_unused_import():
+    found = {
+        str(path.relative_to(PACKAGE)): unused
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if (unused := unused_imports(path.read_text()))
+    }
+    assert found == {}

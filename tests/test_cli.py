@@ -301,13 +301,14 @@ def test_readme_stackelberg_example_runs(tmp_path, solver):
 @pytest.mark.parametrize(
     "command, overrides",
     [
-        ("red-optimize", {"model.v0": 1e300}),
-        ("validate", {"model.v0": 1e300}),
+        ("red-optimize", {"model.v0": 1e154}),
+        ("validate", {"model.v0": 1e154}),
     ],
     ids=["red-optimize-v0", "validate-v0"],
 )
 def test_arithmetic_errors_exit_2(tmp_path, capsys, recwarn, command, overrides):
-    # v0^2 overflows a Python float, and the paths overflow their statistics
+    # v0^2 is finite, so the config is accepted, but the moment solve and
+    # the paths overflow at run time
     cfg = write_config(tmp_path, dict(README_DOC, **overrides))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     captured = capsys.readouterr()
@@ -328,13 +329,24 @@ def test_arithmetic_errors_exit_2(tmp_path, capsys, recwarn, command, overrides)
         {"model.sigma_W": 1e-300, "model.lambda": 0.0},
         {"model.sigma_W": 1e200},
         {"model.sigma_B": 1e200},
+        {"model.v0": 1e300},
+        {"model.v0": 1e155},
+        {"model.y0": 1e155},
     ],
-    ids=["sigma_W-underflow", "sigma_W-overflow", "sigma_B-overflow"],
+    ids=[
+        "sigma_W-underflow",
+        "sigma_W-overflow",
+        "sigma_B-overflow",
+        "v0-overflow",
+        "v0-square-overflow",
+        "y0-square-overflow",
+    ],
 )
 def test_noise_scales_with_unusable_squares_are_config_errors(
     tmp_path, capsys, overrides
 ):
-    # sigma_W^2 underflows to zero or overflows; sigma_B^2 overflows
+    # sigma_W^2 underflows to zero or overflows; sigma_B^2, v0^2 or y0^2
+    # overflows
     cfg = write_config(tmp_path, dict(README_DOC, **overrides))
     assert main(["red-optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err

@@ -12,10 +12,8 @@ from redblue import (
     Pattern,
     Sinusoid,
     ZERO_PATTERN,
-    eval_time_function,
-    optimal_alpha,
-    optimal_beta,
 )
+from redblue.controls import optimal_alpha, optimal_beta
 from conftest import make_params, random_params
 
 
@@ -66,10 +64,7 @@ def test_beta_tracks_pattern_at_full_intensity():
             t = float(rng.uniform(0.0, params.horizon))
             v = float(rng.uniform(-2.0, 2.0))
             y = float(rng.uniform(-3.0, 3.0))
-            expected = (
-                eval_time_function(pattern.f_c, t, params.horizon) * y
-                + eval_time_function(pattern.f_d, t, params.horizon)
-            )
+            expected = pattern.f_c(t) * y + pattern.f_d(t)
             assert optimal_beta(policy, t, v, y) == pytest.approx(
                 expected, abs=1e-12
             )

@@ -13,12 +13,9 @@ from redblue import (
     NonPositiveWeightError,
     OutOfDomainError,
     Sinusoid,
-    eval_time_function,
-    grid_function,
-    sample_on_grid,
-    sample_on_half_grid,
     validate_params,
 )
+from redblue.model import grid_function, sample_on_grid, sample_on_half_grid
 from conftest import make_params
 
 
@@ -61,15 +58,6 @@ def test_grid_sampled_domain_check():
 def test_grid_sampled_needs_two_values():
     with pytest.raises(ValueError):
         GridSampled(np.array([1.0]), 1.0)
-
-
-def test_eval_time_function_bounds():
-    f = Affine(1.0, 1.0)
-    assert eval_time_function(f, 0.5, 1.0) == 1.5
-    with pytest.raises(OutOfDomainError):
-        eval_time_function(f, 1.5, 1.0)
-    with pytest.raises(OutOfDomainError):
-        eval_time_function(f, -0.2, 1.0)
 
 
 def test_validate_params_accepts_boundary_lambda():

@@ -6,13 +6,12 @@ from redblue import (
     GridConfig,
     Pattern,
     RedConfig,
-    fbs_solve,
-    fpi_solve,
-    solve_adjoint,
     solve_value_coeffs,
 )
 from redblue.model import grid_function
 from redblue.moments import solve_moments
+from redblue.red.fbs import fbs_solve, solve_adjoint
+from redblue.red.fpi import fpi_solve
 from conftest import make_params
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from redblue import (
     Constant,
@@ -9,12 +11,10 @@ from redblue import (
     GridConfig,
     NonPositiveFcError,
     RedConfig,
-    fpi_solve,
-    fpi_update,
-    penalty,
 )
 from redblue.model import grid_function
-from redblue.red.objective import anchor_values, closed_form_update
+from redblue.red.fpi import fpi_solve
+from redblue.red.objective import anchor_values, closed_form_update, penalty
 from conftest import make_params
 
 
@@ -26,27 +26,30 @@ def full_intensity_params():
 def test_quadratic_update_hand_computed():
     # u = 1: a = h02 = 0.2, b = -(eta h11)/r_beta = -0.3, anchor 1,
     # lambda_reg 0.15 -> f = (2*0.15 + 0.3) / (0.2 + 0.3) = 1.2
-    params = full_intensity_params()
     config = RedConfig(lambda_reg=0.15, penalty_kind="quadratic")
-    value = fpi_update(1.0, 0.0, 3.0, 0.2, params, config)
-    assert value == pytest.approx(1.2, rel=1e-14)
+    value = closed_form_update(
+        np.array([0.2]), np.array([-0.3]), np.array([1.0]), config
+    )
+    assert value[0] == pytest.approx(1.2, rel=1e-14)
 
 
 def test_quadratic_update_respects_anchor():
-    params = full_intensity_params()
     config = RedConfig(lambda_reg=0.15, penalty_kind="quadratic")
     # doubling the anchor shifts the closed form accordingly
-    value = fpi_update(1.0, 0.0, 3.0, 0.2, params, config, f_c_initial_t=2.0)
-    assert value == pytest.approx((0.6 + 0.3) / 0.5, rel=1e-14)
+    value = closed_form_update(
+        np.array([0.2]), np.array([-0.3]), np.array([2.0]), config
+    )
+    assert value[0] == pytest.approx((0.6 + 0.3) / 0.5, rel=1e-14)
 
 
 def test_logarithmic_update_hand_computed():
     # u = 1: a = h02 = 1, b = -(eta h11)/r_beta = -1, lambda_reg 2
     # -> positive root of f^2 - f - 2 = 0, which is 2
-    params = full_intensity_params()
     config = RedConfig(lambda_reg=2.0, penalty_kind="logarithmic")
-    value = fpi_update(2.0, 0.0, 5.0, 1.0, params, config)
-    assert value == pytest.approx(2.0, rel=1e-14)
+    value = closed_form_update(
+        np.array([1.0]), np.array([-1.0]), np.array([1.0]), config
+    )
+    assert value[0] == pytest.approx(2.0, rel=1e-14)
 
 
 def _golden_minimum(phi, lo, hi, iters=200):
@@ -84,29 +87,52 @@ def test_logarithmic_update_with_grid_anchor_minimizes_nodewise_objective():
 
 @pytest.mark.parametrize("anchor", [0.0, -0.1, -5.0])
 def test_logarithmic_update_rejects_non_positive_anchor(anchor):
-    params = full_intensity_params()
+    # u = 1: a = h02 = 1, b = -(eta h11)/r_beta = -1
     config = RedConfig(lambda_reg=1.0, penalty_kind="logarithmic")
     with pytest.raises(NonPositiveFcError):
-        fpi_update(2.0, 0.0, 5.0, 1.0, params, config, f_c_initial_t=anchor)
+        closed_form_update(
+            np.array([1.0]), np.array([-1.0]), np.array([anchor]), config
+        )
 
 
 def test_degenerate_denominator_raises():
-    # lam = 0 makes the quadratic coefficient negative (a = -h02); with a
-    # small penalty weight the nodewise problem is unbounded below
-    params = make_params(lam=0.0)
+    # lam = 0 makes the quadratic coefficient negative (a = -h02 = -1, and
+    # b = 0 with eta = rho = 0); with a small penalty weight the nodewise
+    # problem is unbounded below
     config = RedConfig(lambda_reg=0.01, penalty_kind="quadratic")
     with pytest.raises(DegenerateDenominatorError):
-        fpi_update(0.0, 0.0, 0.0, 1.0, params, config)
+        closed_form_update(np.array([-1.0]), np.array([0.0]), np.array([1.0]), config)
     log_config = RedConfig(lambda_reg=0.5, penalty_kind="logarithmic")
     with pytest.raises(DegenerateDenominatorError):
-        fpi_update(0.0, 0.0, 0.0, 1.0, params, log_config)
+        closed_form_update(
+            np.array([-1.0]), np.array([0.0]), np.array([1.0]), log_config
+        )
 
 
 def test_huge_penalty_pins_anchor():
-    params = full_intensity_params()
+    # u = 1: a = h02 = 2, b = -(eta h11 + rho h02)/r_beta = -(3 + 1)/10 = -0.4
     config = RedConfig(lambda_reg=1e8, penalty_kind="quadratic")
-    value = fpi_update(1.0, 0.5, 3.0, 2.0, params, config)
-    assert value == pytest.approx(1.0, abs=1e-6)
+    value = closed_form_update(
+        np.array([2.0]), np.array([-0.4]), np.array([1.0]), config
+    )
+    assert value[0] == pytest.approx(1.0, abs=1e-6)
+
+
+@given(
+    a=st.floats(1e-3, 1e3),
+    b=st.floats(-1e3, 1e3),
+    anchor=st.floats(1e-3, 1e3),
+    lambda_reg=st.floats(0.0, 1e3),
+)
+def test_logarithmic_update_root_is_real_and_non_negative(a, b, anchor, lambda_reg):
+    # a > 0, anchor > 0 and lambda_reg >= 0 give b^2 + 4 a lambda_reg anchor
+    # >= b^2 >= 0, so the update needs no discriminant check
+    config = RedConfig(lambda_reg=lambda_reg, penalty_kind="logarithmic")
+    value = closed_form_update(
+        np.array([a]), np.array([b]), np.array([anchor]), config
+    )
+    assert np.isfinite(value[0])
+    assert value[0] >= 0.0
 
 
 def test_penalty_values():

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from redblue import GridConfig, RedConfig, init_network, nn_forward, nn_gradient, nn_solve
+from redblue import GridConfig, RedConfig
 from redblue.red.euler import euler_objective, euler_objective_and_gradient
-from redblue.red.nn import HIDDEN_WIDTH, _forward_cache
+from redblue.red.nn import (
+    CONVERGENCE_WINDOW,
+    HIDDEN_WIDTH,
+    _forward_cache,
+    init_network,
+    nn_forward,
+    nn_gradient,
+    nn_solve,
+)
 from conftest import make_params
 
 
@@ -109,10 +117,22 @@ def test_nn_solve_report_structure():
     grid = GridConfig(50, 0.1)
     config = RedConfig(lambda_reg=1.0, penalty_kind="quadratic", solver="nn")
     report = nn_solve(params, config, grid, seed=1, n_epochs=5)
-    assert report.converged
+    # too few epochs to judge convergence over CONVERGENCE_WINDOW
+    assert not report.converged
     assert report.iterations == 5
     assert len(report.objective_history) == 6
     assert report.f_c.values.shape == (51,)
+
+
+def test_nn_converged_needs_a_settled_objective():
+    params = make_params(lam=make_params().lam_upper)
+    grid = GridConfig(50, 0.1)
+    config = RedConfig(
+        lambda_reg=1.0, penalty_kind="quadratic", solver="nn", tolerance=1e-12
+    )
+    report = nn_solve(params, config, grid, seed=1, n_epochs=60)
+    assert CONVERGENCE_WINDOW < 60
+    assert not report.converged
 
 
 def test_nn_solve_descends():

@@ -11,12 +11,10 @@ from redblue import (
     Pattern,
     Sinusoid,
     ZERO_PATTERN,
-    misdirection_gain,
-    pattern_curvature,
     solve_value_coeffs,
-    terminal_conditions,
 )
-from redblue.riccati import check_same_grid
+from redblue.dynamics import misdirection_gain, pattern_curvature
+from redblue.riccati import check_same_grid, terminal_conditions
 from conftest import make_params, random_params
 
 

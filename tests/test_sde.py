@@ -7,18 +7,19 @@ from redblue import (
     Constant,
     FeedbackPolicy,
     GridConfig,
-    GridMismatchError,
-    GridSampled,
     ModelParams,
     NonFiniteStateError,
     Pattern,
-    Trajectory,
     ZERO_PATTERN,
-    log_likelihood_ratio,
+    monte_carlo,
+)
+from redblue.model import sample_on_grid
+from redblue.sde import (
+    Trajectory,
+    _log_lrs,
+    _primary_costs,
     log_lr_samples,
     mix_seed,
-    monte_carlo,
-    primary_cost,
     sample_paths,
     simulate_path,
 )
@@ -60,6 +61,9 @@ def test_degenerate_noise_paths_are_deterministic():
     np.testing.assert_array_equal(traj.beta_path, np.zeros(16))
 
 
+SYNTHETIC_GRID = GridConfig(2, 1.0)
+
+
 def synthetic_trajectory():
     times = np.array([0.0, 0.5, 1.0])
     return Trajectory(
@@ -84,7 +88,15 @@ def test_primary_cost_hand_computed():
     traj = synthetic_trajectory()
     # running: h/2 [r_a (4+1) + r_b (0.25+0.25) + r_v (0+1)] = 0.25 [10+2+1]
     # terminal: t_v/2 (0-1)^2 = 1.5
-    assert primary_cost(traj, params) == pytest.approx(0.25 * 13.0 + 1.5)
+    cost = _primary_costs(
+        traj.v_path[:, None],
+        traj.alpha_path[:, None],
+        traj.beta_path[:, None],
+        params,
+        SYNTHETIC_GRID,
+    )
+    assert cost.shape == (1,)
+    assert cost[0] == pytest.approx(0.25 * 13.0 + 1.5)
 
 
 def test_log_likelihood_ratio_hand_computed():
@@ -95,23 +107,25 @@ def test_log_likelihood_ratio_hand_computed():
     # stoch = 0.25 + 2.5 = 2.75; drift = h (1*0.25 + 2*1.25) = 1.375
     # quad = h/2 (0.0625 + 1.5625) = 0.40625
     expected = (2.75 - 1.375 - 0.40625) / 0.25
-    assert log_likelihood_ratio(traj, pattern, params) == pytest.approx(expected)
+    log_lr = _log_lrs(
+        traj.v_path[:, None],
+        traj.y_path[:, None],
+        sample_on_grid(pattern.f_c, SYNTHETIC_GRID),
+        sample_on_grid(pattern.f_d, SYNTHETIC_GRID),
+        params,
+        SYNTHETIC_GRID,
+    )
+    assert log_lr.shape == (1,)
+    assert log_lr[0] == pytest.approx(expected)
 
 
 def test_log_likelihood_zero_for_zero_pattern():
     params = make_params()
     grid = GridConfig(50, 0.1)
     policy = FeedbackPolicy.solve(params, ZERO_PATTERN, grid)
-    traj = simulate_path(policy, grid, seed=3)
-    assert log_likelihood_ratio(traj, ZERO_PATTERN, params) == 0.0
-
-
-def test_trajectory_grid_mismatch_rejected():
-    params = make_params(horizon=1.0)
-    traj = synthetic_trajectory()
-    bad = Pattern(GridSampled(np.zeros(5), 1.0), Constant(0.0))
-    with pytest.raises(GridMismatchError):
-        log_likelihood_ratio(traj, bad, params)
+    samples = log_lr_samples(policy, ZERO_PATTERN, grid, 100, master_seed=3)
+    assert samples.shape == (100,)
+    assert np.all(samples == 0.0)
 
 
 def test_monte_carlo_deterministic():

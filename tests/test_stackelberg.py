@@ -11,10 +11,11 @@ from redblue import (
     RedConfig,
     baseline_summary,
     play_rounds,
+    solve_red,
     solve_value_coeffs,
 )
 from redblue import stackelberg
-from redblue.stackelberg import red_seed, solve_red
+from redblue.stackelberg import red_seed
 from conftest import make_params
 
 
