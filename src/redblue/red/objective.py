@@ -160,7 +160,10 @@ def closed_form_update(
         )
     # a > 0, anchor > 0 and lreg >= 0 make the discriminant >= 0 (or nan)
     disc = b * b + 4.0 * a * (lreg * anchor)
-    return (-b + np.sqrt(disc)) / (2.0 * a)
+    root = (-b + np.sqrt(disc)) / (2.0 * a)
+    # the exact root is >= 0; the clamp binds only when b * b underflows,
+    # which leaves (-b + |b|) / 2a < 0 for a tiny positive b
+    return np.maximum(root, 0.0)
 
 
 def finish_report(

@@ -1,8 +1,11 @@
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redblue import LambdaOutOfRangeError
 from redblue.cli import (
@@ -363,3 +366,62 @@ def test_validate_passes_on_sound_config(tmp_path, capsys):
     assert "FAIL" not in out
     assert out.count("PASS") == 6
     assert "all checks passed" in out
+
+
+_FUZZ_FLOAT_KEYS = [
+    "model.T",
+    "model.sigma_B",
+    "model.sigma_W",
+    "model.r_alpha",
+    "model.r_beta",
+    "model.r_v",
+    "model.t_v",
+    "model.lambda",
+    "model.v0",
+    "model.y0",
+    "model.vbar_T",
+    "red.lambda_reg",
+    "red.tolerance",
+    "red.relaxation",
+]
+_FUZZ_FLOATS = st.sampled_from(
+    [0.0, -1.0, 1e-300, 1e-160, 1e154, 1e300, 1e308]
+) | st.floats(1e-3, 10.0)
+_FUZZ_TIME_FUNCTIONS = st.sampled_from(
+    ["constant:1", "constant:0", "affine:1,-2", "sinusoid:0.5,20,1", "grid:1,2,0.5"]
+) | _FUZZ_FLOATS
+
+
+@settings(max_examples=100)
+@given(
+    command=st.sampled_from(["blue-solve", "red-optimize"]),
+    floats=st.dictionaries(
+        st.sampled_from(_FUZZ_FLOAT_KEYS), _FUZZ_FLOATS, max_size=3
+    ),
+    time_functions=st.dictionaries(
+        st.sampled_from(["model.vbar", "pattern.f_c", "pattern.f_d", "red.f_c_initial"]),
+        _FUZZ_TIME_FUNCTIONS,
+        max_size=2,
+    ),
+    solver=st.sampled_from(["fpi", "fbs", "nn"]),
+    penalty=st.sampled_from(["quadratic", "logarithmic"]),
+)
+def test_any_readme_variant_exits_cleanly(
+    command, floats, time_functions, solver, penalty
+):
+    # every input runs, or exits 1 (config) or 2 (numeric) with a reason;
+    # no traceback, and no JSON output carries NaN or Infinity
+    doc = dict(
+        README_DOC,
+        **{"grid.n_steps": 12, "mc.n_paths": 64, "red.max_iters": 5},
+        **{"red.solver": solver, "red.penalty": penalty},
+        **floats,
+        **time_functions,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), doc)
+        out = Path(tmp) / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) in (0, 1, 2)
+        for path in out.rglob("*.json"):
+            text = path.read_text()
+            assert "NaN" not in text and "Infinity" not in text, path.name

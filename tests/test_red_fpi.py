@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from redblue import (
@@ -124,6 +124,7 @@ def test_huge_penalty_pins_anchor():
     anchor=st.floats(1e-3, 1e3),
     lambda_reg=st.floats(0.0, 1e3),
 )
+@example(a=1.0, b=1e-200, anchor=1.0, lambda_reg=0.0)
 def test_logarithmic_update_root_is_real_and_non_negative(a, b, anchor, lambda_reg):
     # a > 0, anchor > 0 and lambda_reg >= 0 give b^2 + 4 a lambda_reg anchor
     # >= b^2 >= 0, so the update needs no discriminant check

@@ -1,23 +1,33 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from redblue import (
+    Affine,
     Constant,
     FeedbackPolicy,
     GridConfig,
     ModelParams,
     NonFiniteStateError,
     Pattern,
+    Sinusoid,
     ZERO_PATTERN,
     monte_carlo,
 )
+from redblue import sde
 from redblue.model import sample_on_grid
 from redblue.sde import (
     Trajectory,
+    _BlockSimulator,
+    _kept_paths,
     _log_lrs,
+    _Outputs,
     _primary_costs,
+    _sums,
     log_lr_samples,
     mix_seed,
     sample_paths,
@@ -75,6 +85,11 @@ def synthetic_trajectory():
     )
 
 
+def synthetic_window(traj):
+    paths = (traj.v_path, traj.y_path, traj.alpha_path, traj.beta_path)
+    return tuple(a[:, None] for a in paths)
+
+
 def test_primary_cost_hand_computed():
     params = make_params(
         horizon=1.0,
@@ -88,10 +103,12 @@ def test_primary_cost_hand_computed():
     traj = synthetic_trajectory()
     # running: h/2 [r_a (4+1) + r_b (0.25+0.25) + r_v (0+1)] = 0.25 [10+2+1]
     # terminal: t_v/2 (0-1)^2 = 1.5
+    # the whole path is one window: running sums plus the two steps' terms
     cost = _primary_costs(
-        traj.v_path[:, None],
-        traj.alpha_path[:, None],
-        traj.beta_path[:, None],
+        _sums(1),
+        0,
+        synthetic_window(traj),
+        sample_on_grid(params.vbar, SYNTHETIC_GRID),
         params,
         SYNTHETIC_GRID,
     )
@@ -108,8 +125,9 @@ def test_log_likelihood_ratio_hand_computed():
     # quad = h/2 (0.0625 + 1.5625) = 0.40625
     expected = (2.75 - 1.375 - 0.40625) / 0.25
     log_lr = _log_lrs(
-        traj.v_path[:, None],
-        traj.y_path[:, None],
+        _sums(1),
+        0,
+        synthetic_window(traj),
         sample_on_grid(pattern.f_c, SYNTHETIC_GRID),
         sample_on_grid(pattern.f_d, SYNTHETIC_GRID),
         params,
@@ -171,7 +189,7 @@ def test_thread_count_does_not_change_results(n_steps, n_paths, seed, threads):
 
 @settings(max_examples=25)
 @given(
-    n_steps=st.integers(2, 6),
+    n_steps=st.integers(2, 40),
     n_paths=st.integers(1, 2100),
     k=st.integers(1, 2100),
     seed=seeds,
@@ -179,14 +197,20 @@ def test_thread_count_does_not_change_results(n_steps, n_paths, seed, threads):
 @example(n_steps=3, n_paths=2100, k=1023, seed=11)
 @example(n_steps=3, n_paths=2100, k=1024, seed=11)
 @example(n_steps=3, n_paths=2100, k=1025, seed=11)
+@example(n_steps=40, n_paths=2100, k=1025, seed=1)
 def test_ensemble_prefix_is_a_smaller_ensemble(n_steps, n_paths, k, seed):
-    # member i depends only on (seed, i): not on the size of the ensemble
+    # member i depends only on (seed, i): not on the size of the ensemble.
+    # With k = 1025 member 1024 is a block of one path; its per-path
+    # statistics are still summed in time order, not pairwise.
     k = min(k, n_paths)
-    policy, grid, _ = _policy(n_steps)
+    policy, grid, pattern = _policy(n_steps)
     v, y = sample_paths(policy, grid, n_paths, seed)
     vk, yk = sample_paths(policy, grid, k, seed)
     np.testing.assert_array_equal(v[:k], vk)
     np.testing.assert_array_equal(y[:k], yk)
+    lr = log_lr_samples(policy, pattern, grid, n_paths, seed)
+    lrk = log_lr_samples(policy, pattern, grid, k, seed)
+    assert lr[:k].tobytes() == lrk.tobytes()
 
 
 @pytest.mark.parametrize("n_paths, n_sample", [(40, 3), (2, 4), (1100, 1030)])
@@ -249,3 +273,143 @@ def test_likelihood_ratio_mean_is_one_under_null():
     samples = np.exp(log_lr_samples(policy, pattern, grid, 4000, 17))
     se = np.std(samples, ddof=1) / np.sqrt(samples.size)
     assert abs(np.mean(samples) - 1.0) <= 3.0 * se
+
+
+# The whole-path block code that the windowed runner replaced, kept as the
+# reference the windows must reproduce bit for bit.
+
+
+def _reference_step_paths(policy, grid, dw):
+    p = policy.params
+    n = grid.n_steps
+    h = grid.h
+    m = dw.shape[2]
+    v = np.empty((n + 1, m))
+    y = np.empty((n + 1, m))
+    alpha = np.empty((n, m))
+    beta = np.empty((n, m))
+    v[0] = p.v0
+    y[0] = p.y0
+    av, ay, a0 = policy.alpha_v, policy.alpha_y, policy.alpha_0
+    bv, by, b0 = policy.beta_v, policy.beta_y, policy.beta_0
+    dwb, dww = dw
+    tmp = np.empty(m)
+    for k in range(n):
+        vk = v[k]
+        yk = y[k]
+        ak = np.multiply(vk, av[k], out=alpha[k])
+        ak += np.multiply(yk, ay[k], out=tmp)
+        ak += a0[k]
+        bk = np.multiply(vk, bv[k], out=beta[k])
+        bk += np.multiply(yk, by[k], out=tmp)
+        bk += b0[k]
+        vn = np.multiply(ak, h, out=v[k + 1])
+        vn += vk
+        vn += dwb[k]
+        yn = np.add(vk, bk, out=y[k + 1])
+        yn *= h
+        yn += yk
+        yn += dww[k]
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(y))):
+        raise NonFiniteStateError("path simulation overflowed")
+    return v, y, alpha, beta
+
+
+def _reference_primary_costs(v, alpha, beta, params, grid):
+    n = grid.n_steps
+    h = grid.h
+    vb = np.asarray(params.vbar(grid.times()), dtype=float)[:n]
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = (0.5 * h) * (
+            params.r_alpha * np.sum(alpha * alpha, axis=0)
+            + params.r_beta * np.sum(beta * beta, axis=0)
+            + params.r_v * np.sum((v[:n] - vb[:, None]) ** 2, axis=0)
+        )
+        term = 0.5 * params.t_v * (v[n] - params.vbar_final) ** 2
+        return run + term
+
+
+def _reference_log_lrs(v, y, fc_nodes, fd_nodes, params, grid):
+    n = grid.n_steps
+    h = grid.h
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = fc_nodes[:n, None] * y[:n] + fd_nodes[:n, None]
+        dy = y[1:] - y[:n]
+        stoch = np.sum(g * dy, axis=0)
+        drift = np.sum(v[:n] * g, axis=0) * h
+        quad = 0.5 * h * np.sum(g * g, axis=0)
+        return (stoch - drift - quad) / params.sigma_w**2
+
+
+def _reference_block(policy, pattern, grid, z):
+    p = policy.params
+    sq = math.sqrt(grid.h)
+    dw = np.empty((2, grid.n_steps, z.shape[0]))
+    np.multiply(z[:, :, 0].T, p.sigma_b * sq, out=dw[0])
+    np.multiply(z[:, :, 1].T, p.sigma_w * sq, out=dw[1])
+    paths = _reference_step_paths(policy, grid, dw)
+    v, y, alpha, beta = paths
+    fc = sample_on_grid(pattern.f_c, grid)
+    fd = sample_on_grid(pattern.f_d, grid)
+    costs = _reference_primary_costs(v, alpha, beta, p, grid)
+    return paths, costs, _reference_log_lrs(v, y, fc, fd, p, grid)
+
+
+@settings(max_examples=30)
+@given(
+    n_steps=st.integers(2, 100),
+    width=st.integers(2, 1100),
+    n_keep=st.integers(0, 1100),
+    seed=seeds,
+    zero_pattern=st.booleans(),
+)
+@example(n_steps=31, width=1024, n_keep=3, seed=1, zero_pattern=False)
+@example(n_steps=32, width=1024, n_keep=1024, seed=2, zero_pattern=False)
+@example(n_steps=33, width=1100, n_keep=1100, seed=3, zero_pattern=False)
+@example(n_steps=64, width=2, n_keep=1, seed=4, zero_pattern=False)
+@example(n_steps=2, width=7, n_keep=7, seed=5, zero_pattern=True)
+def test_windowed_block_matches_whole_path_reference(
+    n_steps, width, n_keep, seed, zero_pattern
+):
+    # the window length moves no bit of any statistic or kept trajectory;
+    # bytes are compared, so the signs of zero statistics count too
+    n_keep = min(n_keep, width)
+    params = make_params(vbar=Sinusoid(0.5, 40.0, 0.3), vbar_final=0.2)
+    grid = GridConfig(n_steps, 0.1)
+    pattern = ZERO_PATTERN if zero_pattern else Pattern(Affine(1.0, 2.0), Constant(0.3))
+    policy = FeedbackPolicy.solve(params, pattern, grid)
+    z = np.random.default_rng(seed).standard_normal((width, n_steps, 2))
+    paths, costs, lrs = _reference_block(policy, pattern, grid, z)
+    for window in (1, 3, n_steps, sde._WINDOW_STEPS):
+        out = _Outputs(
+            keep=_kept_paths(n_keep, grid),
+            primary=np.empty(width),
+            vbar=sample_on_grid(params.vbar, grid),
+            loglr=np.empty(width),
+            fc=sample_on_grid(pattern.f_c, grid),
+            fd=sample_on_grid(pattern.f_d, grid),
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sde, "_WINDOW_STEPS", window)
+            sim = _BlockSimulator(policy, grid, width, out)
+            # a block that ran before leaves nothing behind in the buffers
+            sim.simulate(z[::-1].copy(), 0)
+            sim.simulate(z, 0)
+        assert out.primary.tobytes() == costs.tobytes()
+        assert out.loglr.tobytes() == lrs.tobytes()
+        for kept, path in zip(out.keep, paths):
+            assert kept.tobytes() == path[:, :n_keep].T.tobytes()
+
+
+def test_monte_carlo_never_holds_a_block_of_full_paths():
+    # the per-block peak is the block's noise plus window buffers: the
+    # paths, controls and statistic terms of a whole block never coexist
+    policy, grid, pattern = _policy(400)
+    noise_bytes = 1024 * grid.n_steps * 2 * 8
+    tracemalloc.start()
+    try:
+        monte_carlo(policy, pattern, grid, 3000, 5, threads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * noise_bytes
