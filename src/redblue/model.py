@@ -241,6 +241,21 @@ def sample_on_half_grid(f: TimeFunction, grid: GridConfig) -> np.ndarray:
     return np.asarray(f(grid.half_times()), dtype=float)
 
 
+def half_grid_rows(f, grid: GridConfig) -> list:
+    """Stage-time samples for a right-hand side ``rhs(j, state)``: floats
+    for one TimeFunction, ``(B,)`` rows for a sequence of B of them.
+
+    Each member goes through ``sample_on_half_grid`` on its own, so row j of
+    a batch holds exactly the floats a single solve reads at index j.
+    """
+    if isinstance(f, TimeFunction):
+        return sample_on_half_grid(f, grid).tolist()
+    table = np.empty((2 * grid.n_steps + 1, len(f)))
+    for b, g in enumerate(f):
+        table[:, b] = sample_on_half_grid(g, grid)
+    return list(table)
+
+
 def grid_function(values: np.ndarray, grid: GridConfig) -> GridSampled:
     """Wrap node values as a GridSampled function on the grid's span."""
     vals = np.asarray(values, dtype=float)

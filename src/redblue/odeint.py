@@ -13,6 +13,16 @@ of floats: the same IEEE arithmetic as numpy scalars, at a fraction of the
 per-operation cost on systems of a few components.  Float ``*``, ``+`` and
 ``-`` overflow to inf or nan without raising, so the loop runs to the end and
 finiteness is checked once per solve, on the output array.
+
+A batch of B systems steps through the same loop: given a ``(C, B)`` start
+state, each component is a ``(B,)`` row, the right-hand side receives and
+returns tuples of such rows, and row b of every stage is exactly the float
+computation of member b, because numpy's elementwise ``*``, ``+``, ``-`` and
+``/`` round as Python's do.  The output is then ``(n_steps + 1, C, B)``.
+numpy warns where floats overflow silently, so the loop runs under
+``np.errstate(over="ignore", invalid="ignore")``; the single finiteness
+check still names the first node, in stepping order, at which any member is
+non-finite.
 """
 
 from __future__ import annotations
@@ -24,42 +34,53 @@ import numpy as np
 from .errors import NonFiniteStateError
 from .model import GridConfig
 
-Rhs = Callable[[int, tuple[float, ...]], Sequence[float]]
+# the state tuple holds floats, or (B,) arrays for a batch of B members
+Rhs = Callable[[int, tuple], Sequence]
 
 
 def _rk4(rhs: Rhs, state, grid: GridConfig, direction: int) -> np.ndarray:
     """RK4 states at every node, stepping from node 0 (direction +1) or
-    from node n_steps (direction -1); row k is the state at node k."""
+    from node n_steps (direction -1); row k is the state at node k.
+
+    ``state`` is a 1-D sequence of floats, or a ``(C, B)`` array of B
+    members whose rows become the ``(B,)`` components of the stage tuples.
+    """
     n = grid.n_steps
     h = direction * grid.h
     half = 0.5 * h
     sixth = h / 6.0
-    s = tuple(np.asarray(state, dtype=float).tolist())
+    start = np.asarray(state, dtype=float)
+    s = tuple(start.tolist()) if start.ndim == 1 else tuple(start)
     node = 0 if direction > 0 else n
     # each node's state goes straight into the output, so only the stage
     # tuples of the current step are alive as Python objects
-    out = np.empty((n + 1, len(s)))
+    out = np.empty((n + 1, *start.shape))
     out[node] = s
-    for _ in range(n):
-        j = 2 * node
-        k1 = rhs(j, s)
-        k2 = rhs(j + direction, tuple([x + half * k for x, k in zip(s, k1)]))
-        k3 = rhs(j + direction, tuple([x + half * k for x, k in zip(s, k2)]))
-        k4 = rhs(j + 2 * direction, tuple([x + h * k for x, k in zip(s, k3)]))
-        s = tuple(
-            [
-                x + sixth * (a + 2.0 * b + 2.0 * c + d)
-                for x, a, b, c, d in zip(s, k1, k2, k3, k4)
-            ]
-        )
-        node += direction
-        out[node] = s
-    finite = np.isfinite(out).all(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n):
+            j = 2 * node
+            k1 = rhs(j, s)
+            k2 = rhs(j + direction, tuple([x + half * k for x, k in zip(s, k1)]))
+            k3 = rhs(j + direction, tuple([x + half * k for x, k in zip(s, k2)]))
+            k4 = rhs(j + 2 * direction, tuple([x + h * k for x, k in zip(s, k3)]))
+            s = tuple(
+                [
+                    x + sixth * (a + 2.0 * b + 2.0 * c + d)
+                    for x, a, b, c, d in zip(s, k1, k2, k3, k4)
+                ]
+            )
+            node += direction
+            out[node] = s
+    finite = np.isfinite(out.reshape(n + 1, -1)).all(axis=1)
     if not finite.all():
         # the first non-finite node in stepping order
         bad = np.flatnonzero(~finite)
         node = int(bad[0] if direction > 0 else bad[-1])
-        raise NonFiniteStateError(f"non-finite state at t={node * grid.h}: {out[node]}")
+        row = out[node]
+        if row.ndim == 2:
+            # the first member that is non-finite there
+            row = row[:, np.flatnonzero(~np.isfinite(row).all(axis=0))[0]]
+        raise NonFiniteStateError(f"non-finite state at t={node * grid.h}: {row}")
     return out
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import NonFiniteStateError
 from ..model import GridConfig, ModelParams
 from .euler import euler_objective_and_gradient
 from .objective import (
@@ -21,6 +22,7 @@ from .objective import (
     SOLVER_NN,
     OptimizationReport,
     RedConfig,
+    anchor_values,
     finish_report,
 )
 
@@ -143,18 +145,30 @@ def nn_solve(
 ) -> OptimizationReport:
     if config.solver != SOLVER_NN:
         raise ValueError(f"config selects solver {config.solver!r}, not nn")
+    # a log anchor that is not positive fails here, not after training
+    anchor_values(config, grid)
     net = init_network(seed, config.penalty_kind == PENALTY_LOGARITHMIC)
     times = grid.times()
     arrays = net.weights + net.biases
     adam = _Adam(arrays, LEARNING_RATE)
     history: list[float] = []
-    for _ in range(n_epochs):
-        f, activations, out = _forward_cache(net, times)
-        objective, bar_f = euler_objective_and_gradient(f, params, config, grid)
-        history.append(objective)
-        grad_w, grad_b = _backprop(net, activations, out, bar_f)
-        adam.update(arrays, grad_w + grad_b)
-    f_final, _, _ = _forward_cache(net, times)
+    # an overflow gives inf or nan with no numpy warning; it is checked once,
+    # after training
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(n_epochs):
+            f, activations, out = _forward_cache(net, times)
+            objective, bar_f = euler_objective_and_gradient(f, params, config, grid)
+            history.append(objective)
+            grad_w, grad_b = _backprop(net, activations, out, bar_f)
+            adam.update(arrays, grad_w + grad_b)
+        f_final, _, _ = _forward_cache(net, times)
+    # an overflowed moment estimate zeroes every later step, which would
+    # pass for convergence
+    if not (
+        np.all(np.isfinite(history))
+        and all(np.all(np.isfinite(a)) for a in adam.m + adam.v)
+    ):
+        raise NonFiniteStateError("network training overflowed")
     converged = (
         len(history) > CONVERGENCE_WINDOW
         and abs(history[-1] - history[-1 - CONVERGENCE_WINDOW])

@@ -122,9 +122,23 @@ def penalty(f_c, config: RedConfig, grid: GridConfig) -> float:
 
 
 def solve_stack(params: ModelParams, f_nodes: np.ndarray, grid: GridConfig):
-    """Coefficients, moments, and payoff for one pattern (zero offset)."""
-    f_c = grid_function(f_nodes, grid)
-    pattern = Pattern(f_c, Constant(0.0))
+    """Coefficients, moments, and payoff for one pattern (zero offset).
+
+    ``f_nodes`` holds (n_steps + 1,) node values, or (B, n_steps + 1) node
+    values of B patterns, which are solved as one batch: the coefficient
+    and moment curves are then (n_steps + 1, B) and the payoff a (B,)
+    array, and member b equals ``solve_stack(params, f_nodes[b], grid)``
+    bit for bit.  A batch keeps that identity because each member is
+    sampled by the single solve's sampler, the right-hand sides step every
+    member with the same operations in the same order, and each member's
+    payoff is integrated along a contiguous row (see ``expected_log_lr``).
+    """
+    if np.ndim(f_nodes) == 2:
+        f_c = [grid_function(row, grid) for row in np.asarray(f_nodes, dtype=float)]
+        pattern = [Pattern(f, Constant(0.0)) for f in f_c]
+    else:
+        f_c = grid_function(f_nodes, grid)
+        pattern = Pattern(f_c, Constant(0.0))
     coeffs = solve_value_coeffs(params, pattern, grid)
     moments = solve_moments(params, coeffs, f_c, grid)
     elr = expected_log_lr(params, coeffs, f_c, moments, grid)

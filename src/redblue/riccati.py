@@ -13,19 +13,27 @@ f_d, and the xi line, which collects the constant terms.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import Dynamics
 from .errors import GridMismatchError
-from .model import GridConfig, ModelParams, Pattern, sample_on_half_grid
+from .model import (
+    GridConfig,
+    ModelParams,
+    Pattern,
+    half_grid_rows,
+    sample_on_half_grid,
+)
 from .odeint import integrate_backward
 
 
 @dataclass(frozen=True, eq=False)
 class ValueCoeffs:
-    """Grid-sampled coefficient curves, each of length n_steps + 1."""
+    """Grid-sampled coefficient curves, each of length n_steps + 1 (shape
+    (n_steps + 1, B) for a batch of B patterns)."""
 
     grid: GridConfig
     mu: np.ndarray
@@ -65,23 +73,34 @@ def terminal_conditions(params: ModelParams) -> np.ndarray:
 
 
 def solve_value_coeffs(
-    params: ModelParams, pattern: Pattern, grid: GridConfig
+    params: ModelParams, pattern: Pattern | Sequence[Pattern], grid: GridConfig
 ) -> ValueCoeffs:
     """Backward RK4 solve of the six coefficient equations.
 
     The last node satisfies the terminal conditions exactly.  Pattern and
     target curves are pre-sampled at nodes and midpoints, the only times the
     integrator touches.
+
+    Given a sequence of B patterns, the solve steps them as one batch and
+    every curve has shape (n_steps + 1, B); column b is bit for bit the
+    curve of pattern b solved alone.
     """
-    fc = sample_on_half_grid(pattern.f_c, grid).tolist()
-    fd = sample_on_half_grid(pattern.f_d, grid).tolist()
+    terminal = terminal_conditions(params)
+    if isinstance(pattern, Pattern):
+        f_c, f_d = pattern.f_c, pattern.f_d
+    else:
+        f_c = [p.f_c for p in pattern]
+        f_d = [p.f_d for p in pattern]
+        terminal = np.repeat(terminal[:, None], len(pattern), axis=1)
+    fc = half_grid_rows(f_c, grid)
+    fd = half_grid_rows(f_d, grid)
     vb = sample_on_half_grid(params.vbar, grid).tolist()
     dyn = Dynamics.of(params)
     coeff_rhs = dyn.coeff_rhs
     r_alpha, r_beta, r_v = dyn.r_alpha, dyn.r_beta, dyn.r_v
     u, c2, sb2, sw2 = dyn.u, dyn.c2, dyn.sb2, dyn.sw2
 
-    def rhs(j: int, state: tuple[float, ...]) -> tuple[float, ...]:
+    def rhs(j: int, state: tuple) -> tuple:
         mu, eta, rho, gamma, theta, xi = state
         fc_t = fc[j]
         fd_t = fd[j]
@@ -112,7 +131,7 @@ def solve_value_coeffs(
         )
         return d_mu, d_eta, d_rho, d_gamma, d_theta, d_xi
 
-    states = integrate_backward(rhs, terminal_conditions(params), grid)
+    states = integrate_backward(rhs, terminal, grid)
     return ValueCoeffs(
         grid=grid,
         mu=states[:, 0].copy(),

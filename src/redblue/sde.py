@@ -179,26 +179,25 @@ def _primary_costs(
     node n, returns the left-Riemann running cost plus the terminal term;
     otherwise None.
 
-    An overflow gives inf or nan with no numpy warning; monte_carlo raises
-    on it.
+    An overflow gives inf or nan, with no numpy warning under the block's
+    error state; monte_carlo raises on it.
     """
     v, _, alpha, beta = window
     r, m = alpha.shape
     t_alpha, t_beta, t_v = acc[:, 1 : r + 1, :m]
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(alpha, alpha, out=t_alpha)
-        np.multiply(beta, beta, out=t_beta)
-        np.subtract(v[:r], vbar[k0 : k0 + r, None], out=t_v)
-        np.square(t_v, out=t_v)
-        s_alpha, s_beta, s_v = _fold(acc, r, m)
-        if k0 + r < grid.n_steps:
-            return None
-        h = grid.h
-        run = (0.5 * h) * (
-            params.r_alpha * s_alpha + params.r_beta * s_beta + params.r_v * s_v
-        )
-        term = 0.5 * params.t_v * (v[r] - params.vbar_final) ** 2
-        return run + term
+    np.multiply(alpha, alpha, out=t_alpha)
+    np.multiply(beta, beta, out=t_beta)
+    np.subtract(v[:r], vbar[k0 : k0 + r, None], out=t_v)
+    np.square(t_v, out=t_v)
+    s_alpha, s_beta, s_v = _fold(acc, r, m)
+    if k0 + r < grid.n_steps:
+        return None
+    h = grid.h
+    run = (0.5 * h) * (
+        params.r_alpha * s_alpha + params.r_beta * s_beta + params.r_v * s_v
+    )
+    term = 0.5 * params.t_v * (v[r] - params.vbar_final) ** 2
+    return run + term
 
 
 def _log_lrs(
@@ -219,26 +218,25 @@ def _log_lrs(
     the window ends at node n, returns the log likelihood ratios; otherwise
     None.
 
-    An overflow gives inf or nan with no numpy warning; monte_carlo and
-    log_lr_samples raise on it.
+    An overflow gives inf or nan, with no numpy warning under the block's
+    error state; monte_carlo and log_lr_samples raise on it.
     """
     v, y, _, _ = window
     r = v.shape[0] - 1
     t_gdy, t_vg, g = acc[:, 1 : r + 1, : v.shape[1]]
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(fc_nodes[k0 : k0 + r, None], y[:r], out=g)
-        g += fd_nodes[k0 : k0 + r, None]
-        np.subtract(y[1:], y[:r], out=t_gdy)
-        t_gdy *= g
-        np.multiply(v[:r], g, out=t_vg)
-        np.multiply(g, g, out=g)
-        stoch, s_vg, s_gg = _fold(acc, r, v.shape[1])
-        if k0 + r < grid.n_steps:
-            return None
-        h = grid.h
-        drift = s_vg * h
-        quad = 0.5 * h * s_gg
-        return (stoch - drift - quad) / params.sigma_w**2
+    np.multiply(fc_nodes[k0 : k0 + r, None], y[:r], out=g)
+    g += fd_nodes[k0 : k0 + r, None]
+    np.subtract(y[1:], y[:r], out=t_gdy)
+    t_gdy *= g
+    np.multiply(v[:r], g, out=t_vg)
+    np.multiply(g, g, out=g)
+    stoch, s_vg, s_gg = _fold(acc, r, v.shape[1])
+    if k0 + r < grid.n_steps:
+        return None
+    h = grid.h
+    drift = s_vg * h
+    quad = 0.5 * h * s_gg
+    return (stoch - drift - quad) / params.sigma_w**2
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,7 +282,11 @@ class _BlockSimulator:
         start = block * _BLOCK_PATHS
         z = self.z[: min(_BLOCK_PATHS, n_paths - start)]
         np.random.default_rng(mix_seed(master_seed, block)).standard_normal(out=z)
-        self.simulate(z, start)
+        # numpy warns on overflow per operation; a blow-up is raised once, as
+        # NonFiniteStateError or as a non-finite statistic.  The error state
+        # is per thread, so each worker sets it for its own blocks.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.simulate(z, start)
 
     def simulate(self, z: np.ndarray, start: int) -> None:
         """Simulate one block window by window and write its slice of out.

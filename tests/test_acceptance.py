@@ -12,6 +12,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redblue import (
     Affine,
@@ -193,6 +195,34 @@ def test_criterion_06_full_intensity_decoupling():
     _verdict(6, "full-intensity decoupling", worst < 1e-8, f"max gap {worst:.1e}")
 
 
+def zero_pattern_probe(params, grid, directions, step=1e-5):
+    """(largest central difference at any node, smallest rise along the
+    directions) of the payoff at the zero pattern, from one batched solve:
+    the zero pattern, each node bumped up then down, then the directions."""
+    n1 = grid.n_steps + 1
+    rows = [np.zeros(n1)]
+    for k in range(n1):
+        for value in (step, -step):
+            bump = np.zeros(n1)
+            bump[k] = value
+            rows.append(bump)
+    j0, *rest = solve_stack(params, np.array(rows + directions), grid)[2].tolist()
+    grad = max(
+        abs(up - down) / (2.0 * step)
+        for up, down in zip(rest[0 : 2 * n1 : 2], rest[1 : 2 * n1 : 2])
+    )
+    return grad, min(value - j0 for value in rest[2 * n1 :])
+
+
+def unit_directions(rng, count, size):
+    directions = []
+    for _ in range(count):
+        direction = rng.standard_normal(size)
+        direction /= np.linalg.norm(direction)
+        directions.append(1e-2 * direction)
+    return directions
+
+
 def test_criterion_07_zero_pattern_local_minimum():
     rng = np.random.default_rng(7701)
     worst_grad = 0.0
@@ -202,24 +232,10 @@ def test_criterion_07_zero_pattern_local_minimum():
             random_params(rng, "upper"), vbar=Constant(0.0), vbar_final=0.0
         )
         grid = GridConfig(100, params.horizon)
-
-        def objective(f):
-            return solve_stack(params, f, grid)[2]
-
-        zero = np.zeros(grid.n_steps + 1)
-        j0 = objective(zero)
-        step = 1e-5
-        for k in range(zero.size):
-            bump = zero.copy()
-            bump[k] = step
-            up = objective(bump)
-            bump[k] = -step
-            down = objective(bump)
-            worst_grad = max(worst_grad, abs(up - down) / (2.0 * step))
-        for _ in range(10):
-            direction = rng.standard_normal(zero.size)
-            direction /= np.linalg.norm(direction)
-            min_rise = min(min_rise, objective(1e-2 * direction) - j0)
+        directions = unit_directions(rng, 10, grid.n_steps + 1)
+        grad, rise = zero_pattern_probe(params, grid, directions)
+        worst_grad = max(worst_grad, grad)
+        min_rise = min(min_rise, rise)
     ok = worst_grad < 1e-4 and min_rise > 0.0
     _verdict(
         7,
@@ -227,6 +243,19 @@ def test_criterion_07_zero_pattern_local_minimum():
         ok,
         f"max |grad| {worst_grad:.1e}, min rise {min_rise:.1e}",
     )
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n_steps=st.integers(4, 60))
+def test_zero_pattern_is_a_local_minimum_in_the_upper_range(seed, n_steps):
+    # criterion 07 as a property: stationary at every node, and the payoff
+    # rises along random directions
+    rng = np.random.default_rng(seed)
+    params = replace(random_params(rng, "upper"), vbar=Constant(0.0), vbar_final=0.0)
+    grid = GridConfig(n_steps, params.horizon)
+    grad, rise = zero_pattern_probe(params, grid, unit_directions(rng, 5, n_steps + 1))
+    assert grad <= 1e-4
+    assert rise > 0.0
 
 
 def test_criterion_08_monte_carlo_cross_oracle():

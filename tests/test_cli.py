@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import tempfile
@@ -301,24 +303,51 @@ def test_readme_stackelberg_example_runs(tmp_path, solver):
     assert [r["round_index"] for r in rounds] == [1, 2, 3]
 
 
+_SMALL = {"grid.n_steps": 20, "mc.n_paths": 100}
+
+
 @pytest.mark.parametrize(
     "command, overrides",
     [
         ("red-optimize", {"model.v0": 1e154}),
         ("validate", {"model.v0": 1e154}),
+        ("red-optimize", {"red.solver": "nn", "red.f_c_initial": "constant:0"}),
+        ("red-optimize", {"red.solver": "nn", "model.sigma_W": 1e154, **_SMALL}),
+        ("red-optimize", {"red.solver": "nn", "red.lambda_reg": 1e154, **_SMALL}),
+        (
+            "stackelberg",
+            {
+                "red.solver": "nn",
+                "red.penalty": "quadratic",
+                "red.lambda_reg": 1e300,
+                "red.f_c_initial": 1e-160,
+                **_SMALL,
+            },
+        ),
+        ("validate", {"model.T": 1e300, **_SMALL}),
     ],
-    ids=["red-optimize-v0", "validate-v0"],
+    ids=[
+        "red-optimize-v0",
+        "validate-v0",
+        "nn-zero-anchor",
+        "nn-sigma_W",
+        "nn-adam-overflow",
+        "stackelberg-nn-adam-overflow",
+        "validate-T",
+    ],
 )
 def test_arithmetic_errors_exit_2(tmp_path, capsys, recwarn, command, overrides):
-    # v0^2 is finite, so the config is accepted, but the moment solve and
-    # the paths overflow at run time
+    # each config is accepted but overflows at run time: v0^2 is finite while
+    # the moment solve and the paths are not; the nn cases overflow in the
+    # Euler objective or in Adam's moment estimates, or have a zero anchor
     cfg = write_config(tmp_path, dict(README_DOC, **overrides))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     captured = capsys.readouterr()
     assert "RuntimeWarning" not in captured.err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     if command == "validate":
-        assert "validate: 3 check(s) failed" in captured.out
+        failed = 4 if "model.T" in overrides else 3
+        assert f"validate: {failed} check(s) failed" in captured.out
         assert "martingale-normalization     FAIL  error: " in captured.out
         assert "gradient-stationarity        FAIL  error: " in captured.out
     else:
@@ -394,7 +423,7 @@ _FUZZ_TIME_FUNCTIONS = st.sampled_from(
 
 @settings(max_examples=100)
 @given(
-    command=st.sampled_from(["blue-solve", "red-optimize"]),
+    command=st.sampled_from(["blue-solve", "red-optimize", "validate"]),
     floats=st.dictionaries(
         st.sampled_from(_FUZZ_FLOAT_KEYS), _FUZZ_FLOATS, max_size=3
     ),
@@ -410,7 +439,8 @@ def test_any_readme_variant_exits_cleanly(
     command, floats, time_functions, solver, penalty
 ):
     # every input runs, or exits 1 (config) or 2 (numeric) with a reason;
-    # no traceback, and no JSON output carries NaN or Infinity
+    # no traceback, no JSON output carries NaN or Infinity, and validate
+    # passes only when every check does
     doc = dict(
         README_DOC,
         **{"grid.n_steps": 12, "mc.n_paths": 64, "red.max_iters": 5},
@@ -421,7 +451,12 @@ def test_any_readme_variant_exits_cleanly(
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_config(Path(tmp), doc)
         out = Path(tmp) / "out"
-        assert main([command, "--config", cfg, "--out", str(out)]) in (0, 1, 2)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main([command, "--config", cfg, "--out", str(out)])
+        assert code in (0, 1, 2)
+        if command == "validate" and code == 0:
+            assert stdout.getvalue().count(" PASS ") == 6
         for path in out.rglob("*.json"):
             text = path.read_text()
             assert "NaN" not in text and "Infinity" not in text, path.name

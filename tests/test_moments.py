@@ -1,11 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redblue import (
     Constant,
     FeedbackPolicy,
     GridConfig,
     ModelParams,
+    NonFiniteStateError,
     Pattern,
     ZERO_PATTERN,
     expected_log_lr,
@@ -13,8 +18,9 @@ from redblue import (
     solve_moments,
     solve_value_coeffs,
 )
+from redblue.red.objective import solve_stack
 from redblue.riccati import ValueCoeffs
-from conftest import make_params
+from conftest import make_params, random_params
 
 
 def manual_coeffs(grid, mu_value):
@@ -81,6 +87,9 @@ def test_requires_decoupled_offsets():
     coeffs = solve_value_coeffs(params, ZERO_PATTERN, grid)
     with pytest.raises(ValueError):
         solve_moments(params, coeffs, Constant(0.0), grid)
+    batch = solve_value_coeffs(params, [ZERO_PATTERN] * 3, grid)
+    with pytest.raises(ValueError):
+        solve_moments(params, batch, [Constant(0.0)] * 3, grid)
 
 
 def test_cauchy_schwarz_along_curves():
@@ -123,3 +132,60 @@ def test_agrees_with_monte_carlo():
     moments = solve_moments(params, coeffs, pattern.f_c, grid)
     value = expected_log_lr(params, coeffs, pattern.f_c, moments, grid)
     assert abs(summary.mean_log_lr - value) <= 3.0 * summary.se_log_lr
+
+
+_COEFF_CURVES = ("mu", "eta", "rho", "gamma", "theta", "xi")
+_MOMENT_CURVES = ("h20", "h11", "h02")
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["any", "zero", "full", "upper"]),
+    n_steps=st.integers(2, 120),
+    kinds=st.integers(1, 40).flatmap(
+        lambda size: st.lists(
+            st.sampled_from(["zero", "bump", "random", "large"]),
+            min_size=size,
+            max_size=size,
+        )
+    ),
+)
+def test_batched_solve_stack_matches_single_solves(seed, mode, n_steps, kinds):
+    # member b of a batch is bit for bit the single solve of row b: every
+    # coefficient curve, every moment curve and the payoff
+    rng = np.random.default_rng(seed)
+    params = replace(random_params(rng, mode), vbar=Constant(0.0), vbar_final=0.0)
+    grid = GridConfig(n_steps, params.horizon)
+    n1 = n_steps + 1
+    rows = np.zeros((len(kinds), n1))
+    for row, kind in zip(rows, kinds):
+        if kind == "bump":
+            row[rng.integers(n1)] = rng.choice([1e-5, -1e-5, 0.3])
+        elif kind == "random":
+            row[:] = rng.standard_normal(n1)
+        elif kind == "large":
+            # large enough that some members overflow
+            row[:] = 10.0 ** rng.uniform(1.0, 2.2) * rng.standard_normal(n1)
+    singles = []
+    for row in rows:
+        try:
+            singles.append(solve_stack(params, row, grid))
+        except NonFiniteStateError:
+            singles.append(None)
+    if None in singles:
+        with pytest.raises(NonFiniteStateError):
+            solve_stack(params, rows, grid)
+        return
+    coeffs, moments, elr = solve_stack(params, rows, grid)
+    assert elr.shape == (len(rows),)
+    for b, (coeffs_b, moments_b, elr_b) in enumerate(singles):
+        for curves, curves_b, names in (
+            (coeffs, coeffs_b, _COEFF_CURVES),
+            (moments, moments_b, _MOMENT_CURVES),
+        ):
+            for name in names:
+                batch = getattr(curves, name)
+                assert batch.shape == (n1, len(rows))
+                assert np.array_equal(batch[:, b], getattr(curves_b, name))
+        assert elr[b] == elr_b

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -224,3 +225,62 @@ def test_blow_up_names_first_non_finite_node_in_stepping_order(direction, start)
     assert isinstance(want, str) and got == want
     node = 7 if direction > 0 else 33
     assert got.startswith(f"non-finite state at t={node * grid.h}: ")
+
+
+@st.composite
+def polynomial_batches(draw):
+    """A polynomial system with 1-8 start states, one per batch member."""
+    components, start = draw(polynomial_systems())
+    dim = len(start)
+    member = st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)
+    return components, [start, *draw(st.lists(member, max_size=7))]
+
+
+def solve_or_message(solve, rhs, start, grid):
+    try:
+        return solve(rhs, start, grid)
+    except NonFiniteStateError as exc:
+        return str(exc)
+
+
+@given(
+    batch=polynomial_batches(),
+    direction=st.sampled_from([1, -1]),
+    n=st.integers(2, 120),
+    horizon=st.floats(0.05, 1.0),
+)
+def test_batch_loop_matches_single_solves(batch, direction, n, horizon):
+    # a (C, B) start steps B members through the same loop: member b is bit
+    # for bit its own float solve, and a blow-up names the member and node
+    # that go non-finite first in stepping order, with no numpy warning
+    components, starts = batch
+    grid = GridConfig(n, horizon)
+    rhs = polynomial_rhs(components, grid.half_times().tolist())
+    solve = integrate_forward if direction > 0 else integrate_backward
+    singles = [solve_or_message(solve, rhs, start, grid) for start in starts]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solve_or_message(solve, rhs, np.array(starts).T, grid)
+    failed = [s for s in singles if isinstance(s, str)]
+    if failed:
+        times = [float(s.split("t=")[1].split(":")[0]) for s in failed]
+        first = times.index(min(times) if direction > 0 else max(times))
+        assert got == failed[first]
+    else:
+        assert got.shape == (n + 1, len(starts[0]), len(starts))
+        for b, single in enumerate(singles):
+            assert np.array_equal(got[:, :, b], single)
+
+
+def test_batch_with_one_overflowing_member_raises_without_warnings():
+    # x' = x^2: the member from 0.5 stays finite on [0, 1], the one from 10
+    # escapes at node 7 of 40
+    grid = GridConfig(40, 1.0)
+    rhs = polynomial_rhs([(0.0, 0.0, [(1.0, 0, 0)])], grid.half_times().tolist())
+    single = solve_or_message(integrate_forward, rhs, [10.0], grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteStateError) as info:
+            integrate_forward(rhs, np.array([[0.5, 10.0]]), grid)
+    assert str(info.value) == single
+    assert single.startswith(f"non-finite state at t={7 * grid.h}: ")
