@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .controls import FeedbackPolicy, optimal_beta
-from .errors import RedBlueError
+from .errors import NonFiniteStateError, RedBlueError
 from .model import (
     Affine,
     Constant,
@@ -546,7 +546,11 @@ def _check_martingale(cfg: RunConfig):
     # variation (-2 E log L under the null) and the pattern is scaled down
     base = Pattern(grid_function(fc, cfg.grid), grid_function(fd, cfg.grid))
     pilot = log_lr_samples(policy, base, cfg.grid, 256, mix_seed(cfg.seed, 90, 0))
-    quad_var = max(-2.0 * float(np.mean(pilot)), 1e-12)
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad_var = -2.0 * float(np.mean(pilot))
+    if not math.isfinite(quad_var):
+        raise NonFiniteStateError("the pilot's mean log likelihood ratio is not finite")
+    quad_var = max(quad_var, 1e-12)
     scale = min(1.0, 0.5 / math.sqrt(quad_var))
     pattern = Pattern(
         grid_function(scale * fc, cfg.grid), grid_function(scale * fd, cfg.grid)
@@ -601,7 +605,7 @@ def _check_gradient(cfg: RunConfig):
         direction = rng.standard_normal(n1)
         direction /= np.linalg.norm(direction)
         rows.append(1e-2 * direction)
-    elr = solve_stack(params, np.array(rows), cfg.grid)[2].tolist()
+    elr = solve_stack(params, np.array(rows), cfg.grid)[1].tolist()
     grad = 0.0
     for up, down in zip(elr[0:-5:2], elr[1:-5:2]):
         grad = max(grad, abs(up - down) / (2.0 * step))

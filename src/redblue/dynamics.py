@@ -18,10 +18,14 @@ with u = lam/(r_beta sigma_w^2) and c2 = (lam/sigma_w^2)(u - 1).  The payoff
 integrand L = -(eta h11 + rho h02) f/r_beta + (u - 1/2) h02 f^2, divided by
 sigma_w^2, is the rate of the expected log likelihood ratio.
 
-The RK4 solves, the Euler recursions of the network objective and their
-reverse sweeps, and the forward-backward sweep's costates all evaluate these
-functions and their transposed-Jacobian products; nothing else restates them.
-Every function works elementwise on floats and on numpy arrays.
+F and G are stepped by RK4 in two places: ``red.objective.solve_stack``
+integrates them directly for the pattern optimizers, one pattern or a batch,
+and the public ``riccati.solve_value_coeffs`` and ``moments.solve_moments``
+integrate them for one pattern, F alongside the gamma, theta and xi lines.
+The Euler recursions of the network objective and their reverse sweeps, and
+the forward-backward sweep's costates, evaluate the same functions and their
+transposed-Jacobian products; nothing else restates them.  Every function
+works elementwise on floats and on numpy arrays.
 """
 
 from __future__ import annotations

@@ -39,7 +39,9 @@ def _scalar_or_array(t, values: np.ndarray):
 class TimeFunction:
     """A deterministic function of time on [0, T].
 
-    Subclasses are immutable and evaluable on scalars or numpy arrays.
+    Subclasses are immutable and evaluable on scalars or numpy arrays.  A
+    value that overflows is returned as inf or nan without a warning; the
+    solves that read it fail their finiteness checks.
     """
 
     def __call__(self, t):
@@ -64,7 +66,8 @@ class Affine(TimeFunction):
 
     def __call__(self, t):
         arr = _as_float_array(t)
-        return _scalar_or_array(t, self.intercept + self.slope * arr)
+        with np.errstate(over="ignore"):
+            return _scalar_or_array(t, self.intercept + self.slope * arr)
 
 
 @dataclass(frozen=True)
@@ -77,9 +80,10 @@ class Sinusoid(TimeFunction):
 
     def __call__(self, t):
         arr = _as_float_array(t)
-        return _scalar_or_array(
-            t, self.amplitude * np.sin(self.omega * arr + self.phase)
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _scalar_or_array(
+                t, self.amplitude * np.sin(self.omega * arr + self.phase)
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,21 +243,6 @@ def sample_on_grid(f: TimeFunction, grid: GridConfig) -> np.ndarray:
 def sample_on_half_grid(f: TimeFunction, grid: GridConfig) -> np.ndarray:
     """Values of ``f`` at nodes and midpoints (the RK stage times)."""
     return np.asarray(f(grid.half_times()), dtype=float)
-
-
-def half_grid_rows(f, grid: GridConfig) -> list:
-    """Stage-time samples for a right-hand side ``rhs(j, state)``: floats
-    for one TimeFunction, ``(B,)`` rows for a sequence of B of them.
-
-    Each member goes through ``sample_on_half_grid`` on its own, so row j of
-    a batch holds exactly the floats a single solve reads at index j.
-    """
-    if isinstance(f, TimeFunction):
-        return sample_on_half_grid(f, grid).tolist()
-    table = np.empty((2 * grid.n_steps + 1, len(f)))
-    for b, g in enumerate(f):
-        table[:, b] = sample_on_half_grid(g, grid)
-    return list(table)
 
 
 def grid_function(values: np.ndarray, grid: GridConfig) -> GridSampled:

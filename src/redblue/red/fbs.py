@@ -3,24 +3,22 @@
 Treats the pattern as the control of a deterministic optimal-control problem
 whose state stacks the coefficient block with the moment block,
 x = (mu, eta, rho, h20, h11, h02).  Each sweep solves the state equations
-(coefficients backward, then moments forward; the coefficient block is
-autonomous so this ordering is exact), solves the six adjoint equations
-backward from zero, and replaces the pattern by the relaxed Hamiltonian
-minimizer.  The relaxation weight is halved whenever the objective rises,
-which tames the oscillation plain sweeps are prone to.
+with ``solve_stack`` (coefficients backward, then moments forward; the
+coefficient block is autonomous so this ordering is exact), solves the six
+adjoint equations backward from zero into one (n_steps + 1, 6) costate
+array, and replaces the pattern by the relaxed Hamiltonian minimizer.  The
+relaxation weight is halved whenever the objective rises, which tames the
+oscillation plain sweeps are prone to.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..dynamics import Dynamics
 from ..model import GridConfig, GridSampled, ModelParams, sample_on_half_grid
-from ..moments import MomentCurves, nodes_to_half_grid
+from ..moments import nodes_to_half_grid
 from ..odeint import integrate_backward
-from ..riccati import ValueCoeffs, check_same_grid
 from .objective import (
     SOLVER_FBS,
     OptimizationReport,
@@ -33,38 +31,20 @@ from .objective import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class AdjointState:
-    """Costate curves of the sweep, one per state component; zero at T."""
-
-    grid: GridConfig
-    psi1: np.ndarray
-    psi2: np.ndarray
-    psi3: np.ndarray
-    psi4: np.ndarray
-    psi5: np.ndarray
-    psi6: np.ndarray
-
-
 def solve_adjoint(
-    params: ModelParams,
-    f_nodes: np.ndarray,
-    coeffs: ValueCoeffs,
-    moments: MomentCurves,
-    grid: GridConfig,
-) -> AdjointState:
+    params: ModelParams, f_nodes: np.ndarray, x: np.ndarray, grid: GridConfig
+) -> np.ndarray:
     """Backward RK4 solve of the six costate equations given the states.
 
     psi' = -(psi . d(F, G)/dx + dL/dx) with x = (mu, eta, rho, h20, h11, h02)
-    and L the payoff integrand, all from ``redblue.dynamics``.
+    the (n_steps + 1, 6) node states of ``solve_stack`` and L the payoff
+    integrand, all from ``redblue.dynamics``.  Returns the (n_steps + 1, 6)
+    costates, zero at T.
     """
-    check_same_grid(coeffs.grid, grid)
-    check_same_grid(moments.grid, grid)
-    curves = (coeffs.mu, coeffs.eta, coeffs.rho, moments.h20, moments.h11, moments.h02)
     fc_h = sample_on_half_grid(GridSampled(f_nodes, grid.horizon), grid)
     # One row per half-grid point, (mu, eta, rho, h20, h11, h02, f), as Python
     # floats: the same arithmetic as numpy scalars at a fraction of the cost.
-    rows = np.column_stack([nodes_to_half_grid(c) for c in curves] + [fc_h]).tolist()
+    rows = np.column_stack((nodes_to_half_grid(x), fc_h)).tolist()
     dyn = Dynamics.of(params)
 
     def rhs(j: int, psi: tuple[float, ...]) -> tuple[float, ...]:
@@ -83,20 +63,11 @@ def solve_adjoint(
             -(g02 + l_h02),
         )
 
-    states = integrate_backward(rhs, (0.0,) * 6, grid)
-    return AdjointState(
-        grid=grid,
-        psi1=states[:, 0].copy(),
-        psi2=states[:, 1].copy(),
-        psi3=states[:, 2].copy(),
-        psi4=states[:, 3].copy(),
-        psi5=states[:, 4].copy(),
-        psi6=states[:, 5].copy(),
-    )
+    return integrate_backward(rhs, (0.0,) * 6, grid)
 
 
 def _hamiltonian_coeffs(
-    dyn: Dynamics, coeffs: ValueCoeffs, moments: MomentCurves, psi: AdjointState
+    dyn: Dynamics, x: np.ndarray, psi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nodewise (a, b) of the Hamiltonian L + psi . (F, G) = (a/2) f^2 + b f + ...
 
@@ -105,13 +76,12 @@ def _hamiltonian_coeffs(
     costates zero these are the payoff's coefficients, as in the fixed-point
     update.
     """
-    mu, eta, rho = coeffs.mu, coeffs.eta, coeffs.rho
-    h20, h11, h02 = moments.h20, moments.h11, moments.h02
+    mu, eta, rho, h20, h11, h02 = x.T
     a, b = dyn.payoff_coeffs(eta, rho, h11, h02)
     zero = np.zeros_like(a)
-    c_f = dyn.coeff_vjp((psi.psi1, psi.psi2, psi.psi3), mu, eta, rho, zero)[3]
-    g_f = dyn.moment_vjp((psi.psi4, psi.psi5, psi.psi6), h20, h11, h02, mu, eta, rho, zero)[6]
-    return a + 2.0 * dyn.c2 * psi.psi3, b + c_f + g_f
+    c_f = dyn.coeff_vjp(psi.T[:3], mu, eta, rho, zero)[3]
+    g_f = dyn.moment_vjp(psi.T[3:], h20, h11, h02, mu, eta, rho, zero)[6]
+    return a + 2.0 * dyn.c2 * psi[:, 2], b + c_f + g_f
 
 
 def fbs_solve(
@@ -128,13 +98,13 @@ def fbs_solve(
     converged = False
     iterations = 0
     for it in range(config.max_iters):
-        coeffs, moments, elr = solve_stack(params, f, grid)
+        x, elr = solve_stack(params, f, grid)
         objective = elr + scale * penalty(f, config, grid)
         if history and objective > history[-1]:
             omega *= 0.5
         history.append(objective)
-        psi = solve_adjoint(params, f, coeffs, moments, grid)
-        a, b = _hamiltonian_coeffs(dyn, coeffs, moments, psi)
+        psi = solve_adjoint(params, f, x, grid)
+        a, b = _hamiltonian_coeffs(dyn, x, psi)
         f_hat = closed_form_update(a, b, anchor, config)
         f_new = (1.0 - omega) * f + omega * f_hat
         delta = float(np.linalg.norm(f_new - f))

@@ -37,9 +37,9 @@ def fpi_solve(
     converged = False
     iterations = 0
     for it in range(config.max_iters):
-        coeffs, moments, elr = solve_stack(params, f, grid)
+        x, elr = solve_stack(params, f, grid)
         history.append(elr + scale * penalty(f, config, grid))
-        a, b = dyn.payoff_coeffs(coeffs.eta, coeffs.rho, moments.h11, moments.h02)
+        a, b = dyn.payoff_coeffs(x[:, 1], x[:, 2], x[:, 4], x[:, 5])
         f_new = closed_form_update(a, b, anchor, config)
         delta = float(np.linalg.norm(f_new - f))
         f = f_new

@@ -6,8 +6,11 @@ away from the pattern currently trusted by the controller:
     J_red(f_c) = E[log LR] + (lambda_reg / sigma_w^2) * P(f_c)
 
 where E[log LR] comes from the moment ODEs and P is either a quadratic or a
-logarithmic trust penalty.  Minimizing the pointwise integrand gives the
-closed-form node update shared by the fixed-point and sweep solvers.
+logarithmic trust penalty.  ``solve_stack`` evaluates E[log LR] for one
+pattern or a batch by integrating the coefficient block F and the moment
+block G of ``redblue.dynamics`` directly.  Minimizing the pointwise integrand
+gives the closed-form node update shared by the fixed-point and sweep
+solvers.
 """
 
 from __future__ import annotations
@@ -16,19 +19,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DegenerateDenominatorError, NonPositiveFcError
+from ..dynamics import Dynamics
+from ..errors import (
+    DegenerateDenominatorError,
+    NonFiniteStateError,
+    NonPositiveFcError,
+)
 from ..model import (
     Constant,
     GridConfig,
     GridSampled,
     ModelParams,
-    Pattern,
     TimeFunction,
     grid_function,
     sample_on_grid,
+    sample_on_half_grid,
 )
-from ..moments import expected_log_lr, solve_moments
-from ..riccati import solve_value_coeffs
+from ..moments import NOT_SIMPLIFIED, nodes_to_half_grid
+from ..odeint import integrate_backward, integrate_forward
 
 PENALTY_QUADRATIC = "quadratic"
 PENALTY_LOGARITHMIC = "logarithmic"
@@ -122,27 +130,62 @@ def penalty(f_c, config: RedConfig, grid: GridConfig) -> float:
 
 
 def solve_stack(params: ModelParams, f_nodes: np.ndarray, grid: GridConfig):
-    """Coefficients, moments, and payoff for one pattern (zero offset).
+    """States and expected log likelihood ratio under zero-offset patterns.
 
-    ``f_nodes`` holds (n_steps + 1,) node values, or (B, n_steps + 1) node
-    values of B patterns, which are solved as one batch: the coefficient
-    and moment curves are then (n_steps + 1, B) and the payoff a (B,)
-    array, and member b equals ``solve_stack(params, f_nodes[b], grid)``
-    bit for bit.  A batch keeps that identity because each member is
-    sampled by the single solve's sampler, the right-hand sides step every
-    member with the same operations in the same order, and each member's
-    payoff is integrated along a contiguous row (see ``expected_log_lr``).
+    Steps F = (mu, eta, rho) backward from its terminal state and
+    G = (h20, h11, h02) forward from its initial state, then integrates the
+    payoff over sigma_w^2 by the trapezoid rule.  Returns ``(x, elr)``,
+    where x holds the node states (mu, eta, rho, h20, h11, h02).  These are
+    the curves and the value of ``solve_value_coeffs``, ``solve_moments``
+    and ``expected_log_lr`` without the gamma, theta and xi lines, which
+    the payoff never reads.  Gamma and theta vanish identically exactly
+    when the velocity targets are zero at every stage time, so the targets
+    are checked first.
+
+    ``f_nodes`` holds (n_steps + 1,) node values, giving an (n_steps + 1, 6)
+    x and a float, or (B, n_steps + 1) node values of B patterns solved as
+    one batch, giving an (n_steps + 1, 6, B) x and a (B,) array.  Member b
+    equals ``solve_stack(params, f_nodes[b], grid)`` bit for bit: each
+    member is sampled on its own, the right-hand sides step every member
+    with the same operations in the same order, and each member's payoff is
+    integrated along a contiguous row (numpy sums a strided axis row by row,
+    not pairwise).
     """
-    if np.ndim(f_nodes) == 2:
-        f_c = [grid_function(row, grid) for row in np.asarray(f_nodes, dtype=float)]
-        pattern = [Pattern(f, Constant(0.0)) for f in f_c]
+    vbar = sample_on_half_grid(params.vbar, grid)
+    if params.vbar_final != 0.0 or np.any(vbar != 0.0):
+        raise ValueError(NOT_SIMPLIFIED)
+    nodes = np.asarray(f_nodes, dtype=float)
+    batch = nodes.shape[:-1]
+    # a boundary state times ones holds one copy of it per member
+    ones = np.ones(batch)
+    # stage-time tables: one float, or one (B,) row, per half-grid point
+    as_rows = list if batch else np.ndarray.tolist
+    if batch:
+        f = np.column_stack(
+            [sample_on_half_grid(grid_function(row, grid), grid) for row in nodes]
+        )
     else:
-        f_c = grid_function(f_nodes, grid)
-        pattern = Pattern(f_c, Constant(0.0))
-    coeffs = solve_value_coeffs(params, pattern, grid)
-    moments = solve_moments(params, coeffs, f_c, grid)
-    elr = expected_log_lr(params, coeffs, f_c, moments, grid)
-    return coeffs, moments, elr
+        f = sample_on_half_grid(grid_function(nodes, grid), grid)
+    f = as_rows(f)
+    dyn = Dynamics.of(params)
+    coeff_rhs, moment_rhs = dyn.coeff_rhs, dyn.moment_rhs
+    coeffs = integrate_backward(
+        lambda j, s: coeff_rhs(*s, f[j]),
+        np.multiply.outer(dyn.coeff_terminal(), ones),
+        grid,
+    )
+    rows = as_rows(nodes_to_half_grid(coeffs))
+    moments = integrate_forward(
+        lambda j, m: moment_rhs(*m, *rows[j], f[j]),
+        np.multiply.outer(dyn.moment_initial(), ones),
+        grid,
+    )
+    x = np.concatenate((coeffs, moments), axis=1)
+    eta, rho, h11, h02 = (np.ascontiguousarray(x[:, i].T) for i in (1, 2, 4, 5))
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrand = dyn.payoff(eta, rho, h11, h02, nodes) / dyn.sw2
+        elr = np.trapezoid(integrand, dx=grid.h, axis=-1)
+    return x, (elr if batch else float(elr))
 
 
 def closed_form_update(
@@ -155,29 +198,35 @@ def closed_form_update(
     penalty scaling lambda_reg / sigma_w^2 and is omitted from both.
     Quadratic penalty: f = (2 lambda_reg anchor - b) / (a + 2 lambda_reg).
     Logarithmic: positive root of a f^2 + b f - lambda_reg anchor = 0.
+    A non-finite update raises NonFiniteStateError.
     """
     lreg = config.lambda_reg
-    if config.penalty_kind == PENALTY_QUADRATIC:
-        den = a + 2.0 * lreg
-        if np.any(den <= 0.0):
-            raise DegenerateDenominatorError(
-                "quadratic update denominator not positive; "
-                "lam too small or lambda_reg too weak"
-            )
-        return (2.0 * lreg * anchor - b) / den
-    if np.any(anchor <= 0.0):
-        raise NonPositiveFcError("logarithmic penalty needs a positive anchor")
-    if np.any(a <= 0.0):
-        raise DegenerateDenominatorError(
-            "logarithmic update needs a positive leading coefficient "
-            "(requires lam > r_beta sigma_w^2 / 2)"
-        )
-    # a > 0, anchor > 0 and lreg >= 0 make the discriminant >= 0 (or nan)
-    disc = b * b + 4.0 * a * (lreg * anchor)
-    root = (-b + np.sqrt(disc)) / (2.0 * a)
-    # the exact root is >= 0; the clamp binds only when b * b underflows,
-    # which leaves (-b + |b|) / 2a < 0 for a tiny positive b
-    return np.maximum(root, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if config.penalty_kind == PENALTY_QUADRATIC:
+            den = a + 2.0 * lreg
+            if np.any(den <= 0.0):
+                raise DegenerateDenominatorError(
+                    "quadratic update denominator not positive; "
+                    "lam too small or lambda_reg too weak"
+                )
+            f = (2.0 * lreg * anchor - b) / den
+        else:
+            if np.any(anchor <= 0.0):
+                raise NonPositiveFcError("logarithmic penalty needs a positive anchor")
+            if np.any(a <= 0.0):
+                raise DegenerateDenominatorError(
+                    "logarithmic update needs a positive leading coefficient "
+                    "(requires lam > r_beta sigma_w^2 / 2)"
+                )
+            # a > 0, anchor > 0 and lreg >= 0 make the discriminant >= 0 (or nan)
+            disc = b * b + 4.0 * a * (lreg * anchor)
+            root = (-b + np.sqrt(disc)) / (2.0 * a)
+            # the exact root is >= 0; the clamp binds only when b * b
+            # underflows, which leaves (-b + |b|) / 2a < 0 for a tiny positive b
+            f = np.maximum(root, 0.0)
+    if not np.isfinite(f).all():
+        raise NonFiniteStateError("closed-form pattern update is not finite")
+    return f
 
 
 def finish_report(
@@ -190,7 +239,7 @@ def finish_report(
     converged: bool,
 ) -> OptimizationReport:
     """Evaluate the returned pattern once more and assemble the report."""
-    _, _, elr = solve_stack(params, f_nodes, grid)
+    _, elr = solve_stack(params, f_nodes, grid)
     pen = penalty(f_nodes, config, grid) if config.lambda_reg != 0.0 else 0.0
     objective = elr + (config.lambda_reg / params.sigma_w**2) * pen
     history = list(history) + [objective]

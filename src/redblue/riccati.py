@@ -8,32 +8,27 @@ so dynamic programming reduces to six coupled scalar ODEs integrated backward
 from the terminal cost.  The (mu, eta, rho) block is autonomous and its
 equations F are stated in ``redblue.dynamics``; this module adds the gamma,
 theta lines, which pick up the running target vbar and the pattern offset
-f_d, and the xi line, which collects the constant terms.
+f_d, and the xi line, which collects the constant terms.  This public solve
+takes one pattern; the pattern optimizers, which read only (mu, eta, rho),
+integrate F alone for one pattern or a batch in
+``redblue.red.objective.solve_stack``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import Dynamics
 from .errors import GridMismatchError
-from .model import (
-    GridConfig,
-    ModelParams,
-    Pattern,
-    half_grid_rows,
-    sample_on_half_grid,
-)
+from .model import GridConfig, ModelParams, Pattern, sample_on_half_grid
 from .odeint import integrate_backward
 
 
 @dataclass(frozen=True, eq=False)
 class ValueCoeffs:
-    """Grid-sampled coefficient curves, each of length n_steps + 1 (shape
-    (n_steps + 1, B) for a batch of B patterns)."""
+    """Grid-sampled coefficient curves, each of length n_steps + 1."""
 
     grid: GridConfig
     mu: np.ndarray
@@ -73,27 +68,16 @@ def terminal_conditions(params: ModelParams) -> np.ndarray:
 
 
 def solve_value_coeffs(
-    params: ModelParams, pattern: Pattern | Sequence[Pattern], grid: GridConfig
+    params: ModelParams, pattern: Pattern, grid: GridConfig
 ) -> ValueCoeffs:
     """Backward RK4 solve of the six coefficient equations.
 
     The last node satisfies the terminal conditions exactly.  Pattern and
     target curves are pre-sampled at nodes and midpoints, the only times the
     integrator touches.
-
-    Given a sequence of B patterns, the solve steps them as one batch and
-    every curve has shape (n_steps + 1, B); column b is bit for bit the
-    curve of pattern b solved alone.
     """
-    terminal = terminal_conditions(params)
-    if isinstance(pattern, Pattern):
-        f_c, f_d = pattern.f_c, pattern.f_d
-    else:
-        f_c = [p.f_c for p in pattern]
-        f_d = [p.f_d for p in pattern]
-        terminal = np.repeat(terminal[:, None], len(pattern), axis=1)
-    fc = half_grid_rows(f_c, grid)
-    fd = half_grid_rows(f_d, grid)
+    fc = sample_on_half_grid(pattern.f_c, grid).tolist()
+    fd = sample_on_half_grid(pattern.f_d, grid).tolist()
     vb = sample_on_half_grid(params.vbar, grid).tolist()
     dyn = Dynamics.of(params)
     coeff_rhs = dyn.coeff_rhs
@@ -131,7 +115,7 @@ def solve_value_coeffs(
         )
         return d_mu, d_eta, d_rho, d_gamma, d_theta, d_xi
 
-    states = integrate_backward(rhs, terminal, grid)
+    states = integrate_backward(rhs, terminal_conditions(params), grid)
     return ValueCoeffs(
         grid=grid,
         mu=states[:, 0].copy(),

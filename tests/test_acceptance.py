@@ -195,6 +195,72 @@ def test_criterion_06_full_intensity_decoupling():
     _verdict(6, "full-intensity decoupling", worst < 1e-8, f"max gap {worst:.1e}")
 
 
+_TIME_FUNCTIONS = st.one_of(
+    st.builds(Constant, st.floats(-3.0, 3.0)),
+    st.builds(Affine, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    st.builds(
+        Sinusoid, st.floats(-3.0, 3.0), st.floats(0.0, 20.0), st.floats(-3.0, 3.0)
+    ),
+)
+_PATTERNS = st.builds(Pattern, _TIME_FUNCTIONS, _TIME_FUNCTIONS)
+# (fraction of the horizon, v, y)
+_POINTS = st.lists(
+    st.tuples(st.floats(0.0, 1.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    min_size=1,
+    max_size=20,
+)
+
+
+def _decoupled_policy(params, pattern, n_steps):
+    """The solved policy, after checking that eta, rho and theta are
+    identically zero, which the arithmetic keeps exactly: every term of
+    their equations carries one of the three or c2 f, and c2 f is zero at
+    lam = 0, for the zero pattern and at the upper bound."""
+    grid = GridConfig(n_steps, params.horizon)
+    policy = FeedbackPolicy.solve(params, pattern, grid)
+    for curve in (policy.coeffs.eta, policy.coeffs.rho, policy.coeffs.theta):
+        assert np.all(curve == 0.0)
+    return policy
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    zero_lam=st.booleans(),
+    pattern=_PATTERNS,
+    n_steps=st.integers(2, 150),
+    points=_POINTS,
+)
+def test_no_coupling_without_misdirection(seed, zero_lam, pattern, n_steps, points):
+    # criterion 05 as a property: at lam = 0 with any pattern, and at any
+    # lam with the zero pattern, beta vanishes exactly
+    rng = np.random.default_rng(seed)
+    if zero_lam:
+        params = random_params(rng, "zero")
+    else:
+        params, pattern = random_params(rng, "any"), ZERO
+    policy = _decoupled_policy(params, pattern, n_steps)
+    for frac, v, y in points:
+        assert optimal_beta(policy, frac * params.horizon, v, y) == 0.0
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pattern=_PATTERNS,
+    n_steps=st.integers(2, 150),
+    points=_POINTS,
+)
+def test_full_intensity_beta_is_the_pattern_drift(seed, pattern, n_steps, points):
+    # criterion 06 as a property: at lam = r_beta sigma_w^2 the gain u is
+    # exactly 1 and c2 exactly 0, so beta is f_c(t) y + f_d(t) exactly
+    params = random_params(np.random.default_rng(seed), "full")
+    policy = _decoupled_policy(params, pattern, n_steps)
+    for frac, v, y in points:
+        t = frac * params.horizon
+        assert optimal_beta(policy, t, v, y) == pattern.f_c(t) * y + pattern.f_d(t)
+
+
 def zero_pattern_probe(params, grid, directions, step=1e-5):
     """(largest central difference at any node, smallest rise along the
     directions) of the payoff at the zero pattern, from one batched solve:
@@ -206,7 +272,7 @@ def zero_pattern_probe(params, grid, directions, step=1e-5):
             bump = np.zeros(n1)
             bump[k] = value
             rows.append(bump)
-    j0, *rest = solve_stack(params, np.array(rows + directions), grid)[2].tolist()
+    j0, *rest = solve_stack(params, np.array(rows + directions), grid)[1].tolist()
     grad = max(
         abs(up - down) / (2.0 * step)
         for up, down in zip(rest[0 : 2 * n1 : 2], rest[1 : 2 * n1 : 2])

@@ -325,6 +325,12 @@ _SMALL = {"grid.n_steps": 20, "mc.n_paths": 100}
             },
         ),
         ("validate", {"model.T": 1e300, **_SMALL}),
+        ("validate", {"model.v0": 1e154, **_SMALL}),
+        ("red-optimize", {"red.penalty": "quadratic", "red.lambda_reg": 1e308}),
+        (
+            "red-optimize",
+            {"red.solver": "fbs", "red.penalty": "quadratic", "red.lambda_reg": 1e308},
+        ),
     ],
     ids=[
         "red-optimize-v0",
@@ -334,12 +340,17 @@ _SMALL = {"grid.n_steps": 20, "mc.n_paths": 100}
         "nn-adam-overflow",
         "stackelberg-nn-adam-overflow",
         "validate-T",
+        "validate-v0-small",
+        "fpi-update-overflow",
+        "fbs-update-overflow",
     ],
 )
 def test_arithmetic_errors_exit_2(tmp_path, capsys, recwarn, command, overrides):
     # each config is accepted but overflows at run time: v0^2 is finite while
-    # the moment solve and the paths are not; the nn cases overflow in the
-    # Euler objective or in Adam's moment estimates, or have a zero anchor
+    # the moment solve and the paths are not (on the small grid, the
+    # martingale pilot's mean overflows too); the nn cases overflow in the
+    # Euler objective or in Adam's moment estimates, or have a zero anchor;
+    # the quadratic fpi and fbs cases overflow in the closed-form update
     cfg = write_config(tmp_path, dict(README_DOC, **overrides))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     captured = capsys.readouterr()

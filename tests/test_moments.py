@@ -18,6 +18,7 @@ from redblue import (
     solve_moments,
     solve_value_coeffs,
 )
+from redblue.model import grid_function
 from redblue.red.objective import solve_stack
 from redblue.riccati import ValueCoeffs
 from conftest import make_params, random_params
@@ -87,9 +88,13 @@ def test_requires_decoupled_offsets():
     coeffs = solve_value_coeffs(params, ZERO_PATTERN, grid)
     with pytest.raises(ValueError):
         solve_moments(params, coeffs, Constant(0.0), grid)
-    batch = solve_value_coeffs(params, [ZERO_PATTERN] * 3, grid)
-    with pytest.raises(ValueError):
-        solve_moments(params, batch, [Constant(0.0)] * 3, grid)
+    # the red objective checks the targets before it solves: a nonzero
+    # running target, then a nonzero terminal target alone, each for one
+    # pattern and for a batch
+    for targets in (params, make_params(vbar_final=0.5)):
+        for f_nodes in (np.zeros(101), np.zeros((3, 101))):
+            with pytest.raises(ValueError, match="simplified model"):
+                solve_stack(targets, f_nodes, grid)
 
 
 def test_cauchy_schwarz_along_curves():
@@ -134,8 +139,21 @@ def test_agrees_with_monte_carlo():
     assert abs(summary.mean_log_lr - value) <= 3.0 * summary.se_log_lr
 
 
-_COEFF_CURVES = ("mu", "eta", "rho", "gamma", "theta", "xi")
-_MOMENT_CURVES = ("h20", "h11", "h02")
+def layered_solves(params, row, grid):
+    """The public solves on one row, as solve_stack's (x, elr)."""
+    f_c = grid_function(row, grid)
+    coeffs = solve_value_coeffs(params, Pattern(f_c, Constant(0.0)), grid)
+    moments = solve_moments(params, coeffs, f_c, grid)
+    elr = expected_log_lr(params, coeffs, f_c, moments, grid)
+    curves = (coeffs.mu, coeffs.eta, coeffs.rho, moments.h20, moments.h11, moments.h02)
+    return np.column_stack(curves), elr
+
+
+def solved_or_none(solve, *args):
+    try:
+        return solve(*args)
+    except NonFiniteStateError:
+        return None
 
 
 @settings(max_examples=40)
@@ -152,8 +170,8 @@ _MOMENT_CURVES = ("h20", "h11", "h02")
     ),
 )
 def test_batched_solve_stack_matches_single_solves(seed, mode, n_steps, kinds):
-    # member b of a batch is bit for bit the single solve of row b: every
-    # coefficient curve, every moment curve and the payoff
+    # member b of a batch is bit for bit the single solve of row b, and both
+    # are the public solves of row b: every state curve and the payoff
     rng = np.random.default_rng(seed)
     params = replace(random_params(rng, mode), vbar=Constant(0.0), vbar_final=0.0)
     grid = GridConfig(n_steps, params.horizon)
@@ -169,23 +187,25 @@ def test_batched_solve_stack_matches_single_solves(seed, mode, n_steps, kinds):
             row[:] = 10.0 ** rng.uniform(1.0, 2.2) * rng.standard_normal(n1)
     singles = []
     for row in rows:
-        try:
-            singles.append(solve_stack(params, row, grid))
-        except NonFiniteStateError:
-            singles.append(None)
+        single = solved_or_none(solve_stack, params, row, grid)
+        layered = solved_or_none(layered_solves, params, row, grid)
+        # the public solves also step gamma and theta, which stay zero under
+        # zero targets, and xi, which is at most T (sigma_b^2 max |mu| +
+        # sigma_w^2 max |rho|) / 2 and so finite for these draws (sigma_b,
+        # sigma_w < 0.4, T < 1.2) whenever mu and rho are: both sides fail
+        # or neither does
+        assert (single is None) == (layered is None)
+        if single is not None:
+            assert np.array_equal(single[0], layered[0])
+            assert single[1] == layered[1]
+        singles.append(single)
     if None in singles:
         with pytest.raises(NonFiniteStateError):
             solve_stack(params, rows, grid)
         return
-    coeffs, moments, elr = solve_stack(params, rows, grid)
+    x, elr = solve_stack(params, rows, grid)
+    assert x.shape == (n1, 6, len(rows))
     assert elr.shape == (len(rows),)
-    for b, (coeffs_b, moments_b, elr_b) in enumerate(singles):
-        for curves, curves_b, names in (
-            (coeffs, coeffs_b, _COEFF_CURVES),
-            (moments, moments_b, _MOMENT_CURVES),
-        ):
-            for name in names:
-                batch = getattr(curves, name)
-                assert batch.shape == (n1, len(rows))
-                assert np.array_equal(batch[:, b], getattr(curves_b, name))
+    for b, (x_b, elr_b) in enumerate(singles):
+        assert np.array_equal(x[:, :, b], x_b)
         assert elr[b] == elr_b

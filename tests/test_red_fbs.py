@@ -1,17 +1,11 @@
 import numpy as np
 import pytest
 
-from redblue import (
-    Constant,
-    GridConfig,
-    Pattern,
-    RedConfig,
-    solve_value_coeffs,
-)
+from redblue import GridConfig, RedConfig
 from redblue.model import grid_function
-from redblue.moments import solve_moments
 from redblue.red.fbs import fbs_solve, solve_adjoint
 from redblue.red.fpi import fpi_solve
+from redblue.red.objective import solve_stack
 from conftest import make_params
 
 
@@ -24,14 +18,10 @@ def test_adjoint_terminal_row_is_zero():
     params = make_params(lam=0.08)
     grid = GridConfig(100, 0.1)
     f_nodes = np.ones(101)
-    f_c = grid_function(f_nodes, grid)
-    coeffs = solve_value_coeffs(params, Pattern(f_c, Constant(0.0)), grid)
-    moments = solve_moments(params, coeffs, f_c, grid)
-    adjoint = solve_adjoint(params, f_nodes, coeffs, moments, grid)
-    for name in ("psi1", "psi2", "psi3", "psi4", "psi5", "psi6"):
-        curve = getattr(adjoint, name)
-        assert curve.shape == (101,)
-        assert curve[-1] == 0.0
+    x, _ = solve_stack(params, f_nodes, grid)
+    adjoint = solve_adjoint(params, f_nodes, x, grid)
+    assert adjoint.shape == (101, 6)
+    assert np.all(adjoint[-1] == 0.0)
 
 
 def test_adjoint_vanishes_for_zero_pattern():
@@ -40,12 +30,9 @@ def test_adjoint_vanishes_for_zero_pattern():
     params = make_params(lam=0.08)
     grid = GridConfig(100, 0.1)
     f_nodes = np.zeros(101)
-    f_c = grid_function(f_nodes, grid)
-    coeffs = solve_value_coeffs(params, Pattern(f_c, Constant(0.0)), grid)
-    moments = solve_moments(params, coeffs, f_c, grid)
-    adjoint = solve_adjoint(params, f_nodes, coeffs, moments, grid)
-    for name in ("psi1", "psi2", "psi3", "psi4", "psi5", "psi6"):
-        assert np.all(getattr(adjoint, name) == 0.0)
+    x, _ = solve_stack(params, f_nodes, grid)
+    adjoint = solve_adjoint(params, f_nodes, x, grid)
+    assert np.all(adjoint == 0.0)
 
 
 def test_fbs_solve_requires_matching_solver():
