@@ -556,11 +556,14 @@ def _check_martingale(cfg: RunConfig):
         grid_function(scale * fc, cfg.grid), grid_function(scale * fd, cfg.grid)
     )
     n = min(cfg.n_paths, 20000)
-    samples = np.exp(
-        log_lr_samples(policy, pattern, cfg.grid, n, mix_seed(cfg.seed, 90, 1))
-    )
-    mean = float(np.mean(samples))
-    se = float(np.std(samples, ddof=1) / math.sqrt(n))
+    samples = log_lr_samples(policy, pattern, cfg.grid, n, mix_seed(cfg.seed, 90, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # in place: the log samples are not read again
+        np.exp(samples, out=samples)
+        mean = float(np.mean(samples))
+        se = float(np.std(samples, ddof=1) / math.sqrt(n))
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise NonFiniteStateError("the mean of exp(log L) or its se is not finite")
     ok = abs(mean - 1.0) <= 3.0 * se
     return ok, f"mean exp(log L) {mean:.6f}, se {se:.2e}, scale {scale:.3g}"
 

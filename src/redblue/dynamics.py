@@ -24,7 +24,11 @@ and the public ``riccati.solve_value_coeffs`` and ``moments.solve_moments``
 integrate them for one pattern, F alongside the gamma, theta and xi lines.
 The Euler recursions of the network objective and their reverse sweeps, and
 the forward-backward sweep's costates, evaluate the same functions and their
-transposed-Jacobian products; nothing else restates them.  Every function
+transposed-Jacobian products; nothing else restates them.  Each product, and
+the payoff gradient, is split by the block it differentiates against: the
+suffix ``_s`` is the coefficient block, ``_m`` the moment block and ``_f``
+the pattern.  A caller evaluates only the blocks it reads, and can step one
+block per node while evaluating another once over all nodes.  Every function
 works elementwise on floats and on numpy arrays.
 """
 
@@ -112,8 +116,8 @@ class Dynamics:
         d02 = 2.0 * (1.0 - eta / rb) * h11 + 2.0 * (u * f - rho / rb) * h02 + self.sw2
         return d20, d11, d02
 
-    def coeff_vjp(self, q, mu, eta, rho, f):
-        """q . dF/d(mu, eta, rho, f) for a covector q over (mu, eta, rho)."""
+    def coeff_vjp_s(self, q, mu, eta, rho, f):
+        """q . dF/d(mu, eta, rho) for a covector q over (mu, eta, rho)."""
         ra, rb, u = self.r_alpha, self.r_beta, self.u
         q1, q2, q3 = q
         d_mu = q1 * 2.0 * mu / ra + q2 * eta / ra
@@ -123,11 +127,16 @@ class Dynamics:
             + q3 * 2.0 * eta / ra
         )
         d_rho = q2 * (eta / rb - 1.0) + q3 * (2.0 * rho / rb - 2.0 * u * f)
-        d_f = q2 * (-u * eta) + q3 * (-2.0 * u * rho + 2.0 * self.c2 * f)
-        return d_mu, d_eta, d_rho, d_f
+        return d_mu, d_eta, d_rho
 
-    def moment_vjp(self, p, h20, h11, h02, mu, eta, rho, f):
-        """p . dG/d(h20, h11, h02, mu, eta, rho, f) for a covector p over h."""
+    def coeff_vjp_f(self, q, eta, rho, f):
+        """q . dF/df for a covector q over (mu, eta, rho)."""
+        u = self.u
+        _, q2, q3 = q
+        return q2 * (-u * eta) + q3 * (-2.0 * u * rho + 2.0 * self.c2 * f)
+
+    def moment_vjp_m(self, p, mu, eta, rho, f):
+        """p . dG/d(h20, h11, h02) for a covector p over h."""
         ra, rb, u = self.r_alpha, self.r_beta, self.u
         p1, p2, p3 = p
         d_h20 = p1 * (-2.0 * mu / ra) + p2 * (1.0 - eta / rb)
@@ -137,11 +146,22 @@ class Dynamics:
             + p3 * 2.0 * (1.0 - eta / rb)
         )
         d_h02 = p2 * (-eta / ra) + p3 * 2.0 * (u * f - rho / rb)
+        return d_h20, d_h11, d_h02
+
+    def moment_vjp_s(self, p, h20, h11, h02):
+        """p . dG/d(mu, eta, rho) for a covector p over h."""
+        ra, rb = self.r_alpha, self.r_beta
+        p1, p2, p3 = p
         d_mu = p1 * (-2.0 * h20 / ra) + p2 * (-h11 / ra)
         d_eta = p1 * (-2.0 * h11 / ra) + p2 * (-h20 / rb - h02 / ra) + p3 * (-2.0 * h11 / rb)
         d_rho = p2 * (-h11 / rb) + p3 * (-2.0 * h02 / rb)
-        d_f = p2 * u * h11 + p3 * 2.0 * u * h02
-        return d_h20, d_h11, d_h02, d_mu, d_eta, d_rho, d_f
+        return d_mu, d_eta, d_rho
+
+    def moment_vjp_f(self, p, h11, h02):
+        """p . dG/df for a covector p over h."""
+        u = self.u
+        _, p2, p3 = p
+        return p2 * u * h11 + p3 * 2.0 * u * h02
 
     def payoff_coeffs(self, eta, rho, h11, h02):
         """(a, b) with L = b f + (a/2) f^2, the payoff integrand."""
@@ -154,12 +174,17 @@ class Dynamics:
         a, b = self.payoff_coeffs(eta, rho, h11, h02)
         return b * f + 0.5 * a * f * f
 
-    def payoff_grad(self, eta, rho, h11, h02, f):
-        """dL/d(eta, rho, h11, h02, f)."""
+    def payoff_grad_s(self, h11, h02, f):
+        """dL/d(eta, rho); L does not depend on mu."""
         rb = self.r_beta
+        return -h11 * f / rb, -h02 * f / rb
+
+    def payoff_grad_m(self, eta, rho, f):
+        """dL/d(h11, h02); L does not depend on h20."""
+        rb = self.r_beta
+        return -eta * f / rb, -rho * f / rb + (self.u - 0.5) * f * f
+
+    def payoff_grad_f(self, eta, rho, h11, h02, f):
+        """dL/df."""
         a, b = self.payoff_coeffs(eta, rho, h11, h02)
-        d_eta = -h11 * f / rb
-        d_rho = -h02 * f / rb
-        d_h11 = -eta * f / rb
-        d_h02 = -rho * f / rb + (self.u - 0.5) * f * f
-        return d_eta, d_rho, d_h11, d_h02, b + a * f
+        return b + a * f

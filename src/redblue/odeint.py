@@ -27,6 +27,7 @@ non-finite.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -80,6 +81,8 @@ def _rk4(rhs: Rhs, state, grid: GridConfig, direction: int) -> np.ndarray:
         if row.ndim == 2:
             # the first member that is non-finite there
             row = row[:, np.flatnonzero(~np.isfinite(row).all(axis=0))[0]]
+        # numpy's repr wraps a long row; the reason stays on one line
+        row = np.array2string(row, max_line_width=sys.maxsize)
         raise NonFiniteStateError(f"non-finite state at t={node * grid.h}: {row}")
     return out
 

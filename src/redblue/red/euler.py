@@ -12,6 +12,12 @@ followed by trapezoid quadrature for the payoff and the penalty.  F, G, the
 payoff and their transposed-Jacobian products come from ``redblue.dynamics``.
 The gradient is computed by reverse accumulation through exactly these
 recursions, so it matches central finite differences to rounding error.
+
+The forward recursions and the covector recurrences of the reverse sweeps
+are stepped node by node, with one own-state block call per node.  The
+sensitivities that feed no later step, of the moment sweep onto the
+coefficient block and of both sweeps onto f, are evaluated once over all
+nodes as numpy arrays and added in the order the per-node sweeps add them.
 """
 
 from __future__ import annotations
@@ -32,21 +38,25 @@ def _trapezoid_weights(grid: GridConfig) -> np.ndarray:
 
 
 def _euler_states(f: list[float], dyn: Dynamics, grid: GridConfig):
-    """Rows (mu, eta, rho) and (h20, h11, h02) at every node from the Euler
-    recursions, as tuples of floats."""
+    """Lists mu, eta, rho, h20, h11, h02 of floats, one entry per node, from
+    the Euler recursions."""
     n = grid.n_steps
     h = grid.h
-    s = [dyn.coeff_terminal()] * (n + 1)
+    mu, eta, rho = ([0.0] * (n + 1) for _ in range(3))
+    s1, s2, s3 = dyn.coeff_terminal()
+    mu[n], eta[n], rho[n] = s1, s2, s3
     for k in range(n - 1, -1, -1):
-        mu, eta, rho = s[k + 1]
-        d_mu, d_eta, d_rho = dyn.coeff_rhs(mu, eta, rho, f[k + 1])
-        s[k] = (mu - h * d_mu, eta - h * d_eta, rho - h * d_rho)
-    m = [dyn.moment_initial()]
+        d_mu, d_eta, d_rho = dyn.coeff_rhs(s1, s2, s3, f[k + 1])
+        s1, s2, s3 = s1 - h * d_mu, s2 - h * d_eta, s3 - h * d_rho
+        mu[k], eta[k], rho[k] = s1, s2, s3
+    h20, h11, h02 = ([0.0] * (n + 1) for _ in range(3))
+    m1, m2, m3 = dyn.moment_initial()
+    h20[0], h11[0], h02[0] = m1, m2, m3
     for k in range(n):
-        h20, h11, h02 = m[k]
-        d20, d11, d02 = dyn.moment_rhs(h20, h11, h02, *s[k], f[k])
-        m.append((h20 + h * d20, h11 + h * d11, h02 + h * d02))
-    return s, m
+        d20, d11, d02 = dyn.moment_rhs(m1, m2, m3, mu[k], eta[k], rho[k], f[k])
+        m1, m2, m3 = m1 + h * d20, m2 + h * d11, m3 + h * d02
+        h20[k + 1], h11[k + 1], h02[k + 1] = m1, m2, m3
+    return mu, eta, rho, h20, h11, h02
 
 
 def _penalty_terms(f, anchor, w, config: RedConfig):
@@ -61,9 +71,17 @@ def _penalty_terms(f, anchor, w, config: RedConfig):
 
 
 def euler_objective_and_gradient(
-    f: np.ndarray, params: ModelParams, config: RedConfig, grid: GridConfig
+    f: np.ndarray,
+    params: ModelParams,
+    config: RedConfig,
+    grid: GridConfig,
+    anchor: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Objective J_red of the Euler discretization and dJ/df at every node."""
+    """Objective J_red of the Euler discretization and dJ/df at every node.
+
+    ``anchor`` is ``config.f_c_initial`` at the nodes; it is sampled here
+    when not given, so a caller that evaluates many patterns samples it once.
+    """
     f = np.asarray(f, dtype=float)
     n = grid.n_steps
     if f.shape != (n + 1,):
@@ -73,18 +91,22 @@ def euler_objective_and_gradient(
     sw2 = dyn.sw2
     w = _trapezoid_weights(grid)
 
-    # The recursions and sweeps run on Python floats: the same IEEE double
+    # The recursions and sweeps step Python floats: the same IEEE double
     # arithmetic as numpy scalars, at a fraction of the cost per operation.
+    # Every sensitivity that does not feed the next step is then evaluated
+    # once over all nodes as numpy arrays, which round as the floats do.
     f_list = f.tolist()
-    s, m = _euler_states(f_list, dyn, grid)
-    states = np.column_stack([np.array(s, dtype=float), np.array(m, dtype=float)])
+    lists = _euler_states(f_list, dyn, grid)
+    states = np.array(lists)
     if not np.all(np.isfinite(states)):
         raise NonFiniteStateError("Euler recursion overflowed")
-    mu, eta, rho, h20, h11, h02 = states.T
+    mu_l, eta_l, rho_l, _, _, _ = lists
+    mu, eta, rho, h20, h11, h02 = states
 
     elr = float(np.sum(w * (dyn.payoff(eta, rho, h11, h02, f) / sw2)))
     if config.lambda_reg != 0.0:
-        anchor = sample_on_grid(config.f_c_initial, grid)
+        if anchor is None:
+            anchor = sample_on_grid(config.f_c_initial, grid)
         pen, dpen = _penalty_terms(f, anchor, w, config)
         objective = elr + (config.lambda_reg / sw2) * pen
     else:
@@ -92,51 +114,59 @@ def euler_objective_and_gradient(
         objective = elr
 
     # Direct derivatives of the quadrature with respect to f and the states.
-    l_eta, l_rho, l_h11, l_h02, l_f = dyn.payoff_grad(eta, rho, h11, h02, f)
-    grad = w * l_f / sw2
+    l_eta, l_rho = dyn.payoff_grad_s(h11, h02, f)
+    l_h11, l_h02 = dyn.payoff_grad_m(eta, rho, f)
+    grad = w * dyn.payoff_grad_f(eta, rho, h11, h02, f) / sw2
     if dpen is not None:
         grad = grad + (config.lambda_reg / sw2) * dpen
-    bar_eta = w * l_eta / sw2
-    bar_rho = w * l_rho / sw2
-    bar_h11 = w * l_h11 / sw2
-    bar_h02 = w * l_h02 / sw2
+    # bs_* collect the sensitivities pushed onto the coefficient curves.
+    bs_mu = np.zeros(n + 1)
+    bs_eta = w * l_eta / sw2
+    bs_rho = w * l_rho / sw2
+    bar_h11 = (w * l_h11 / sw2).tolist()
+    bar_h02 = (w * l_h02 / sw2).tolist()
 
-    # Reverse sweep of the forward moment recursion; p = dJ/d(m_k) running
-    # adjoint, bs_* collect sensitivities pushed onto the coefficient curves.
-    grad = grad.tolist()
-    bar_h11 = bar_h11.tolist()
-    bar_h02 = bar_h02.tolist()
-    bs_mu = [0.0] * (n + 1)
-    bs_eta = bar_eta.tolist()
-    bs_rho = bar_rho.tolist()
-    p = (0.0, bar_h11[n], bar_h02[n])
+    # Reverse sweep of the forward moment recursion: p = dJ/d(m_k) is the
+    # running adjoint, and p_{k+1} is kept for the sensitivities of step k.
+    p1s, p2s, p3s = ([0.0] * n for _ in range(3))
+    p1, p2, p3 = 0.0, bar_h11[n], bar_h02[n]
     for k in range(n - 1, -1, -1):
-        d20, d11, d02, d_mu, d_eta, d_rho, d_f = dyn.moment_vjp(p, *m[k], *s[k], f_list[k])
-        bs_mu[k] += h * d_mu
-        bs_eta[k] += h * d_eta
-        bs_rho[k] += h * d_rho
-        grad[k] += h * d_f
-        p = (
-            p[0] + h * d20,
-            p[1] + h * d11 + bar_h11[k],
-            p[2] + h * d02 + bar_h02[k],
+        p1s[k], p2s[k], p3s[k] = p1, p2, p3
+        d20, d11, d02 = dyn.moment_vjp_m(
+            (p1, p2, p3), mu_l[k], eta_l[k], rho_l[k], f_list[k]
         )
+        p1 = p1 + h * d20
+        p2 = p2 + h * d11 + bar_h11[k]
+        p3 = p3 + h * d02 + bar_h02[k]
+    p = np.array((p1s, p2s, p3s))
+    # like the float sweeps, these overflow to inf or nan without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_s = dyn.moment_vjp_s(p, h20[:n], h11[:n], h02[:n])
+        for bs, d in zip((bs_mu, bs_eta, bs_rho), d_s):
+            bs[:n] += h * d
+        grad[:n] += h * dyn.moment_vjp_f(p, h11[:n], h02[:n])
 
     # Reverse sweep of the backward coefficient recursion, which runs from
-    # k=0 upward because that recursion fills k from the top down.
-    q = (bs_mu[0], bs_eta[0], bs_rho[0])
-    for k in range(n):
-        d_mu, d_eta, d_rho, d_f = dyn.coeff_vjp(q, *s[k + 1], f_list[k + 1])
-        grad[k + 1] += -h * d_f
-        if k + 1 < n:
-            q = (
-                q[0] - h * d_mu + bs_mu[k + 1],
-                q[1] - h * d_eta + bs_eta[k + 1],
-                q[2] - h * d_rho + bs_rho[k + 1],
-            )
-        # k+1 == n: the terminal condition is a constant, nothing to push.
+    # k=0 upward because that recursion fills k from the top down.  q_k =
+    # dJ/d(s_k) meets F at node k+1; s_n is a constant, so q_{n-1} pushes
+    # onto f_n only.
+    bs_mu, bs_eta, bs_rho = bs_mu.tolist(), bs_eta.tolist(), bs_rho.tolist()
+    q1s, q2s, q3s = ([0.0] * n for _ in range(3))
+    q1, q2, q3 = bs_mu[0], bs_eta[0], bs_rho[0]
+    q1s[0], q2s[0], q3s[0] = q1, q2, q3
+    for k in range(1, n):
+        d_mu, d_eta, d_rho = dyn.coeff_vjp_s(
+            (q1, q2, q3), mu_l[k], eta_l[k], rho_l[k], f_list[k]
+        )
+        q1 = q1 - h * d_mu + bs_mu[k]
+        q2 = q2 - h * d_eta + bs_eta[k]
+        q3 = q3 - h * d_rho + bs_rho[k]
+        q1s[k], q2s[k], q3s[k] = q1, q2, q3
+    q = np.array((q1s, q2s, q3s))
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad[1:] += -h * dyn.coeff_vjp_f(q, eta[1:], rho[1:], f[1:])
 
-    return objective, np.array(grad)
+    return objective, grad
 
 
 def euler_objective(

@@ -49,11 +49,12 @@ def solve_adjoint(
 
     def rhs(j: int, psi: tuple[float, ...]) -> tuple[float, ...]:
         mu, eta, rho, h20, h11, h02, f = rows[j]
-        c_mu, c_eta, c_rho, _ = dyn.coeff_vjp(psi[:3], mu, eta, rho, f)
-        g20, g11, g02, g_mu, g_eta, g_rho, _ = dyn.moment_vjp(
-            psi[3:], h20, h11, h02, mu, eta, rho, f
-        )
-        l_eta, l_rho, l_h11, l_h02, _ = dyn.payoff_grad(eta, rho, h11, h02, f)
+        q, p = psi[:3], psi[3:]
+        c_mu, c_eta, c_rho = dyn.coeff_vjp_s(q, mu, eta, rho, f)
+        g20, g11, g02 = dyn.moment_vjp_m(p, mu, eta, rho, f)
+        g_mu, g_eta, g_rho = dyn.moment_vjp_s(p, h20, h11, h02)
+        l_eta, l_rho = dyn.payoff_grad_s(h11, h02, f)
+        l_h11, l_h02 = dyn.payoff_grad_m(eta, rho, f)
         return (
             -(c_mu + g_mu),
             -(c_eta + g_eta + l_eta),
@@ -71,16 +72,15 @@ def _hamiltonian_coeffs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nodewise (a, b) of the Hamiltonian L + psi . (F, G) = (a/2) f^2 + b f + ...
 
-    The costates enter b through the f-components of the vjps at f = 0, and
+    The costates enter b through the f blocks of the vjps at f = 0, and
     a through psi3 c2 f^2, the only term of F or G quadratic in f.  With all
     costates zero these are the payoff's coefficients, as in the fixed-point
     update.
     """
-    mu, eta, rho, h20, h11, h02 = x.T
+    _, eta, rho, _, h11, h02 = x.T
     a, b = dyn.payoff_coeffs(eta, rho, h11, h02)
-    zero = np.zeros_like(a)
-    c_f = dyn.coeff_vjp(psi.T[:3], mu, eta, rho, zero)[3]
-    g_f = dyn.moment_vjp(psi.T[3:], h20, h11, h02, mu, eta, rho, zero)[6]
+    c_f = dyn.coeff_vjp_f(psi.T[:3], eta, rho, np.zeros_like(a))
+    g_f = dyn.moment_vjp_f(psi.T[3:], h11, h02)
     return a + 2.0 * dyn.c2 * psi[:, 2], b + c_f + g_f
 
 

@@ -6,6 +6,11 @@ parameter gradient factors as (objective sensitivity to the node vector,
 from the discrete adjoint in euler.py) chained with (network Jacobian at the
 nodes, from plain reverse accumulation here), so each half can be checked
 against finite differences on its own.
+
+Every weight and bias is a view into one flat parameter vector, so the
+backward pass fills one flat gradient and Adam steps all parameters in one
+pass of elementwise operations, which round as they would array by array.
+The penalty's anchor is sampled once per training run.
 """
 
 from __future__ import annotations
@@ -35,10 +40,35 @@ CONVERGENCE_WINDOW = 50
 LEARNING_RATE = 1e-3
 
 
+# layer widths, input to output, and the number of weights and biases
+_DIMS = [1] + [HIDDEN_WIDTH] * N_HIDDEN_LAYERS + [1]
+_N_PARAMS = sum(n_out * (n_in + 1) for n_in, n_out in zip(_DIMS[:-1], _DIMS[1:]))
+
+
+def _layers(theta: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views into a flat parameter vector, laid out
+    layer by layer, each weight matrix followed by its bias."""
+    weights = []
+    biases = []
+    offset = 0
+    for fan_in, fan_out in zip(_DIMS[:-1], _DIMS[1:]):
+        size = fan_out * fan_in
+        weights.append(theta[offset : offset + size].reshape(fan_out, fan_in))
+        offset += size
+        biases.append(theta[offset : offset + fan_out])
+        offset += fan_out
+    return weights, biases
+
+
 @dataclass(eq=False)
 class MlpNetwork:
-    """Affine-tanh layers, width 32; exp output keeps the pattern positive."""
+    """Affine-tanh layers, width 32; exp output keeps the pattern positive.
 
+    ``weights`` and ``biases`` are views into the one flat vector ``theta``,
+    which the optimizer updates in place.
+    """
+
+    theta: np.ndarray
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     positive_output: bool
@@ -48,17 +78,14 @@ def init_network(seed: int, positive_output: bool) -> MlpNetwork:
     """Seeded initialization; the output layer starts small so the initial
     pattern is near zero (or near one under the exp output)."""
     rng = np.random.default_rng(seed)
-    dims = [1] + [HIDDEN_WIDTH] * N_HIDDEN_LAYERS + [1]
-    weights = []
-    biases = []
-    for i in range(len(dims) - 1):
-        fan_in = dims[i]
-        scale = 1.0 / np.sqrt(fan_in)
-        if i == len(dims) - 2:
+    theta = np.zeros(_N_PARAMS)
+    weights, biases = _layers(theta)
+    for i, w in enumerate(weights):
+        scale = 1.0 / np.sqrt(_DIMS[i])
+        if i == len(weights) - 1:
             scale *= 0.1
-        weights.append(rng.normal(0.0, scale, size=(dims[i + 1], dims[i])))
-        biases.append(np.zeros(dims[i + 1]))
-    return MlpNetwork(weights, biases, positive_output)
+        w[...] = rng.normal(0.0, scale, size=w.shape)
+    return MlpNetwork(theta, weights, biases, positive_output)
 
 
 def _forward_cache(net: MlpNetwork, t: np.ndarray):
@@ -84,21 +111,22 @@ def nn_forward(net: MlpNetwork, t):
     return out
 
 
-def _backprop(net: MlpNetwork, activations, out, upstream: np.ndarray):
-    """Parameter gradient of sum_j upstream_j * f(t_j)."""
+def _backprop(net: MlpNetwork, activations, out, upstream: np.ndarray) -> np.ndarray:
+    """Flat parameter gradient of sum_j upstream_j * f(t_j), laid out as
+    ``net.theta``."""
     dz = np.asarray(upstream, dtype=float).reshape(1, -1)
     if net.positive_output:
         dz = dz * out
-    grad_w = [np.empty_like(w) for w in net.weights]
-    grad_b = [np.empty_like(b) for b in net.biases]
+    grad = np.empty_like(net.theta)
+    grad_w, grad_b = _layers(grad)
     for i in range(len(net.weights) - 1, -1, -1):
         a_prev = activations[i]
-        grad_w[i] = dz @ a_prev.T
-        grad_b[i] = dz.sum(axis=1)
+        grad_w[i][...] = dz @ a_prev.T
+        grad_b[i][...] = dz.sum(axis=1)
         if i > 0:
             da = net.weights[i].T @ dz
             dz = da * (1.0 - a_prev * a_prev)
-    return grad_w, grad_b
+    return grad
 
 
 def nn_gradient(
@@ -108,32 +136,32 @@ def nn_gradient(
     times = grid.times()
     f, activations, out = _forward_cache(net, times)
     _, bar_f = euler_objective_and_gradient(f, params, config, grid)
-    return _backprop(net, activations, out, bar_f)
+    return _layers(_backprop(net, activations, out, bar_f))
 
 
 class _Adam:
-    """First-order moment-adaptive updates, one slot per parameter array."""
+    """First-order moment-adaptive updates of one flat parameter vector."""
 
-    def __init__(self, arrays, lr: float):
+    def __init__(self, size: int, lr: float):
         self.lr = lr
         self.beta1 = 0.9
         self.beta2 = 0.999
         self.eps = 1e-8
         self.step = 0
-        self.m = [np.zeros_like(a) for a in arrays]
-        self.v = [np.zeros_like(a) for a in arrays]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
-    def update(self, arrays, grads) -> None:
+    def update(self, theta: np.ndarray, grad: np.ndarray) -> None:
         self.step += 1
         b1, b2 = self.beta1, self.beta2
         correction1 = 1.0 - b1**self.step
         correction2 = 1.0 - b2**self.step
-        for a, g, m, v in zip(arrays, grads, self.m, self.v):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            a -= self.lr * (m / correction1) / (np.sqrt(v / correction2) + self.eps)
+        m, v = self.m, self.v
+        m *= b1
+        m += (1.0 - b1) * grad
+        v *= b2
+        v += (1.0 - b2) * grad * grad
+        theta -= self.lr * (m / correction1) / (np.sqrt(v / correction2) + self.eps)
 
 
 def nn_solve(
@@ -146,27 +174,28 @@ def nn_solve(
     if config.solver != SOLVER_NN:
         raise ValueError(f"config selects solver {config.solver!r}, not nn")
     # a log anchor that is not positive fails here, not after training
-    anchor_values(config, grid)
+    anchor = anchor_values(config, grid)
     net = init_network(seed, config.penalty_kind == PENALTY_LOGARITHMIC)
     times = grid.times()
-    arrays = net.weights + net.biases
-    adam = _Adam(arrays, LEARNING_RATE)
+    adam = _Adam(net.theta.size, LEARNING_RATE)
     history: list[float] = []
     # an overflow gives inf or nan with no numpy warning; it is checked once,
     # after training
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(n_epochs):
             f, activations, out = _forward_cache(net, times)
-            objective, bar_f = euler_objective_and_gradient(f, params, config, grid)
+            objective, bar_f = euler_objective_and_gradient(
+                f, params, config, grid, anchor
+            )
             history.append(objective)
-            grad_w, grad_b = _backprop(net, activations, out, bar_f)
-            adam.update(arrays, grad_w + grad_b)
+            adam.update(net.theta, _backprop(net, activations, out, bar_f))
         f_final, _, _ = _forward_cache(net, times)
     # an overflowed moment estimate zeroes every later step, which would
     # pass for convergence
     if not (
         np.all(np.isfinite(history))
-        and all(np.all(np.isfinite(a)) for a in adam.m + adam.v)
+        and np.all(np.isfinite(adam.m))
+        and np.all(np.isfinite(adam.v))
     ):
         raise NonFiniteStateError("network training overflowed")
     converged = (

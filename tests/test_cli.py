@@ -5,6 +5,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -364,6 +365,39 @@ def test_arithmetic_errors_exit_2(tmp_path, capsys, recwarn, command, overrides)
     else:
         assert captured.err.startswith("numeric failure: ")
         assert captured.err.count("\n") == 1
+
+
+def test_six_component_blow_up_reason_is_one_line(tmp_path, capsys):
+    # the fbs costate solve goes non-finite; its six-component row is longer
+    # than numpy's default line width
+    overrides = {
+        "red.solver": "fbs",
+        "model.r_beta": 1e154,
+        "model.y0": 1e154,
+        "grid.n_steps": 12,
+    }
+    cfg = write_config(tmp_path, dict(README_DOC, **overrides))
+    assert main(["red-optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: non-finite state at t=")
+    assert err.count("\n") == 1
+    assert err.count("nan") == 3
+
+
+def test_martingale_check_fails_on_an_overflowing_sample(
+    tmp_path, capsys, recwarn, monkeypatch
+):
+    # exp(1000) overflows, so the mean and the se of the sample are not finite
+    monkeypatch.setattr(
+        "redblue.cli.log_lr_samples",
+        lambda policy, pattern, grid, n_paths, seed: np.full(n_paths, 1000.0),
+    )
+    cfg = write_config(tmp_path, README_DOC)
+    assert main(["validate", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "martingale-normalization     FAIL  error: " in captured.out
+    assert "RuntimeWarning" not in captured.err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize(

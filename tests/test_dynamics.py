@@ -44,7 +44,10 @@ EPS = 1e-3
 def test_coeff_vjp_matches_finite_differences(dyn, x, d, q):
     x, d, q = np.array(x), np.array(d), np.array(q)
     fd = q @ central_difference(dyn.coeff_rhs, x, d, EPS)
-    vjp = np.array(dyn.coeff_vjp(q, *x)) @ d
+    mu, eta, rho, f = x
+    # the full q . dF/d(mu, eta, rho, f), assembled from its blocks
+    blocks = [*dyn.coeff_vjp_s(q, mu, eta, rho, f), dyn.coeff_vjp_f(q, eta, rho, f)]
+    vjp = np.array(blocks) @ d
     assert vjp == pytest.approx(fd, rel=1e-8, abs=1e-9)
 
 
@@ -53,7 +56,14 @@ def test_coeff_vjp_matches_finite_differences(dyn, x, d, q):
 def test_moment_vjp_matches_finite_differences(dyn, x, d, p):
     x, d, p = np.array(x), np.array(d), np.array(p)
     fd = p @ central_difference(dyn.moment_rhs, x, d, EPS)
-    vjp = np.array(dyn.moment_vjp(p, *x)) @ d
+    h20, h11, h02, mu, eta, rho, f = x
+    # the full p . dG/d(h20, h11, h02, mu, eta, rho, f), assembled from its blocks
+    blocks = [
+        *dyn.moment_vjp_m(p, mu, eta, rho, f),
+        *dyn.moment_vjp_s(p, h20, h11, h02),
+        dyn.moment_vjp_f(p, h11, h02),
+    ]
+    vjp = np.array(blocks) @ d
     assert vjp == pytest.approx(fd, rel=1e-8, abs=1e-9)
 
 
@@ -63,7 +73,14 @@ def test_payoff_grad_matches_finite_differences(dyn, x, d):
     # eps^2 truncation term
     x, d = np.array(x), np.array(d)
     fd = central_difference(lambda *a: [dyn.payoff(*a)], x, d, 1e-5)[0]
-    grad = np.array(dyn.payoff_grad(*x)) @ d
+    eta, rho, h11, h02, f = x
+    # the full dL/d(eta, rho, h11, h02, f), assembled from its blocks
+    blocks = [
+        *dyn.payoff_grad_s(h11, h02, f),
+        *dyn.payoff_grad_m(eta, rho, f),
+        dyn.payoff_grad_f(eta, rho, h11, h02, f),
+    ]
+    grad = np.array(blocks) @ d
     assert grad == pytest.approx(fd, rel=1e-6, abs=1e-7)
 
 

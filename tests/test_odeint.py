@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -19,7 +20,8 @@ def reference_rk4(rhs, state, grid, direction):
 
     def check_finite(state, t):
         if not np.all(np.isfinite(state)):
-            raise NonFiniteStateError(f"non-finite state at t={t}: {state}")
+            row = np.array2string(state, max_line_width=sys.maxsize)
+            raise NonFiniteStateError(f"non-finite state at t={t}: {row}")
 
     check_finite(state, node * grid.h)
     out = np.empty((n + 1, state.size))

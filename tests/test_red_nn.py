@@ -148,3 +148,74 @@ def test_nn_solve_requires_matching_solver():
     config = RedConfig(lambda_reg=1.0, solver="fpi")
     with pytest.raises(ValueError):
         nn_solve(make_params(), config, GridConfig(50, 0.1), seed=0)
+
+
+def reference_training(seed, params, config, grid, n_epochs):
+    """The per-array training loop the flat parameter vector replaced, kept
+    as the reference: one weight and one bias array per layer, and Adam
+    stepping each array with its own moment slots."""
+    rng = np.random.default_rng(seed)
+    dims = [1] + [HIDDEN_WIDTH] * 3 + [1]
+    weights, biases = [], []
+    for i in range(len(dims) - 1):
+        scale = 1.0 / np.sqrt(dims[i])
+        if i == len(dims) - 2:
+            scale *= 0.1
+        weights.append(rng.normal(0.0, scale, size=(dims[i + 1], dims[i])))
+        biases.append(np.zeros(dims[i + 1]))
+    positive = config.penalty_kind == "logarithmic"
+
+    def forward(t):
+        a = t.reshape(1, -1)
+        activations = [a]
+        for i in range(len(weights) - 1):
+            a = np.tanh(weights[i] @ a + biases[i][:, None])
+            activations.append(a)
+        z_out = weights[-1] @ a + biases[-1][:, None]
+        out = np.exp(z_out) if positive else z_out
+        return out[0], activations, out
+
+    def backprop(activations, out, upstream):
+        dz = upstream.reshape(1, -1)
+        if positive:
+            dz = dz * out
+        grad_w = [np.empty_like(w) for w in weights]
+        grad_b = [np.empty_like(b) for b in biases]
+        for i in range(len(weights) - 1, -1, -1):
+            a_prev = activations[i]
+            grad_w[i] = dz @ a_prev.T
+            grad_b[i] = dz.sum(axis=1)
+            if i > 0:
+                dz = (weights[i].T @ dz) * (1.0 - a_prev * a_prev)
+        return grad_w + grad_b
+
+    arrays = weights + biases
+    m = [np.zeros_like(a) for a in arrays]
+    v = [np.zeros_like(a) for a in arrays]
+    b1, b2, lr, eps = 0.9, 0.999, 1e-3, 1e-8
+    times = grid.times()
+    history = []
+    for step in range(1, n_epochs + 1):
+        f, activations, out = forward(times)
+        objective, bar_f = euler_objective_and_gradient(f, params, config, grid)
+        history.append(objective)
+        correction1 = 1.0 - b1**step
+        correction2 = 1.0 - b2**step
+        for a, g, m_a, v_a in zip(arrays, backprop(activations, out, bar_f), m, v):
+            m_a *= b1
+            m_a += (1.0 - b1) * g
+            v_a *= b2
+            v_a += (1.0 - b2) * g * g
+            a -= lr * (m_a / correction1) / (np.sqrt(v_a / correction2) + eps)
+    return history, forward(times)[0]
+
+
+@pytest.mark.parametrize("penalty_kind", ["quadratic", "logarithmic"])
+def test_nn_solve_matches_the_per_array_loop_byte_for_byte(penalty_kind):
+    params = make_params(lam=0.07)
+    grid = GridConfig(30, 0.1)
+    config = RedConfig(lambda_reg=0.5, penalty_kind=penalty_kind, solver="nn")
+    report = nn_solve(params, config, grid, seed=11, n_epochs=20)
+    history, f_final = reference_training(11, params, config, grid, 20)
+    assert np.array(report.objective_history[:-1]).tobytes() == np.array(history).tobytes()
+    assert report.f_c.values.tobytes() == f_final.tobytes()
