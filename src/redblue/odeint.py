@@ -8,11 +8,16 @@ j is the half-grid index of the stage time t = j h / 2, so curves sampled on
 the half grid are read by index.  A backward solve runs the same loop from
 t = T with the signed step -h.
 
-States are tuples of Python floats, and a right-hand side returns a sequence
-of floats: the same IEEE arithmetic as numpy scalars, at a fraction of the
-per-operation cost on systems of a few components.  Float ``*``, ``+`` and
-``-`` overflow to inf or nan without raising, so the loop runs to the end and
-finiteness is checked once per solve, on the output array.
+States are tuples of C Python floats, and a right-hand side returns an
+indexable sequence (a tuple or a list) of C values: the same IEEE arithmetic
+as numpy scalars, at a fraction of the per-operation cost on systems of a
+few components.  For the same reason the RK4 step is written out per
+component, ``x_i + half * k1[i]`` and so on, with no loop over the
+components; it is generated from a source template the first time a state
+width C is solved, and reused for every later solve of that width.  Float
+``*``, ``+`` and ``-`` overflow to inf or nan without raising, so the loop
+runs to the end and finiteness is checked once per solve, on the output
+array.
 
 A batch of B systems steps through the same loop: given a ``(C, B)`` start
 state, each component is a ``(B,)`` row, the right-hand side receives and
@@ -27,6 +32,7 @@ non-finite.
 
 from __future__ import annotations
 
+import functools
 import sys
 from collections.abc import Callable, Sequence
 
@@ -37,6 +43,36 @@ from .model import GridConfig
 
 # the state tuple holds floats, or (B,) arrays for a batch of B members
 Rhs = Callable[[int, tuple], Sequence]
+
+
+@functools.cache
+def _step(width: int):
+    """The RK4 step for states of ``width`` components, written out per
+    component.  Every component keeps the operand order ``x + half * k``
+    and ``x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``: a reordered sum
+    would round differently in the last bit.
+    """
+    xs = [f"x{i}" for i in range(width)]
+
+    def stage(coef: str, k: str) -> str:
+        return "".join(f"{x} + {coef} * {k}[{i}], " for i, x in enumerate(xs))
+
+    final = "".join(
+        f"{x} + sixth * (k1[{i}] + 2.0 * k2[{i}] + 2.0 * k3[{i}] + k4[{i}]), "
+        for i, x in enumerate(xs)
+    )
+    source = (
+        "def step(rhs, j, direction, s, half, h, sixth):\n"
+        f"    {', '.join(xs)}, = s\n"
+        "    k1 = rhs(j, s)\n"
+        f"    k2 = rhs(j + direction, ({stage('half', 'k1')}))\n"
+        f"    k3 = rhs(j + direction, ({stage('half', 'k2')}))\n"
+        f"    k4 = rhs(j + 2 * direction, ({stage('h', 'k3')}))\n"
+        f"    return ({final})\n"
+    )
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["step"]
 
 
 def _rk4(rhs: Rhs, state, grid: GridConfig, direction: int) -> np.ndarray:
@@ -52,6 +88,7 @@ def _rk4(rhs: Rhs, state, grid: GridConfig, direction: int) -> np.ndarray:
     sixth = h / 6.0
     start = np.asarray(state, dtype=float)
     s = tuple(start.tolist()) if start.ndim == 1 else tuple(start)
+    step = _step(len(s))
     node = 0 if direction > 0 else n
     # each node's state goes straight into the output, so only the stage
     # tuples of the current step are alive as Python objects
@@ -59,17 +96,7 @@ def _rk4(rhs: Rhs, state, grid: GridConfig, direction: int) -> np.ndarray:
     out[node] = s
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n):
-            j = 2 * node
-            k1 = rhs(j, s)
-            k2 = rhs(j + direction, tuple([x + half * k for x, k in zip(s, k1)]))
-            k3 = rhs(j + direction, tuple([x + half * k for x, k in zip(s, k2)]))
-            k4 = rhs(j + 2 * direction, tuple([x + h * k for x, k in zip(s, k3)]))
-            s = tuple(
-                [
-                    x + sixth * (a + 2.0 * b + 2.0 * c + d)
-                    for x, a, b, c, d in zip(s, k1, k2, k3, k4)
-                ]
-            )
+            s = step(rhs, 2 * node, direction, s, half, h, sixth)
             node += direction
             out[node] = s
     finite = np.isfinite(out.reshape(n + 1, -1)).all(axis=1)

@@ -26,8 +26,8 @@ import numpy as np
 
 from ..dynamics import Dynamics
 from ..errors import NonFiniteStateError, NonPositiveFcError
-from ..model import GridConfig, ModelParams, sample_on_grid
-from .objective import PENALTY_QUADRATIC, RedConfig
+from ..model import GridConfig, ModelParams
+from .objective import PENALTY_QUADRATIC, RedConfig, anchor_values
 
 
 def _trapezoid_weights(grid: GridConfig) -> np.ndarray:
@@ -79,8 +79,9 @@ def euler_objective_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Objective J_red of the Euler discretization and dJ/df at every node.
 
-    ``anchor`` is ``config.f_c_initial`` at the nodes; it is sampled here
-    when not given, so a caller that evaluates many patterns samples it once.
+    ``anchor`` is ``config.f_c_initial`` at the nodes; it is sampled and
+    checked by ``anchor_values`` here when not given, so a caller that
+    evaluates many patterns samples it once.
     """
     f = np.asarray(f, dtype=float)
     n = grid.n_steps
@@ -106,7 +107,7 @@ def euler_objective_and_gradient(
     elr = float(np.sum(w * (dyn.payoff(eta, rho, h11, h02, f) / sw2)))
     if config.lambda_reg != 0.0:
         if anchor is None:
-            anchor = sample_on_grid(config.f_c_initial, grid)
+            anchor = anchor_values(config, grid)
         pen, dpen = _penalty_terms(f, anchor, w, config)
         objective = elr + (config.lambda_reg / sw2) * pen
     else:

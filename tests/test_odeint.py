@@ -153,8 +153,9 @@ def test_non_finite_detection():
 @st.composite
 def polynomial_systems(draw):
     """A random polynomial right-hand side of degree <= 2 with a
-    half-grid-indexed time term, its dimension and its start state."""
-    dim = draw(st.integers(1, 6))
+    half-grid-indexed time term, its start state, and the sequence type the
+    right-hand side returns: tuple, as the library's do, or list."""
+    dim = draw(st.integers(1, 8))
     coef = st.floats(-2.0, 2.0)
     index = st.integers(0, dim - 1)
     components = [
@@ -166,10 +167,10 @@ def polynomial_systems(draw):
         for _ in range(dim)
     ]
     start = draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim))
-    return components, start
+    return components, start, draw(st.sampled_from([list, tuple]))
 
 
-def polynomial_rhs(components, half_times):
+def polynomial_rhs(components, half_times, kind=list):
     def rhs(j, x):
         out = []
         for const, slope, terms in components:
@@ -177,7 +178,7 @@ def polynomial_rhs(components, half_times):
             for c, a, b in terms:
                 acc = acc + (c * x[a] if b is None else c * x[a] * x[b])
             out.append(acc)
-        return out
+        return kind(out)
 
     return rhs
 
@@ -204,9 +205,9 @@ def run_both(rhs, start, grid, direction):
     horizon=st.floats(0.05, 1.0),
 )
 def test_tuple_loop_matches_array_reference(system, direction, n, horizon):
-    components, start = system
+    components, start, kind = system
     grid = GridConfig(n, horizon)
-    rhs = polynomial_rhs(components, grid.half_times().tolist())
+    rhs = polynomial_rhs(components, grid.half_times().tolist(), kind)
     got, want = run_both(rhs, start, grid, direction)
     if isinstance(want, str):
         assert got == want
@@ -232,10 +233,10 @@ def test_blow_up_names_first_non_finite_node_in_stepping_order(direction, start)
 @st.composite
 def polynomial_batches(draw):
     """A polynomial system with 1-8 start states, one per batch member."""
-    components, start = draw(polynomial_systems())
+    components, start, kind = draw(polynomial_systems())
     dim = len(start)
     member = st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)
-    return components, [start, *draw(st.lists(member, max_size=7))]
+    return components, [start, *draw(st.lists(member, max_size=7))], kind
 
 
 def solve_or_message(solve, rhs, start, grid):
@@ -255,9 +256,9 @@ def test_batch_loop_matches_single_solves(batch, direction, n, horizon):
     # a (C, B) start steps B members through the same loop: member b is bit
     # for bit its own float solve, and a blow-up names the member and node
     # that go non-finite first in stepping order, with no numpy warning
-    components, starts = batch
+    components, starts, kind = batch
     grid = GridConfig(n, horizon)
-    rhs = polynomial_rhs(components, grid.half_times().tolist())
+    rhs = polynomial_rhs(components, grid.half_times().tolist(), kind)
     solve = integrate_forward if direction > 0 else integrate_backward
     singles = [solve_or_message(solve, rhs, start, grid) for start in starts]
     with warnings.catch_warnings():

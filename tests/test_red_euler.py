@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from redblue import Constant, GridConfig, RedConfig
@@ -10,7 +11,7 @@ from redblue.red.euler import (
     _trapezoid_weights,
     euler_objective_and_gradient,
 )
-from conftest import random_params
+from conftest import random_params, short_params
 
 
 # The per-node version the block-split sweeps replaced, kept as the reference:
@@ -183,3 +184,16 @@ def test_euler_matches_the_per_node_reference_bit_for_bit(
             # equal also in the sign of every zero
             assert np.array_equal(np.signbit(got[1]), np.signbit(want[1]))
 
+
+def test_non_positive_log_anchor_raises_without_a_given_anchor():
+    # sampled here, the anchor is checked as the solvers check it, before
+    # the log of f / anchor can meet a negative ratio
+    config = RedConfig(
+        lambda_reg=1.0,
+        penalty_kind="logarithmic",
+        f_c_initial=Constant(-1.0),
+        solver="nn",
+    )
+    grid = GridConfig(10, 0.1)
+    with pytest.raises(NonPositiveFcError, match="positive anchor"):
+        euler_objective_and_gradient(np.ones(11), short_params(), config, grid)
