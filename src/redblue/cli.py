@@ -6,7 +6,8 @@ CSV cells are printed with 17 significant digits and '\\n' line endings,
 JSON is dumped with sorted keys, so reruns are byte-identical.
 
 Exit codes: 0 success (a non-converged optimizer report is data, not an
-error), 1 usage or config problem, 2 numeric failure during a run.
+error), 1 usage or config problem, 2 numeric failure during a run, or an
+array too large to allocate.
 """
 
 from __future__ import annotations
@@ -36,9 +37,8 @@ from .model import (
     sample_on_grid,
     validate_params,
 )
-from .moments import expected_log_lr, solve_moments
+from .moments import expected_log_lr, solve_moments, solve_stack
 from .red import RedConfig, solve_red
-from .red.objective import solve_stack
 from .riccati import solve_value_coeffs
 from .sde import Trajectory, log_lr_samples, mix_seed, monte_carlo
 from .stackelberg import baseline_summary, play_rounds
@@ -702,6 +702,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg, plots=args.plots)
     except (RedBlueError, ValueError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,13 +1,19 @@
-"""Second moments of the optimally controlled state, and the observer payoff.
+"""The moment closure: second moments of the controlled state, and E[log LR].
 
-In the simplified setting (f_d identically zero, zero velocity target) the
+In the simplified setting (zero velocity targets, f_d identically zero) the
 closed-loop dynamics are linear and homogeneous, so the second moments
 h20 = E[V^2], h11 = E[V Y], h02 = E[Y^2] close under three coupled ODEs, the
 G of ``redblue.dynamics``.  They give the expected log likelihood ratio of the
-instilled pattern in closed form.  These public solves take one pattern and
-the six coefficient curves of ``solve_value_coeffs``; the pattern optimizers
-integrate the same F and G for one pattern or a batch in
-``redblue.red.objective.solve_stack``.
+instilled pattern in closed form: the payoff of ``redblue.dynamics`` over
+sigma_w^2, integrated by the trapezoid rule.
+
+This module is the only place that steps G, integrates the payoff and decides
+whether the closure applies.  ``solve_stack`` steps the coefficient block F
+and then G for one pattern or a batch; the pattern optimizers and the
+Stackelberg loop call it.  The public ``solve_moments`` and
+``expected_log_lr`` take one pattern and the six coefficient curves of
+``solve_value_coeffs``, and go through the same G stepper and payoff
+integral.
 """
 
 from __future__ import annotations
@@ -18,8 +24,14 @@ import numpy as np
 
 from .dynamics import Dynamics
 from .errors import GridMismatchError
-from .model import GridConfig, ModelParams, TimeFunction, sample_on_half_grid
-from .odeint import integrate_forward
+from .model import (
+    GridConfig,
+    ModelParams,
+    TimeFunction,
+    grid_function,
+    sample_on_half_grid,
+)
+from .odeint import integrate_backward, integrate_forward
 from .riccati import ValueCoeffs, check_same_grid
 
 NOT_SIMPLIFIED = (
@@ -51,11 +63,92 @@ def nodes_to_half_grid(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_simplified(coeffs: ValueCoeffs) -> None:
-    # The three-moment closure needs homogeneous closed-loop dynamics, i.e.
-    # gamma and theta identically zero (zero targets and zero f_d).
-    if np.max(np.abs(coeffs.gamma)) > 1e-12 or np.max(np.abs(coeffs.theta)) > 1e-12:
+def _require_closure(params: ModelParams, grid: GridConfig, *offset_lines) -> None:
+    """The one rule under which the closure applies: the velocity targets
+    are exactly zero at every stage time and at T, and so is every gamma
+    or theta curve given (a caller that cannot see f_d passes them, since
+    a nonzero f_d shows only there)."""
+    vbar = sample_on_half_grid(params.vbar, grid)
+    if params.vbar_final != 0.0 or any(
+        np.any(line != 0.0) for line in (vbar, *offset_lines)
+    ):
         raise ValueError(NOT_SIMPLIFIED)
+
+
+def _step_moments(dyn: Dynamics, coeffs: np.ndarray, f, grid: GridConfig) -> np.ndarray:
+    """G stepped forward from its initial state.
+
+    ``coeffs`` holds the (n_steps + 1, 3) node values of (mu, eta, rho), or
+    (n_steps + 1, 3, B) for a batch of B patterns; ``f`` holds the pattern at
+    every half-grid point, one float or one (B,) row each.  Returns the node
+    states (h20, h11, h02) in the same layout.
+    """
+    batch = coeffs.shape[2:]
+    rows = nodes_to_half_grid(coeffs)
+    # one row of Python floats, or of (B,) arrays, per half-grid point
+    rows = list(rows) if batch else rows.tolist()
+    moment_rhs = dyn.moment_rhs
+    return integrate_forward(
+        lambda j, m: moment_rhs(*m, *rows[j], f[j]),
+        # the initial state times ones holds one copy of it per member
+        np.multiply.outer(dyn.moment_initial(), np.ones(batch)),
+        grid,
+    )
+
+
+def _payoff_integral(dyn: Dynamics, eta, rho, h11, h02, f, grid: GridConfig):
+    """Trapezoid quadrature, along the last axis, of the payoff over
+    sigma_w^2: the expected log likelihood ratio."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrand = dyn.payoff(eta, rho, h11, h02, f) / dyn.sw2
+        return np.trapezoid(integrand, dx=grid.h, axis=-1)
+
+
+def solve_stack(params: ModelParams, f_nodes: np.ndarray, grid: GridConfig):
+    """States and expected log likelihood ratio under zero-offset patterns.
+
+    Steps F = (mu, eta, rho) backward from its terminal state and
+    G = (h20, h11, h02) forward from its initial state, then integrates the
+    payoff over sigma_w^2 by the trapezoid rule.  Returns ``(x, elr)``,
+    where x holds the node states (mu, eta, rho, h20, h11, h02).  These are
+    the curves and the value of ``solve_value_coeffs``, ``solve_moments``
+    and ``expected_log_lr`` without the gamma, theta and xi lines, which
+    the payoff never reads.  Gamma and theta vanish identically exactly
+    when the velocity targets are zero at every stage time, so the targets
+    are checked first.
+
+    ``f_nodes`` holds (n_steps + 1,) node values, giving an (n_steps + 1, 6)
+    x and a float, or (B, n_steps + 1) node values of B patterns solved as
+    one batch, giving an (n_steps + 1, 6, B) x and a (B,) array.  Member b
+    equals ``solve_stack(params, f_nodes[b], grid)`` bit for bit: each
+    member is sampled on its own, the right-hand sides step every member
+    with the same operations in the same order, and each member's payoff is
+    integrated along a contiguous row (numpy sums a strided axis row by row,
+    not pairwise).
+    """
+    _require_closure(params, grid)
+    nodes = np.asarray(f_nodes, dtype=float)
+    batch = nodes.shape[:-1]
+    # stage-time tables: one float, or one (B,) row, per half-grid point
+    if batch:
+        f = list(
+            np.column_stack(
+                [sample_on_half_grid(grid_function(row, grid), grid) for row in nodes]
+            )
+        )
+    else:
+        f = sample_on_half_grid(grid_function(nodes, grid), grid).tolist()
+    dyn = Dynamics.of(params)
+    coeff_rhs = dyn.coeff_rhs
+    coeffs = integrate_backward(
+        lambda j, s: coeff_rhs(*s, f[j]),
+        np.multiply.outer(dyn.coeff_terminal(), np.ones(batch)),
+        grid,
+    )
+    x = np.concatenate((coeffs, _step_moments(dyn, coeffs, f, grid)), axis=1)
+    eta, rho, h11, h02 = (np.ascontiguousarray(x[:, i].T) for i in (1, 2, 4, 5))
+    elr = _payoff_integral(dyn, eta, rho, h11, h02, nodes, grid)
+    return x, (elr if batch else float(elr))
 
 
 def solve_moments(
@@ -63,23 +156,14 @@ def solve_moments(
 ) -> MomentCurves:
     """Forward RK4 solve of the three moment equations.
 
-    ``coeffs`` must come from the same grid and the same f_c (with zero
-    f_d and zero velocity targets).
+    ``coeffs`` must come from the same grid and the same f_c, with zero
+    velocity targets and zero f_d: identically zero gamma and theta curves.
     """
     check_same_grid(coeffs.grid, grid)
-    _require_simplified(coeffs)
-    # one row of Python floats (mu, eta, rho) per half-grid point
+    _require_closure(params, grid, coeffs.gamma, coeffs.theta)
     curves = np.column_stack((coeffs.mu, coeffs.eta, coeffs.rho))
-    rows = nodes_to_half_grid(curves).tolist()
     f = sample_on_half_grid(f_c, grid).tolist()
-    dyn = Dynamics.of(params)
-    moment_rhs = dyn.moment_rhs
-
-    def rhs(j: int, state: tuple) -> tuple:
-        h20, h11, h02 = state
-        return moment_rhs(h20, h11, h02, *rows[j], f[j])
-
-    states = integrate_forward(rhs, dyn.moment_initial(), grid)
+    states = _step_moments(Dynamics.of(params), curves, f, grid)
     return MomentCurves(
         grid=grid,
         h20=states[:, 0].copy(),
@@ -105,6 +189,6 @@ def expected_log_lr(
         if curve.shape != fc.shape:
             raise GridMismatchError("curve length does not match the grid")
     dyn = Dynamics.of(params)
-    with np.errstate(over="ignore", invalid="ignore"):
-        integrand = dyn.payoff(coeffs.eta, coeffs.rho, moments.h11, moments.h02, fc)
-        return float(np.trapezoid(integrand / dyn.sw2, dx=grid.h))
+    return float(
+        _payoff_integral(dyn, coeffs.eta, coeffs.rho, moments.h11, moments.h02, fc, grid)
+    )

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..dynamics import Dynamics
 from ..model import GridConfig, GridSampled, ModelParams, sample_on_half_grid
-from ..moments import nodes_to_half_grid
+from ..moments import nodes_to_half_grid, solve_stack
 from ..odeint import integrate_backward
 from .objective import (
     SOLVER_FBS,
@@ -27,7 +27,6 @@ from .objective import (
     closed_form_update,
     finish_report,
     penalty,
-    solve_stack,
 )
 
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from ..dynamics import Dynamics
 from ..model import GridConfig, ModelParams
+from ..moments import solve_stack
 from .objective import (
     SOLVER_FPI,
     OptimizationReport,
@@ -20,7 +21,6 @@ from .objective import (
     closed_form_update,
     finish_report,
     penalty,
-    solve_stack,
 )
 
 

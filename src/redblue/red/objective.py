@@ -5,12 +5,10 @@ away from the pattern currently trusted by the controller:
 
     J_red(f_c) = E[log LR] + (lambda_reg / sigma_w^2) * P(f_c)
 
-where E[log LR] comes from the moment ODEs and P is either a quadratic or a
-logarithmic trust penalty.  ``solve_stack`` evaluates E[log LR] for one
-pattern or a batch by integrating the coefficient block F and the moment
-block G of ``redblue.dynamics`` directly.  Minimizing the pointwise integrand
-gives the closed-form node update shared by the fixed-point and sweep
-solvers.
+where E[log LR] comes from the moment closure, ``redblue.moments.solve_stack``
+(one pattern or a batch), and P is either a quadratic or a logarithmic trust
+penalty.  Minimizing the pointwise integrand gives the closed-form node
+update shared by the fixed-point and sweep solvers.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dynamics import Dynamics
 from ..errors import (
     DegenerateDenominatorError,
     NonFiniteStateError,
@@ -33,10 +30,8 @@ from ..model import (
     TimeFunction,
     grid_function,
     sample_on_grid,
-    sample_on_half_grid,
 )
-from ..moments import NOT_SIMPLIFIED, nodes_to_half_grid
-from ..odeint import integrate_backward, integrate_forward
+from ..moments import solve_stack
 
 PENALTY_QUADRATIC = "quadratic"
 PENALTY_LOGARITHMIC = "logarithmic"
@@ -127,65 +122,6 @@ def penalty(f_c, config: RedConfig, grid: GridConfig) -> float:
     if np.any(f <= 0.0):
         raise NonPositiveFcError("logarithmic penalty needs f_c > 0 on the grid")
     return float(np.trapezoid(-anchor * np.log(f / anchor), dx=grid.h))
-
-
-def solve_stack(params: ModelParams, f_nodes: np.ndarray, grid: GridConfig):
-    """States and expected log likelihood ratio under zero-offset patterns.
-
-    Steps F = (mu, eta, rho) backward from its terminal state and
-    G = (h20, h11, h02) forward from its initial state, then integrates the
-    payoff over sigma_w^2 by the trapezoid rule.  Returns ``(x, elr)``,
-    where x holds the node states (mu, eta, rho, h20, h11, h02).  These are
-    the curves and the value of ``solve_value_coeffs``, ``solve_moments``
-    and ``expected_log_lr`` without the gamma, theta and xi lines, which
-    the payoff never reads.  Gamma and theta vanish identically exactly
-    when the velocity targets are zero at every stage time, so the targets
-    are checked first.
-
-    ``f_nodes`` holds (n_steps + 1,) node values, giving an (n_steps + 1, 6)
-    x and a float, or (B, n_steps + 1) node values of B patterns solved as
-    one batch, giving an (n_steps + 1, 6, B) x and a (B,) array.  Member b
-    equals ``solve_stack(params, f_nodes[b], grid)`` bit for bit: each
-    member is sampled on its own, the right-hand sides step every member
-    with the same operations in the same order, and each member's payoff is
-    integrated along a contiguous row (numpy sums a strided axis row by row,
-    not pairwise).
-    """
-    vbar = sample_on_half_grid(params.vbar, grid)
-    if params.vbar_final != 0.0 or np.any(vbar != 0.0):
-        raise ValueError(NOT_SIMPLIFIED)
-    nodes = np.asarray(f_nodes, dtype=float)
-    batch = nodes.shape[:-1]
-    # a boundary state times ones holds one copy of it per member
-    ones = np.ones(batch)
-    # stage-time tables: one float, or one (B,) row, per half-grid point
-    as_rows = list if batch else np.ndarray.tolist
-    if batch:
-        f = np.column_stack(
-            [sample_on_half_grid(grid_function(row, grid), grid) for row in nodes]
-        )
-    else:
-        f = sample_on_half_grid(grid_function(nodes, grid), grid)
-    f = as_rows(f)
-    dyn = Dynamics.of(params)
-    coeff_rhs, moment_rhs = dyn.coeff_rhs, dyn.moment_rhs
-    coeffs = integrate_backward(
-        lambda j, s: coeff_rhs(*s, f[j]),
-        np.multiply.outer(dyn.coeff_terminal(), ones),
-        grid,
-    )
-    rows = as_rows(nodes_to_half_grid(coeffs))
-    moments = integrate_forward(
-        lambda j, m: moment_rhs(*m, *rows[j], f[j]),
-        np.multiply.outer(dyn.moment_initial(), ones),
-        grid,
-    )
-    x = np.concatenate((coeffs, moments), axis=1)
-    eta, rho, h11, h02 = (np.ascontiguousarray(x[:, i].T) for i in (1, 2, 4, 5))
-    with np.errstate(over="ignore", invalid="ignore"):
-        integrand = dyn.payoff(eta, rho, h11, h02, nodes) / dyn.sw2
-        elr = np.trapezoid(integrand, dx=grid.h, axis=-1)
-    return x, (elr if batch else float(elr))
 
 
 def closed_form_update(

@@ -9,9 +9,9 @@ from the terminal cost.  The (mu, eta, rho) block is autonomous and its
 equations F are stated in ``redblue.dynamics``; this module adds the gamma,
 theta lines, which pick up the running target vbar and the pattern offset
 f_d, and the xi line, which collects the constant terms.  This public solve
-takes one pattern; the pattern optimizers, which read only (mu, eta, rho),
-integrate F alone for one pattern or a batch in
-``redblue.red.objective.solve_stack``.
+takes one pattern; the pattern optimizers and the Stackelberg loop, which
+read only (mu, eta, rho), integrate F alone for one pattern or a batch in
+``redblue.moments.solve_stack``.
 """
 
 from __future__ import annotations

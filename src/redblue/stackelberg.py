@@ -3,8 +3,11 @@
 Each round: the controller best-responds to the current pattern (coefficient
 solve, Monte Carlo metrics, whose first ensemble members are the sample
 paths), then the optimizer anchors its trust penalty at that pattern and
-instills a new one, which the controller adopts next round.  All randomness
-is derived from one master seed so a run is reproducible end to end.
+instills a new one, which the controller adopts next round.  A round's
+expected log likelihood ratio comes from the moment closure once: round 1's
+from ``solve_stack``, every later round's from the optimizer solve that
+produced its pattern.  All randomness is derived from one master seed so a
+run is reproducible end to end.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .model import (
     grid_function,
     sample_on_grid,
 )
-from .moments import expected_log_lr, solve_moments
+from .moments import solve_stack
 from .red import RedConfig, solve_red
 from .riccati import ValueCoeffs, solve_value_coeffs
 from .sde import McSummary, Trajectory, mix_seed, monte_carlo
@@ -65,8 +68,10 @@ def play_rounds(
     """Run the loop and return one record per round, in order.
 
     The pattern of round k+1 is bit-identical to the optimizer output of
-    round k (anchored at round k's pattern and seeded by red_seed).  The
-    last round runs no optimizer, since its output would never be played.
+    round k (anchored at round k's pattern and seeded by red_seed), and
+    its ``expected_log_lr_moment`` is that output's
+    ``final_expected_log_lr``.  The last round runs no optimizer, since its
+    output would never be played.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
@@ -86,14 +91,15 @@ def play_rounds(
             threads=threads,
             n_sample=n_sample_trajectories,
         )
-        moments = solve_moments(params, coeffs, f_c, grid)
-        elr = expected_log_lr(params, coeffs, f_c, moments, grid)
+        if rnd == 1:
+            elr = solve_stack(params, f_nodes, grid)[1]
         records.append(RoundRecord(rnd, f_c, coeffs, mc, elr))
         if rnd == n_rounds:
             break
         config = replace(red_config, f_c_initial=f_c)
         report = solve_red(params, config, grid, red_seed(seed, rnd))
-        f_nodes = report.f_c.values
+        # the solve that produced the next pattern has already evaluated it
+        f_nodes, elr = report.f_c.values, report.final_expected_log_lr
     return records
 
 

@@ -19,6 +19,7 @@ from redblue.cli import (
     write_csv,
     write_json,
 )
+from redblue.moments import NOT_SIMPLIFIED
 
 
 def base_doc(**overrides):
@@ -365,6 +366,30 @@ def test_arithmetic_errors_exit_2(tmp_path, capsys, recwarn, command, overrides)
     else:
         assert captured.err.startswith("numeric failure: ")
         assert captured.err.count("\n") == 1
+
+
+def test_allocation_beyond_any_address_space_exits_2(tmp_path, capsys):
+    # 10**15 sample paths of 201 nodes ask for 1.39 EiB, which no allocator
+    # can grant, so the run fails at once without simulating anything
+    overrides = {"mc.sample_trajectories": 10**15}
+    cfg = write_config(tmp_path, dict(README_DOC, **overrides))
+    assert main(["blue-solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: Unable to allocate 1.39 EiB")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", ["model.vbar", "model.vbar_T"])
+def test_validate_fails_both_closure_rows_on_a_tiny_target(tmp_path, capsys, target):
+    # a velocity target far below any tolerance still takes the model out
+    # of the moment closure, for the cross-oracle and the gradient row alike
+    cfg = write_config(tmp_path, dict(README_DOC, **{target: 1e-15}))
+    assert main(["validate", "--config", cfg]) == 2
+    out = capsys.readouterr().out
+    reason = f"FAIL  error: {NOT_SIMPLIFIED}\n"
+    assert f"moment-cross-oracle          {reason}" in out
+    assert f"gradient-stationarity        {reason}" in out
+    assert "validate: 2 check(s) failed" in out
 
 
 def test_six_component_blow_up_reason_is_one_line(tmp_path, capsys):

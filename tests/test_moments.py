@@ -12,13 +12,16 @@ from redblue import (
     ModelParams,
     NonFiniteStateError,
     Pattern,
+    RedConfig,
     ZERO_PATTERN,
     expected_log_lr,
     monte_carlo,
+    play_rounds,
     solve_moments,
     solve_value_coeffs,
 )
 from redblue.model import grid_function
+from redblue.moments import NOT_SIMPLIFIED
 from redblue.red.objective import solve_stack
 from redblue.riccati import ValueCoeffs
 from conftest import make_params, random_params
@@ -95,6 +98,31 @@ def test_requires_decoupled_offsets():
         for f_nodes in (np.zeros(101), np.zeros((3, 101))):
             with pytest.raises(ValueError, match="simplified model"):
                 solve_stack(targets, f_nodes, grid)
+
+
+@pytest.mark.parametrize(
+    "targets",
+    [{"vbar": Constant(1e-15)}, {"vbar_final": 1e-15}],
+    ids=["vbar", "vbar_final"],
+)
+def test_tiny_targets_are_not_simplified(targets):
+    # one exact rule at every entry point: a target far below any tolerance
+    # still leaves the closure, though gamma and theta stay below 1e-12
+    params = make_params(**targets)
+    grid = GridConfig(40, 0.1)
+    pattern = Pattern(Constant(1.0), Constant(0.0))
+    coeffs = solve_value_coeffs(params, pattern, grid)
+    assert np.max(np.abs(coeffs.gamma)) < 1e-12
+    red = RedConfig(lambda_reg=1.0)
+    calls = [
+        lambda: solve_stack(params, np.ones(41), grid),
+        lambda: solve_moments(params, coeffs, pattern.f_c, grid),
+        lambda: play_rounds(params, pattern.f_c, red, 1, 50, 3, grid),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert info.value.args == (NOT_SIMPLIFIED,)
 
 
 def test_cauchy_schwarz_along_curves():

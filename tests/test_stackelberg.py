@@ -10,7 +10,9 @@ from redblue import (
     Pattern,
     RedConfig,
     baseline_summary,
+    expected_log_lr,
     play_rounds,
+    solve_moments,
     solve_red,
     solve_value_coeffs,
 )
@@ -76,6 +78,22 @@ def test_rounds_carry_coeffs_and_skip_the_unplayed_solve(monkeypatch):
             np.testing.assert_array_equal(
                 getattr(record.coeffs, name), getattr(fresh, name)
             )
+
+
+@pytest.mark.parametrize("solver", ["fpi", "nn"])
+def test_round_log_lr_is_the_public_moment_solve(solver):
+    # round 1 solves the closure itself, later rounds take the value of the
+    # optimizer solve that produced their pattern: both equal the public
+    # solves on the pattern played, bit for bit
+    params = make_params(lam=0.08)
+    grid = GridConfig(40, 0.1)
+    config = quick_config(solver=solver)
+    records = play_rounds(params, Constant(1.0), config, 3, 50, 11, grid)
+    for record in records:
+        f_c = record.f_c_used
+        moments = solve_moments(params, record.coeffs, f_c, grid)
+        elr = expected_log_lr(params, record.coeffs, f_c, moments, grid)
+        assert record.expected_log_lr_moment == elr
 
 
 def test_huge_penalty_freezes_pattern_between_rounds():
