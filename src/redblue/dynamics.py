@@ -14,9 +14,12 @@ m = (h20, h11, h02), solved forward from m(0) = (v0^2, v0 y0, y0^2):
                - (eta/r_alpha) h02
         h02' = 2 (1 - eta/r_beta) h11 + 2 (u f - rho/r_beta) h02 + sigma_w^2
 
-with u = lam/(r_beta sigma_w^2) and c2 = (lam/sigma_w^2)(u - 1).  The payoff
-integrand L = -(eta h11 + rho h02) f/r_beta + (u - 1/2) h02 f^2, divided by
-sigma_w^2, is the rate of the expected log likelihood ratio.
+with u = lam/(r_beta sigma_w^2) and c2 = (lam/sigma_w^2)(u - 1).  G is
+linear in m: G = K m + sigma with sigma = (sigma_b^2, 0, sigma_w^2), where
+K depends on (mu, eta, rho) and f only, and dG/d(mu, eta, rho) depends on m
+only.  The payoff integrand L = -(eta h11 + rho h02) f/r_beta
++ (u - 1/2) h02 f^2, divided by sigma_w^2, is the rate of the expected log
+likelihood ratio.
 
 G is stepped by RK4, and the payoff integrated, only in ``redblue.moments``:
 its ``solve_stack`` steps F and then G for the pattern optimizers and the
@@ -30,8 +33,17 @@ transposed-Jacobian products; nothing else restates them.  Each product, and
 the payoff gradient, is split by the block it differentiates against: the
 suffix ``_s`` is the coefficient block, ``_m`` the moment block and ``_f``
 the pattern.  A caller evaluates only the blocks it reads, and can step one
-block per node while evaluating another once over all nodes.  Every function
-works elementwise on floats and on numpy arrays.
+block per node while evaluating another once over all nodes.
+
+K's entries are stated once, in ``moment_gains``, and those of
+dG/d(mu, eta, rho) in ``moment_jac_s``.  ``moment_rhs`` (K m + sigma),
+``moment_vjp_m`` (K^T p) and ``moment_vjp_s`` take these entries, so every
+solve builds them once over its grid, as numpy arrays, and its stepping
+loop only applies them; only the Riccati block F, which is nonlinear in
+its own state, is evaluated per stage.  Likewise ``payoff_coeffs`` states
+L's coefficients (a, b) once, and ``payoff_from`` and ``payoff_grad_f``
+take them.  Every function works elementwise on floats and on numpy
+arrays.
 """
 
 from __future__ import annotations
@@ -110,12 +122,47 @@ class Dynamics:
         d_rho = eta * eta / ra + rho * rho / rb - 2.0 * u * rho * f + self.c2 * f * f
         return d_mu, d_eta, d_rho
 
-    def moment_rhs(self, h20, h11, h02, mu, eta, rho, f):
-        """G: time derivatives of (h20, h11, h02)."""
-        ra, rb, u = self.r_alpha, self.r_beta, self.u
-        d20 = -2.0 * (mu / ra) * h20 - 2.0 * (eta / ra) * h11 + self.sb2
-        d11 = (u * f - rho / rb - mu / ra) * h11 + (1.0 - eta / rb) * h20 - (eta / ra) * h02
-        d02 = 2.0 * (1.0 - eta / rb) * h11 + 2.0 * (u * f - rho / rb) * h02 + self.sw2
+    def moment_gains(self, mu, eta, rho, f):
+        """The seven nonzero entries of K, row by row, with G = K m + sigma:
+
+            K = [[k00, k01, 0  ],
+                 [k10, k11, k12],
+                 [0,   k21, k22]]
+
+        k00 = -2 (mu/r_alpha), k01 = -(2 (eta/r_alpha)), k10 = 1 - eta/r_beta,
+        k11 = (u f - rho/r_beta) - mu/r_alpha, k12 = -(eta/r_alpha),
+        k21 = 2 (1 - eta/r_beta) and k22 = 2 (u f - rho/r_beta).
+
+        K m and K^T p built from these entries equal, bit for bit, G and
+        its vjp with every factor computed in place, outside the subnormal
+        range (and short of overflow).  The in-place factors differ from the
+        entries only by exact power-of-two scalings: (-2 mu)/r_alpha against
+        -2 (mu/r_alpha), (2 p3) b against p3 (2 b), and (-eta)/r_alpha
+        against -(eta/r_alpha).  A negative entry added equals its magnitude
+        subtracted, since x - y is x + (-y) in IEEE arithmetic.
+        """
+        ra, rb = self.r_alpha, self.r_beta
+        mu_a = mu / ra
+        eta_a = eta / ra
+        leak = 1.0 - eta / rb
+        drift = self.u * f - rho / rb
+        return (
+            -2.0 * mu_a,
+            -(2.0 * eta_a),
+            leak,
+            drift - mu_a,
+            -eta_a,
+            2.0 * leak,
+            2.0 * drift,
+        )
+
+    def moment_rhs(self, h20, h11, h02, gains):
+        """G = K m + sigma: time derivatives of (h20, h11, h02), given the
+        entries of K from ``moment_gains``."""
+        k00, k01, k10, k11, k12, k21, k22 = gains
+        d20 = k00 * h20 + k01 * h11 + self.sb2
+        d11 = k11 * h11 + k10 * h20 + k12 * h02
+        d02 = k21 * h11 + k22 * h02 + self.sw2
         return d20, d11, d02
 
     def coeff_vjp_s(self, q, mu, eta, rho, f):
@@ -137,27 +184,36 @@ class Dynamics:
         _, q2, q3 = q
         return q2 * (-u * eta) + q3 * (-2.0 * u * rho + 2.0 * self.c2 * f)
 
-    def moment_vjp_m(self, p, mu, eta, rho, f):
-        """p . dG/d(h20, h11, h02) for a covector p over h."""
-        ra, rb, u = self.r_alpha, self.r_beta, self.u
+    def moment_vjp_m(self, p, gains):
+        """p . dG/d(h20, h11, h02) = K^T p for a covector p over h, given
+        the entries of K from ``moment_gains``."""
+        k00, k01, k10, k11, k12, k21, k22 = gains
         p1, p2, p3 = p
-        d_h20 = p1 * (-2.0 * mu / ra) + p2 * (1.0 - eta / rb)
-        d_h11 = (
-            p1 * (-2.0 * eta / ra)
-            + p2 * (u * f - rho / rb - mu / ra)
-            + p3 * 2.0 * (1.0 - eta / rb)
-        )
-        d_h02 = p2 * (-eta / ra) + p3 * 2.0 * (u * f - rho / rb)
+        d_h20 = p1 * k00 + p2 * k10
+        d_h11 = p1 * k01 + p2 * k11 + p3 * k21
+        d_h02 = p2 * k12 + p3 * k22
         return d_h20, d_h11, d_h02
 
-    def moment_vjp_s(self, p, h20, h11, h02):
-        """p . dG/d(mu, eta, rho) for a covector p over h."""
+    def moment_jac_s(self, h20, h11, h02):
+        """The seven nonzero entries of dG/d(mu, eta, rho), row by row, in
+        the places of K's: dG/d(mu, eta, rho) has K's zero corners.  They
+        depend on the state only through m, so a solve builds them once
+        over the grid and ``moment_vjp_s`` only applies them."""
         ra, rb = self.r_alpha, self.r_beta
-        p1, p2, p3 = p
-        d_mu = p1 * (-2.0 * h20 / ra) + p2 * (-h11 / ra)
-        d_eta = p1 * (-2.0 * h11 / ra) + p2 * (-h20 / rb - h02 / ra) + p3 * (-2.0 * h11 / rb)
-        d_rho = p2 * (-h11 / rb) + p3 * (-2.0 * h02 / rb)
-        return d_mu, d_eta, d_rho
+        return (
+            -2.0 * h20 / ra,
+            -2.0 * h11 / ra,
+            -h11 / ra,
+            -h20 / rb - h02 / ra,
+            -h11 / rb,
+            -2.0 * h11 / rb,
+            -2.0 * h02 / rb,
+        )
+
+    # p . dG/d(mu, eta, rho) for a covector p over h, given the entries of
+    # ``moment_jac_s``: the same transposed product as K^T p, since the two
+    # matrices share their zero corners
+    moment_vjp_s = moment_vjp_m
 
     def moment_vjp_f(self, p, h11, h02):
         """p . dG/df for a covector p over h."""
@@ -173,7 +229,11 @@ class Dynamics:
 
     def payoff(self, eta, rho, h11, h02, f):
         """L; L / sigma_w^2 is the rate of the expected log likelihood ratio."""
-        a, b = self.payoff_coeffs(eta, rho, h11, h02)
+        return self.payoff_from(*self.payoff_coeffs(eta, rho, h11, h02), f)
+
+    @staticmethod
+    def payoff_from(a, b, f):
+        """L from the coefficients (a, b) of ``payoff_coeffs``."""
         return b * f + 0.5 * a * f * f
 
     def payoff_grad_s(self, h11, h02, f):
@@ -186,7 +246,7 @@ class Dynamics:
         rb = self.r_beta
         return -eta * f / rb, -rho * f / rb + (self.u - 0.5) * f * f
 
-    def payoff_grad_f(self, eta, rho, h11, h02, f):
-        """dL/df."""
-        a, b = self.payoff_coeffs(eta, rho, h11, h02)
+    @staticmethod
+    def payoff_grad_f(a, b, f):
+        """dL/df from the coefficients (a, b) of ``payoff_coeffs``."""
         return b + a * f

@@ -13,7 +13,10 @@ and then G for one pattern or a batch; the pattern optimizers and the
 Stackelberg loop call it.  The public ``solve_moments`` and
 ``expected_log_lr`` take one pattern and the six coefficient curves of
 ``solve_value_coeffs``, and go through the same G stepper and payoff
-integral.
+integral.  G = K m + sigma is linear in the moments, and its matrix K
+(``dynamics.moment_gains``) depends only on the coefficients and the
+pattern, so the G stepper builds K once per solve over the half grid, with
+numpy, and each RK4 stage only applies it.
 """
 
 from __future__ import annotations
@@ -75,21 +78,27 @@ def _require_closure(params: ModelParams, grid: GridConfig, *offset_lines) -> No
         raise ValueError(NOT_SIMPLIFIED)
 
 
-def _step_moments(dyn: Dynamics, coeffs: np.ndarray, f, grid: GridConfig) -> np.ndarray:
-    """G stepped forward from its initial state.
+def _step_moments(
+    dyn: Dynamics, coeffs: np.ndarray, f: np.ndarray, grid: GridConfig
+) -> np.ndarray:
+    """G = K m + sigma stepped forward from its initial state.
 
     ``coeffs`` holds the (n_steps + 1, 3) node values of (mu, eta, rho), or
     (n_steps + 1, 3, B) for a batch of B patterns; ``f`` holds the pattern at
-    every half-grid point, one float or one (B,) row each.  Returns the node
-    states (h20, h11, h02) in the same layout.
+    every half-grid point, (2 n_steps + 1,) or (2 n_steps + 1, B).  K is
+    built once over the half grid, so each RK4 stage only applies it.
+    Returns the node states (h20, h11, h02) in the layout of ``coeffs``.
     """
     batch = coeffs.shape[2:]
-    rows = nodes_to_half_grid(coeffs)
-    # one row of Python floats, or of (B,) arrays, per half-grid point
-    rows = list(rows) if batch else rows.tolist()
+    mu, eta, rho = np.moveaxis(nodes_to_half_grid(coeffs), 1, 0)
+    # like the stepping loop, an overflow gives inf or nan for it to reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        gains = dyn.moment_gains(mu, eta, rho, f)
+    # K at each half-grid point: seven Python floats, or seven (B,) rows
+    table = list(zip(*gains)) if batch else np.array(gains).T.tolist()
     moment_rhs = dyn.moment_rhs
     return integrate_forward(
-        lambda j, m: moment_rhs(*m, *rows[j], f[j]),
+        lambda j, m: moment_rhs(*m, table[j]),
         # the initial state times ones holds one copy of it per member
         np.multiply.outer(dyn.moment_initial(), np.ones(batch)),
         grid,
@@ -129,19 +138,19 @@ def solve_stack(params: ModelParams, f_nodes: np.ndarray, grid: GridConfig):
     _require_closure(params, grid)
     nodes = np.asarray(f_nodes, dtype=float)
     batch = nodes.shape[:-1]
-    # stage-time tables: one float, or one (B,) row, per half-grid point
+    # the pattern at the stage times, (2 n_steps + 1,) or (2 n_steps + 1, B)
     if batch:
-        f = list(
-            np.column_stack(
-                [sample_on_half_grid(grid_function(row, grid), grid) for row in nodes]
-            )
+        f = np.column_stack(
+            [sample_on_half_grid(grid_function(row, grid), grid) for row in nodes]
         )
     else:
-        f = sample_on_half_grid(grid_function(nodes, grid), grid).tolist()
+        f = sample_on_half_grid(grid_function(nodes, grid), grid)
+    # one float, or one (B,) row, per half-grid point
+    f_rows = list(f) if batch else f.tolist()
     dyn = Dynamics.of(params)
     coeff_rhs = dyn.coeff_rhs
     coeffs = integrate_backward(
-        lambda j, s: coeff_rhs(*s, f[j]),
+        lambda j, s: coeff_rhs(*s, f_rows[j]),
         np.multiply.outer(dyn.coeff_terminal(), np.ones(batch)),
         grid,
     )
@@ -162,7 +171,7 @@ def solve_moments(
     check_same_grid(coeffs.grid, grid)
     _require_closure(params, grid, coeffs.gamma, coeffs.theta)
     curves = np.column_stack((coeffs.mu, coeffs.eta, coeffs.rho))
-    f = sample_on_half_grid(f_c, grid).tolist()
+    f = sample_on_half_grid(f_c, grid)
     states = _step_moments(Dynamics.of(params), curves, f, grid)
     return MomentCurves(
         grid=grid,

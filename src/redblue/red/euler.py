@@ -15,9 +15,13 @@ recursions, so it matches central finite differences to rounding error.
 
 The forward recursions and the covector recurrences of the reverse sweeps
 are stepped node by node, with one own-state block call per node.  The
-sensitivities that feed no later step, of the moment sweep onto the
+moment recursion, G = K m + sigma, and its reverse sweep, K^T p, read one
+table of K over the nodes, built once after the coefficient recursion.
+The sensitivities that feed no later step, of the moment sweep onto the
 coefficient block and of both sweeps onto f, are evaluated once over all
 nodes as numpy arrays and added in the order the per-node sweeps add them.
+The payoff's coefficients (a, b) are computed once, for the payoff and
+its derivative in f alike.
 """
 
 from __future__ import annotations
@@ -37,26 +41,33 @@ def _trapezoid_weights(grid: GridConfig) -> np.ndarray:
     return w
 
 
-def _euler_states(f: list[float], dyn: Dynamics, grid: GridConfig):
+def _euler_states(
+    f: np.ndarray, f_list: list[float], dyn: Dynamics, grid: GridConfig
+):
     """Lists mu, eta, rho, h20, h11, h02 of floats, one entry per node, from
-    the Euler recursions."""
+    the Euler recursions, and K of G = K m + sigma at every node, one list
+    of its seven entries each, built once after the coefficient recursion
+    for the moment recursion and its reverse sweep."""
     n = grid.n_steps
     h = grid.h
     mu, eta, rho = ([0.0] * (n + 1) for _ in range(3))
     s1, s2, s3 = dyn.coeff_terminal()
     mu[n], eta[n], rho[n] = s1, s2, s3
     for k in range(n - 1, -1, -1):
-        d_mu, d_eta, d_rho = dyn.coeff_rhs(s1, s2, s3, f[k + 1])
+        d_mu, d_eta, d_rho = dyn.coeff_rhs(s1, s2, s3, f_list[k + 1])
         s1, s2, s3 = s1 - h * d_mu, s2 - h * d_eta, s3 - h * d_rho
         mu[k], eta[k], rho[k] = s1, s2, s3
+    # an overflowed coefficient gives inf or nan here, as in the floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        gains = np.array(dyn.moment_gains(*np.array((mu, eta, rho)), f)).T.tolist()
     h20, h11, h02 = ([0.0] * (n + 1) for _ in range(3))
     m1, m2, m3 = dyn.moment_initial()
     h20[0], h11[0], h02[0] = m1, m2, m3
     for k in range(n):
-        d20, d11, d02 = dyn.moment_rhs(m1, m2, m3, mu[k], eta[k], rho[k], f[k])
+        d20, d11, d02 = dyn.moment_rhs(m1, m2, m3, gains[k])
         m1, m2, m3 = m1 + h * d20, m2 + h * d11, m3 + h * d02
         h20[k + 1], h11[k + 1], h02[k + 1] = m1, m2, m3
-    return mu, eta, rho, h20, h11, h02
+    return (mu, eta, rho, h20, h11, h02), gains
 
 
 def _penalty_terms(f, anchor, w, config: RedConfig):
@@ -97,14 +108,15 @@ def euler_objective_and_gradient(
     # Every sensitivity that does not feed the next step is then evaluated
     # once over all nodes as numpy arrays, which round as the floats do.
     f_list = f.tolist()
-    lists = _euler_states(f_list, dyn, grid)
+    lists, gains = _euler_states(f, f_list, dyn, grid)
     states = np.array(lists)
     if not np.all(np.isfinite(states)):
         raise NonFiniteStateError("Euler recursion overflowed")
     mu_l, eta_l, rho_l, _, _, _ = lists
     mu, eta, rho, h20, h11, h02 = states
 
-    elr = float(np.sum(w * (dyn.payoff(eta, rho, h11, h02, f) / sw2)))
+    a, b = dyn.payoff_coeffs(eta, rho, h11, h02)
+    elr = float(np.sum(w * (dyn.payoff_from(a, b, f) / sw2)))
     if config.lambda_reg != 0.0:
         if anchor is None:
             anchor = anchor_values(config, grid)
@@ -117,7 +129,7 @@ def euler_objective_and_gradient(
     # Direct derivatives of the quadrature with respect to f and the states.
     l_eta, l_rho = dyn.payoff_grad_s(h11, h02, f)
     l_h11, l_h02 = dyn.payoff_grad_m(eta, rho, f)
-    grad = w * dyn.payoff_grad_f(eta, rho, h11, h02, f) / sw2
+    grad = w * dyn.payoff_grad_f(a, b, f) / sw2
     if dpen is not None:
         grad = grad + (config.lambda_reg / sw2) * dpen
     # bs_* collect the sensitivities pushed onto the coefficient curves.
@@ -133,16 +145,14 @@ def euler_objective_and_gradient(
     p1, p2, p3 = 0.0, bar_h11[n], bar_h02[n]
     for k in range(n - 1, -1, -1):
         p1s[k], p2s[k], p3s[k] = p1, p2, p3
-        d20, d11, d02 = dyn.moment_vjp_m(
-            (p1, p2, p3), mu_l[k], eta_l[k], rho_l[k], f_list[k]
-        )
+        d20, d11, d02 = dyn.moment_vjp_m((p1, p2, p3), gains[k])
         p1 = p1 + h * d20
         p2 = p2 + h * d11 + bar_h11[k]
         p3 = p3 + h * d02 + bar_h02[k]
     p = np.array((p1s, p2s, p3s))
     # like the float sweeps, these overflow to inf or nan without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        d_s = dyn.moment_vjp_s(p, h20[:n], h11[:n], h02[:n])
+        d_s = dyn.moment_vjp_s(p, dyn.moment_jac_s(h20[:n], h11[:n], h02[:n]))
         for bs, d in zip((bs_mu, bs_eta, bs_rho), d_s):
             bs[:n] += h * d
         grad[:n] += h * dyn.moment_vjp_f(p, h11[:n], h02[:n])

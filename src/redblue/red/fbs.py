@@ -9,6 +9,12 @@ adjoint equations backward from zero into one (n_steps + 1, 6) costate
 array, and replaces the pattern by the relaxed Hamiltonian minimizer.  The
 relaxation weight is halved whenever the objective rises, which tames the
 oscillation plain sweeps are prone to.
+
+The costate equations are linear in the costates.  Of their coefficients,
+only those of the Riccati block's own product are evaluated per stage: the
+moment block's matrix K (for K^T p), dG/d(mu, eta, rho) and the payoff
+gradient are tables from ``redblue.dynamics``, built once per solve over
+the half grid.
 """
 
 from __future__ import annotations
@@ -24,9 +30,9 @@ from .objective import (
     OptimizationReport,
     RedConfig,
     anchor_values,
+    anchored_penalty,
     closed_form_update,
     finish_report,
-    penalty,
 )
 
 
@@ -41,19 +47,32 @@ def solve_adjoint(
     costates, zero at T.
     """
     fc_h = sample_on_half_grid(GridSampled(f_nodes, grid.horizon), grid)
-    # One row per half-grid point, (mu, eta, rho, h20, h11, h02, f), as Python
-    # floats: the same arithmetic as numpy scalars at a fraction of the cost.
-    rows = np.column_stack((nodes_to_half_grid(x), fc_h)).tolist()
+    mu, eta, rho, h20, h11, h02 = nodes_to_half_grid(x).T
     dyn = Dynamics.of(params)
+    # Everything but the Riccati block's own product is linear in psi with
+    # factors known before the solve: K and dG/ds, and the payoff gradient,
+    # built here once over the half grid.  An overflow gives inf or nan for
+    # the stepping loop to reject.
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = (
+            (mu, eta, rho, fc_h),
+            dyn.moment_gains(mu, eta, rho, fc_h),
+            dyn.moment_jac_s(h20, h11, h02),
+            (*dyn.payoff_grad_s(h11, h02, fc_h), *dyn.payoff_grad_m(eta, rho, fc_h)),
+        )
+    # One row of each per half-grid point, as Python floats: the same
+    # arithmetic as numpy scalars at a fraction of the cost.
+    rows = list(zip(*(np.array(table).T.tolist() for table in tables)))
+    coeff_vjp_s = dyn.coeff_vjp_s
+    moment_vjp_m = dyn.moment_vjp_m
+    moment_vjp_s = dyn.moment_vjp_s
 
     def rhs(j: int, psi: tuple[float, ...]) -> tuple[float, ...]:
-        mu, eta, rho, h20, h11, h02, f = rows[j]
+        (mu, eta, rho, f), gains, jac, (l_eta, l_rho, l_h11, l_h02) = rows[j]
         q, p = psi[:3], psi[3:]
-        c_mu, c_eta, c_rho = dyn.coeff_vjp_s(q, mu, eta, rho, f)
-        g20, g11, g02 = dyn.moment_vjp_m(p, mu, eta, rho, f)
-        g_mu, g_eta, g_rho = dyn.moment_vjp_s(p, h20, h11, h02)
-        l_eta, l_rho = dyn.payoff_grad_s(h11, h02, f)
-        l_h11, l_h02 = dyn.payoff_grad_m(eta, rho, f)
+        c_mu, c_eta, c_rho = coeff_vjp_s(q, mu, eta, rho, f)
+        g20, g11, g02 = moment_vjp_m(p, gains)
+        g_mu, g_eta, g_rho = moment_vjp_s(p, jac)
         return (
             -(c_mu + g_mu),
             -(c_eta + g_eta + l_eta),
@@ -98,7 +117,7 @@ def fbs_solve(
     iterations = 0
     for it in range(config.max_iters):
         x, elr = solve_stack(params, f, grid)
-        objective = elr + scale * penalty(f, config, grid)
+        objective = elr + scale * anchored_penalty(f, anchor, config, grid)
         if history and objective > history[-1]:
             omega *= 0.5
         history.append(objective)
@@ -112,4 +131,6 @@ def fbs_solve(
         if delta < config.tolerance:
             converged = True
             break
-    return finish_report(params, config, grid, f, history, iterations, converged)
+    return finish_report(
+        params, config, grid, f, anchor, history, iterations, converged
+    )

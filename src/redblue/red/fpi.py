@@ -18,9 +18,9 @@ from .objective import (
     OptimizationReport,
     RedConfig,
     anchor_values,
+    anchored_penalty,
     closed_form_update,
     finish_report,
-    penalty,
 )
 
 
@@ -38,7 +38,7 @@ def fpi_solve(
     iterations = 0
     for it in range(config.max_iters):
         x, elr = solve_stack(params, f, grid)
-        history.append(elr + scale * penalty(f, config, grid))
+        history.append(elr + scale * anchored_penalty(f, anchor, config, grid))
         a, b = dyn.payoff_coeffs(x[:, 1], x[:, 2], x[:, 4], x[:, 5])
         f_new = closed_form_update(a, b, anchor, config)
         delta = float(np.linalg.norm(f_new - f))
@@ -47,4 +47,6 @@ def fpi_solve(
         if delta < config.tolerance:
             converged = True
             break
-    return finish_report(params, config, grid, f, history, iterations, converged)
+    return finish_report(
+        params, config, grid, f, anchor, history, iterations, converged
+    )

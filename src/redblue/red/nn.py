@@ -21,6 +21,7 @@ import numpy as np
 
 from ..errors import NonFiniteStateError
 from ..model import GridConfig, ModelParams
+from ..moments import _require_closure
 from .euler import euler_objective_and_gradient
 from .objective import (
     PENALTY_LOGARITHMIC,
@@ -173,7 +174,9 @@ def nn_solve(
 ) -> OptimizationReport:
     if config.solver != SOLVER_NN:
         raise ValueError(f"config selects solver {config.solver!r}, not nn")
-    # a log anchor that is not positive fails here, not after training
+    # a velocity target fails here, not after training (the Euler objective
+    # reads no target), and so does a log anchor that is not positive
+    _require_closure(params, grid)
     anchor = anchor_values(config, grid)
     net = init_network(seed, config.penalty_kind == PENALTY_LOGARITHMIC)
     times = grid.times()
@@ -203,4 +206,6 @@ def nn_solve(
         and abs(history[-1] - history[-1 - CONVERGENCE_WINDOW])
         <= config.tolerance * abs(history[-1])
     )
-    return finish_report(params, config, grid, f_final, history, n_epochs, converged)
+    return finish_report(
+        params, config, grid, f_final, anchor, history, n_epochs, converged
+    )

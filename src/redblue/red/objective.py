@@ -115,8 +115,16 @@ def anchor_values(config: RedConfig, grid: GridConfig) -> np.ndarray:
 
 def penalty(f_c, config: RedConfig, grid: GridConfig) -> float:
     """Trapezoid quadrature of the trust penalty over [0, T]."""
-    f = node_values(f_c, grid)
-    anchor = anchor_values(config, grid)
+    return anchored_penalty(
+        node_values(f_c, grid), anchor_values(config, grid), config, grid
+    )
+
+
+def anchored_penalty(
+    f: np.ndarray, anchor: np.ndarray, config: RedConfig, grid: GridConfig
+) -> float:
+    """``penalty`` of the node values f, given the anchor's node values, so
+    a solver that evaluates many patterns samples the anchor once."""
     if config.penalty_kind == PENALTY_QUADRATIC:
         return float(np.trapezoid((f - anchor) ** 2, dx=grid.h))
     if np.any(f <= 0.0):
@@ -170,13 +178,19 @@ def finish_report(
     config: RedConfig,
     grid: GridConfig,
     f_nodes: np.ndarray,
+    anchor: np.ndarray,
     history: list[float],
     iterations: int,
     converged: bool,
 ) -> OptimizationReport:
-    """Evaluate the returned pattern once more and assemble the report."""
+    """Evaluate the returned pattern once more and assemble the report;
+    ``anchor`` holds the anchor's node values."""
     _, elr = solve_stack(params, f_nodes, grid)
-    pen = penalty(f_nodes, config, grid) if config.lambda_reg != 0.0 else 0.0
+    pen = (
+        anchored_penalty(f_nodes, anchor, config, grid)
+        if config.lambda_reg != 0.0
+        else 0.0
+    )
     objective = elr + (config.lambda_reg / params.sigma_w**2) * pen
     history = list(history) + [objective]
     return OptimizationReport(

@@ -20,6 +20,8 @@ from redblue.cli import (
     write_json,
 )
 from redblue.moments import NOT_SIMPLIFIED
+from redblue.red import nn
+from redblue.red.euler import euler_objective_and_gradient
 
 
 def base_doc(**overrides):
@@ -377,6 +379,24 @@ def test_allocation_beyond_any_address_space_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("out of memory: Unable to allocate 1.39 EiB")
     assert err.count("\n") == 1
+
+
+def test_nn_rejects_a_velocity_target_before_training(tmp_path, capsys, monkeypatch):
+    # the Euler objective reads no target, so only the closure guard can
+    # stop the network before it trains
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return euler_objective_and_gradient(*args)
+
+    monkeypatch.setattr(nn, "euler_objective_and_gradient", counting)
+    doc = dict(README_DOC, **{"red.solver": "nn", "model.vbar": 1.0})
+    cfg = write_config(tmp_path, doc)
+    assert main(["red-optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"numeric failure: {NOT_SIMPLIFIED}\n"
+    assert calls == []
 
 
 @pytest.mark.parametrize("target", ["model.vbar", "model.vbar_T"])

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from redblue.dynamics import Dynamics
+import moment_reference as reference
 from conftest import make_params
 
 unit = st.floats(-1.0, 1.0)
@@ -55,12 +56,16 @@ def test_coeff_vjp_matches_finite_differences(dyn, x, d, q):
        st.lists(unit, min_size=3, max_size=3))
 def test_moment_vjp_matches_finite_differences(dyn, x, d, p):
     x, d, p = np.array(x), np.array(d), np.array(p)
-    fd = p @ central_difference(dyn.moment_rhs, x, d, EPS)
+
+    def moment_rhs(h20, h11, h02, mu, eta, rho, f):
+        return dyn.moment_rhs(h20, h11, h02, dyn.moment_gains(mu, eta, rho, f))
+
+    fd = p @ central_difference(moment_rhs, x, d, EPS)
     h20, h11, h02, mu, eta, rho, f = x
     # the full p . dG/d(h20, h11, h02, mu, eta, rho, f), assembled from its blocks
     blocks = [
-        *dyn.moment_vjp_m(p, mu, eta, rho, f),
-        *dyn.moment_vjp_s(p, h20, h11, h02),
+        *dyn.moment_vjp_m(p, dyn.moment_gains(mu, eta, rho, f)),
+        *dyn.moment_vjp_s(p, dyn.moment_jac_s(h20, h11, h02)),
         dyn.moment_vjp_f(p, h11, h02),
     ]
     vjp = np.array(blocks) @ d
@@ -78,10 +83,58 @@ def test_payoff_grad_matches_finite_differences(dyn, x, d):
     blocks = [
         *dyn.payoff_grad_s(h11, h02, f),
         *dyn.payoff_grad_m(eta, rho, f),
-        dyn.payoff_grad_f(eta, rho, h11, h02, f),
+        dyn.payoff_grad_f(*dyn.payoff_coeffs(eta, rho, h11, h02), f),
     ]
     grad = np.array(blocks) @ d
     assert grad == pytest.approx(fd, rel=1e-6, abs=1e-7)
+
+
+# Magnitudes in [1e-100, 1e100], or zero: the products and quotients of a
+# few of them by the rates drawn here stay in the normal range, where the
+# table forms and the per-stage reference round alike.
+normal = st.floats(-1e100, 1e100).filter(lambda x: x == 0.0 or abs(x) >= 1e-100)
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def check_tables_match_the_reference(dyn, h, s, p):
+    h20, h11, h02 = h
+    mu, eta, rho, f = s
+    gains = dyn.moment_gains(mu, eta, rho, f)
+    jac = dyn.moment_jac_s(h20, h11, h02)
+    assert same_bits(
+        dyn.moment_rhs(h20, h11, h02, gains),
+        reference.moment_rhs(dyn, h20, h11, h02, mu, eta, rho, f),
+    )
+    assert same_bits(
+        dyn.moment_vjp_m(p, gains), reference.moment_vjp_m(dyn, p, mu, eta, rho, f)
+    )
+    assert same_bits(
+        dyn.moment_vjp_s(p, jac), reference.moment_vjp_s(dyn, p, h20, h11, h02)
+    )
+
+
+@settings(max_examples=300)
+@given(
+    dynamics(),
+    st.lists(normal, min_size=3, max_size=3),
+    st.lists(normal, min_size=4, max_size=4),
+    st.lists(normal, min_size=3, max_size=3),
+)
+def test_moment_tables_match_the_per_stage_reference_on_floats(dyn, h, s, p):
+    check_tables_match_the_reference(dyn, h, s, p)
+
+
+@given(dynamics(), st.integers(1, 8), st.data())
+def test_moment_tables_match_the_per_stage_reference_on_arrays(dyn, size, data):
+    def rows(count):
+        row = st.lists(normal, min_size=size, max_size=size).map(np.array)
+        return [data.draw(row) for _ in range(count)]
+
+    check_tables_match_the_reference(dyn, rows(3), rows(4), rows(3))
 
 
 def test_boundary_states():

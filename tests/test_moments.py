@@ -20,10 +20,13 @@ from redblue import (
     solve_moments,
     solve_value_coeffs,
 )
-from redblue.model import grid_function
-from redblue.moments import NOT_SIMPLIFIED
+from redblue.dynamics import Dynamics
+from redblue.model import grid_function, sample_on_half_grid
+from redblue.moments import NOT_SIMPLIFIED, nodes_to_half_grid
+from redblue.odeint import integrate_backward, integrate_forward
 from redblue.red.objective import solve_stack
 from redblue.riccati import ValueCoeffs
+import moment_reference as reference
 from conftest import make_params, random_params
 
 
@@ -237,3 +240,51 @@ def test_batched_solve_stack_matches_single_solves(seed, mode, n_steps, kinds):
     for b, (x_b, elr_b) in enumerate(singles):
         assert np.array_equal(x[:, :, b], x_b)
         assert elr[b] == elr_b
+
+
+def reference_stack(params, row, grid):
+    """solve_stack's x for one row, with G stepped by the per-stage
+    reference right-hand side, which restates K at every stage."""
+    dyn = Dynamics.of(params)
+    f = sample_on_half_grid(grid_function(row, grid), grid).tolist()
+    coeffs = integrate_backward(
+        lambda j, s: dyn.coeff_rhs(*s, f[j]), dyn.coeff_terminal(), grid
+    )
+    s = nodes_to_half_grid(coeffs).tolist()
+    moments = integrate_forward(
+        lambda j, m: reference.moment_rhs(dyn, *m, *s[j], f[j]),
+        dyn.moment_initial(),
+        grid,
+    )
+    return np.concatenate((coeffs, moments), axis=1)
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["any", "zero", "full", "upper"]),
+    n_steps=st.integers(2, 120),
+    size=st.integers(1, 6),
+    # at the largest scale most patterns overflow
+    scale=st.sampled_from([1e-3, 1.0, 40.0, 200.0]),
+)
+def test_solve_stack_matches_the_per_stage_reference(seed, mode, n_steps, size, scale):
+    # K's table steps G bit for bit as the per-stage right-hand side did,
+    # for one pattern and for each member of a batch
+    rng = np.random.default_rng(seed)
+    params = replace(random_params(rng, mode), vbar=Constant(0.0), vbar_final=0.0)
+    grid = GridConfig(n_steps, params.horizon)
+    rows = scale * rng.standard_normal((size, n_steps + 1))
+    wants = [solved_or_none(reference_stack, params, row, grid) for row in rows]
+    for row, want in zip(rows, wants):
+        got = solved_or_none(solve_stack, params, row, grid)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got[0].tobytes() == want.tobytes()
+    if any(want is None for want in wants):
+        with pytest.raises(NonFiniteStateError):
+            solve_stack(params, rows, grid)
+        return
+    x, _ = solve_stack(params, rows, grid)
+    for b, want in enumerate(wants):
+        assert np.ascontiguousarray(x[:, :, b]).tobytes() == want.tobytes()

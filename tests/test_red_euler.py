@@ -12,6 +12,7 @@ from redblue.red.euler import (
     euler_objective_and_gradient,
 )
 from conftest import random_params, short_params
+from moment_reference import moment_rhs as _moment_rhs
 
 
 # The per-node version the block-split sweeps replaced, kept as the reference:
@@ -79,7 +80,7 @@ def reference_euler_objective_and_gradient(f, params, config, grid):
     m = [dyn.moment_initial()]
     for k in range(n):
         h20, h11, h02 = m[k]
-        d20, d11, d02 = dyn.moment_rhs(h20, h11, h02, *s[k], f_list[k])
+        d20, d11, d02 = _moment_rhs(dyn, h20, h11, h02, *s[k], f_list[k])
         m.append((h20 + h * d20, h11 + h * d11, h02 + h * d02))
     states = np.column_stack([np.array(s, dtype=float), np.array(m, dtype=float)])
     if not np.all(np.isfinite(states)):

@@ -1,12 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from redblue import GridConfig, RedConfig
-from redblue.model import grid_function
+from redblue import Constant, GridConfig, NonFiniteStateError, RedConfig
+from redblue.dynamics import Dynamics
+from redblue.model import GridSampled, grid_function, sample_on_half_grid
+from redblue.moments import nodes_to_half_grid
+from redblue.odeint import integrate_backward
 from redblue.red.fbs import fbs_solve, solve_adjoint
 from redblue.red.fpi import fpi_solve
 from redblue.red.objective import solve_stack
-from conftest import make_params
+import moment_reference as reference
+from conftest import make_params, random_params
 
 
 def full_intensity_params():
@@ -89,3 +97,63 @@ def test_fbs_quadratic_anchor_need_not_be_one():
     np.testing.assert_allclose(
         report.f_c.values, np.linspace(0.5, 1.5, 101), atol=1e-6
     )
+
+
+def reference_adjoint(params, f_nodes, x, grid):
+    """solve_adjoint with the per-stage reference products of G, which
+    restate K and dG/ds at every stage, and the payoff gradient per stage."""
+    fc_h = sample_on_half_grid(GridSampled(f_nodes, grid.horizon), grid)
+    rows = np.column_stack((nodes_to_half_grid(x), fc_h)).tolist()
+    dyn = Dynamics.of(params)
+
+    def rhs(j, psi):
+        mu, eta, rho, h20, h11, h02, f = rows[j]
+        q, p = psi[:3], psi[3:]
+        c_mu, c_eta, c_rho = dyn.coeff_vjp_s(q, mu, eta, rho, f)
+        g20, g11, g02 = reference.moment_vjp_m(dyn, p, mu, eta, rho, f)
+        g_mu, g_eta, g_rho = reference.moment_vjp_s(dyn, p, h20, h11, h02)
+        l_eta, l_rho = dyn.payoff_grad_s(h11, h02, f)
+        l_h11, l_h02 = dyn.payoff_grad_m(eta, rho, f)
+        return (
+            -(c_mu + g_mu),
+            -(c_eta + g_eta + l_eta),
+            -(c_rho + g_rho + l_rho),
+            -g20,
+            -(g11 + l_h11),
+            -(g02 + l_h02),
+        )
+
+    return integrate_backward(rhs, (0.0,) * 6, grid)
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except NonFiniteStateError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["any", "zero", "full", "upper"]),
+    n_steps=st.integers(2, 120),
+    scale=st.sampled_from([1e-3, 1.0, 40.0]),
+)
+def test_adjoint_matches_the_per_stage_reference(seed, mode, n_steps, scale):
+    # the tables of K, dG/ds and the payoff gradient step the costates bit
+    # for bit as the per-stage products did
+    rng = np.random.default_rng(seed)
+    params = replace(random_params(rng, mode), vbar=Constant(0.0), vbar_final=0.0)
+    grid = GridConfig(n_steps, params.horizon)
+    f_nodes = scale * rng.standard_normal(n_steps + 1)
+    try:
+        x, _ = solve_stack(params, f_nodes, grid)
+    except NonFiniteStateError:
+        return
+    want = _outcome(reference_adjoint, params, f_nodes, x, grid)
+    got = _outcome(solve_adjoint, params, f_nodes, x, grid)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.tobytes() == want.tobytes()
