@@ -36,14 +36,17 @@ the pattern.  A caller evaluates only the blocks it reads, and can step one
 block per node while evaluating another once over all nodes.
 
 K's entries are stated once, in ``moment_gains``, and those of
-dG/d(mu, eta, rho) in ``moment_jac_s``.  ``moment_rhs`` (K m + sigma),
-``moment_vjp_m`` (K^T p) and ``moment_vjp_s`` take these entries, so every
-solve builds them once over its grid, as numpy arrays, and its stepping
-loop only applies them; only the Riccati block F, which is nonlinear in
-its own state, is evaluated per stage.  Likewise ``payoff_coeffs`` states
-L's coefficients (a, b) once, and ``payoff_from`` and ``payoff_grad_f``
-take them.  Every function works elementwise on floats and on numpy
-arrays.
+dG/d(mu, eta, rho) in ``moment_jac_s``; ``GAIN_ROWS`` and ``GAIN_COLS``
+place both in their matrices.  Every solve builds these entries once over
+its grid, as numpy arrays.  The RK4 solves of G and of the fbs costates
+lay them out as matrices of a linear system, whose step maps
+``odeint.integrate_linear`` composes; the Euler recursions apply them
+through ``moment_rhs`` (K m + sigma), ``moment_vjp_m`` (K^T p) and
+``moment_vjp_s``.  Only the Riccati block F, which is nonlinear in its own
+state, is evaluated per RK4 stage; the costates read its Jacobian from
+``coeff_vjp_s`` at unit covectors.  Likewise ``payoff_coeffs`` states L's
+coefficients (a, b) once, and ``payoff_from`` and ``payoff_grad_f`` take
+them.  Every function works elementwise on floats and on numpy arrays.
 """
 
 from __future__ import annotations
@@ -51,6 +54,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import ModelParams
+
+# The places (row, column) of the seven entries of ``moment_gains`` in K,
+# and of ``moment_jac_s`` in dG/d(mu, eta, rho), in their order; index a
+# (..., 3, 3) array with them to lay the entries out as a matrix.
+GAIN_ROWS = (0, 0, 1, 1, 1, 2, 2)
+GAIN_COLS = (0, 1, 0, 1, 2, 1, 2)
 
 
 def misdirection_gain(params: ModelParams) -> float:

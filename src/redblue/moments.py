@@ -15,8 +15,9 @@ Stackelberg loop call it.  The public ``solve_moments`` and
 ``solve_value_coeffs``, and go through the same G stepper and payoff
 integral.  G = K m + sigma is linear in the moments, and its matrix K
 (``dynamics.moment_gains``) depends only on the coefficients and the
-pattern, so the G stepper builds K once per solve over the half grid, with
-numpy, and each RK4 stage only applies it.
+pattern, so the G stepper lays K and sigma out over the half grid, with
+numpy, and ``odeint.integrate_linear`` turns them into the RK4 step maps
+and composes those.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Dynamics
+from .dynamics import GAIN_COLS, GAIN_ROWS, Dynamics
 from .errors import GridMismatchError
 from .model import (
     GridConfig,
@@ -34,7 +35,7 @@ from .model import (
     grid_function,
     sample_on_half_grid,
 )
-from .odeint import integrate_backward, integrate_forward
+from .odeint import integrate_backward, integrate_linear
 from .riccati import ValueCoeffs, check_same_grid
 
 NOT_SIMPLIFIED = (
@@ -85,24 +86,23 @@ def _step_moments(
 
     ``coeffs`` holds the (n_steps + 1, 3) node values of (mu, eta, rho), or
     (n_steps + 1, 3, B) for a batch of B patterns; ``f`` holds the pattern at
-    every half-grid point, (2 n_steps + 1,) or (2 n_steps + 1, B).  K is
-    built once over the half grid, so each RK4 stage only applies it.
+    every half-grid point, (2 n_steps + 1,) or (2 n_steps + 1, B).  K and
+    sigma form the augmented matrix [[K, sigma], [0, 0]] at every half-grid
+    point, whose RK4 step maps ``integrate_linear`` builds and composes.
     Returns the node states (h20, h11, h02) in the layout of ``coeffs``.
     """
     batch = coeffs.shape[2:]
     mu, eta, rho = np.moveaxis(nodes_to_half_grid(coeffs), 1, 0)
-    # like the stepping loop, an overflow gives inf or nan for it to reject
+    abar = np.zeros((*f.shape, 4, 4))
+    # an overflow gives inf or nan for the solve to reject
     with np.errstate(over="ignore", invalid="ignore"):
         gains = dyn.moment_gains(mu, eta, rho, f)
-    # K at each half-grid point: seven Python floats, or seven (B,) rows
-    table = list(zip(*gains)) if batch else np.array(gains).T.tolist()
-    moment_rhs = dyn.moment_rhs
-    return integrate_forward(
-        lambda j, m: moment_rhs(*m, table[j]),
-        # the initial state times ones holds one copy of it per member
-        np.multiply.outer(dyn.moment_initial(), np.ones(batch)),
-        grid,
-    )
+    abar[..., GAIN_ROWS, GAIN_COLS] = np.stack(gains, -1)
+    abar[..., 0, 3] = dyn.sb2
+    abar[..., 2, 3] = dyn.sw2
+    # the initial state times ones holds one copy of it per member
+    initial = np.multiply.outer(dyn.moment_initial(), np.ones(batch))
+    return integrate_linear(abar, initial, grid, 1)
 
 
 def _payoff_integral(dyn: Dynamics, eta, rho, h11, h02, f, grid: GridConfig):
@@ -130,10 +130,11 @@ def solve_stack(params: ModelParams, f_nodes: np.ndarray, grid: GridConfig):
     x and a float, or (B, n_steps + 1) node values of B patterns solved as
     one batch, giving an (n_steps + 1, 6, B) x and a (B,) array.  Member b
     equals ``solve_stack(params, f_nodes[b], grid)`` bit for bit: each
-    member is sampled on its own, the right-hand sides step every member
-    with the same operations in the same order, and each member's payoff is
-    integrated along a contiguous row (numpy sums a strided axis row by row,
-    not pairwise).
+    member is sampled on its own, F's right-hand side steps every member
+    with the same operations in the same order, G's step maps are each
+    member's own matrix products, and each member's payoff is integrated
+    along a contiguous row (numpy sums a strided axis row by row, not
+    pairwise).
     """
     _require_closure(params, grid)
     nodes = np.asarray(f_nodes, dtype=float)

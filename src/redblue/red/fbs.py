@@ -10,21 +10,22 @@ array, and replaces the pattern by the relaxed Hamiltonian minimizer.  The
 relaxation weight is halved whenever the objective rises, which tames the
 oscillation plain sweeps are prone to.
 
-The costate equations are linear in the costates.  Of their coefficients,
-only those of the Riccati block's own product are evaluated per stage: the
-moment block's matrix K (for K^T p), dG/d(mu, eta, rho) and the payoff
-gradient are tables from ``redblue.dynamics``, built once per solve over
-the half grid.
+The costate equations are linear in the costates, and every factor is
+known once the states are: F's Jacobian, the moment block's matrix K,
+dG/d(mu, eta, rho) and the payoff gradient, all from ``redblue.dynamics``.
+The adjoint lays them out over the half grid as one block-triangular
+linear system, since the moment costates never read the coefficient ones,
+and ``odeint.integrate_linear`` composes its RK4 step maps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..dynamics import Dynamics
-from ..model import GridConfig, GridSampled, ModelParams, sample_on_half_grid
+from ..dynamics import GAIN_COLS, GAIN_ROWS, Dynamics
+from ..model import GridConfig, ModelParams
 from ..moments import nodes_to_half_grid, solve_stack
-from ..odeint import integrate_backward
+from ..odeint import integrate_linear
 from .objective import (
     SOLVER_FBS,
     OptimizationReport,
@@ -46,43 +47,27 @@ def solve_adjoint(
     integrand, all from ``redblue.dynamics``.  Returns the (n_steps + 1, 6)
     costates, zero at T.
     """
-    fc_h = sample_on_half_grid(GridSampled(f_nodes, grid.horizon), grid)
+    f = nodes_to_half_grid(f_nodes)
     mu, eta, rho, h20, h11, h02 = nodes_to_half_grid(x).T
     dyn = Dynamics.of(params)
-    # Everything but the Riccati block's own product is linear in psi with
-    # factors known before the solve: K and dG/ds, and the payoff gradient,
-    # built here once over the half grid.  An overflow gives inf or nan for
-    # the stepping loop to reject.
+    rows, cols = np.array(GAIN_ROWS), np.array(GAIN_COLS)
+    # psi' = -abar (psi, 1) with psi = (q, p), q over (mu, eta, rho) and p
+    # over (h20, h11, h02): the q rows read J_F^T, (dG/ds)^T and dL/ds, the
+    # p rows only K^T and dL/dm, so the p rows never read q.  An overflow
+    # gives inf or nan for the solve to reject.
+    abar = np.zeros((len(f), 7, 7))
     with np.errstate(over="ignore", invalid="ignore"):
-        tables = (
-            (mu, eta, rho, fc_h),
-            dyn.moment_gains(mu, eta, rho, fc_h),
-            dyn.moment_jac_s(h20, h11, h02),
-            (*dyn.payoff_grad_s(h11, h02, fc_h), *dyn.payoff_grad_m(eta, rho, fc_h)),
+        for i, unit in enumerate(np.eye(3)):
+            # row i of J_F, the vjp of the i-th unit covector, is column i
+            # of J_F^T
+            abar[:, :3, i] = np.stack(dyn.coeff_vjp_s(unit, mu, eta, rho, f), -1)
+        abar[:, cols, 3 + rows] = np.stack(dyn.moment_jac_s(h20, h11, h02), -1)
+        abar[:, 3 + cols, 3 + rows] = np.stack(dyn.moment_gains(mu, eta, rho, f), -1)
+        # L reads neither mu nor h20
+        abar[:, (1, 2, 4, 5), 6] = np.stack(
+            (*dyn.payoff_grad_s(h11, h02, f), *dyn.payoff_grad_m(eta, rho, f)), -1
         )
-    # One row of each per half-grid point, as Python floats: the same
-    # arithmetic as numpy scalars at a fraction of the cost.
-    rows = list(zip(*(np.array(table).T.tolist() for table in tables)))
-    coeff_vjp_s = dyn.coeff_vjp_s
-    moment_vjp_m = dyn.moment_vjp_m
-    moment_vjp_s = dyn.moment_vjp_s
-
-    def rhs(j: int, psi: tuple[float, ...]) -> tuple[float, ...]:
-        (mu, eta, rho, f), gains, jac, (l_eta, l_rho, l_h11, l_h02) = rows[j]
-        q, p = psi[:3], psi[3:]
-        c_mu, c_eta, c_rho = coeff_vjp_s(q, mu, eta, rho, f)
-        g20, g11, g02 = moment_vjp_m(p, gains)
-        g_mu, g_eta, g_rho = moment_vjp_s(p, jac)
-        return (
-            -(c_mu + g_mu),
-            -(c_eta + g_eta + l_eta),
-            -(c_rho + g_rho + l_rho),
-            -g20,
-            -(g11 + l_h11),
-            -(g02 + l_h02),
-        )
-
-    return integrate_backward(rhs, (0.0,) * 6, grid)
+    return integrate_linear(-abar, np.zeros(6), grid, -1, split=3)
 
 
 def _hamiltonian_coeffs(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from redblue import Affine, Constant, GridConfig, ModelParams
+from redblue import Affine, Constant, GridConfig, ModelParams, NonFiniteStateError
 
 # Property tests draw the same examples on every run, so the suite stays
 # deterministic; the simulations they call are too slow for a deadline.
@@ -84,6 +84,23 @@ def random_params(rng: np.random.Generator, lam_mode: str = "any") -> ModelParam
         v0=rng.uniform(-2.0, 2.0),
         y0=rng.uniform(-2.0, 3.0),
     )
+
+
+def states_or_node(solve, *args):
+    """What ``solve`` returns, or the node its NonFiniteStateError names:
+    the reason up to its first colon, "non-finite state at t=..."."""
+    try:
+        return solve(*args)
+    except NonFiniteStateError as exc:
+        return str(exc).split(":")[0]
+
+
+def assert_within_column_max(got, want, bound):
+    """Every entry of ``got`` is within ``bound`` times the max |value| of
+    its column of ``want``."""
+    assert got.shape == want.shape
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(np.abs(got - want) <= bound * scale)
 
 
 @pytest.fixture

@@ -314,7 +314,7 @@ _SMALL = {"grid.n_steps": 20, "mc.n_paths": 100}
     "command, overrides",
     [
         ("red-optimize", {"model.v0": 1e154}),
-        ("validate", {"model.v0": 1e154}),
+        ("validate", {"model.v0": 1e154, "model.y0": 1.3e154}),
         ("red-optimize", {"red.solver": "nn", "red.f_c_initial": "constant:0"}),
         ("red-optimize", {"red.solver": "nn", "model.sigma_W": 1e154, **_SMALL}),
         ("red-optimize", {"red.solver": "nn", "red.lambda_reg": 1e154, **_SMALL}),
@@ -329,7 +329,7 @@ _SMALL = {"grid.n_steps": 20, "mc.n_paths": 100}
             },
         ),
         ("validate", {"model.T": 1e300, **_SMALL}),
-        ("validate", {"model.v0": 1e154, **_SMALL}),
+        ("validate", {"model.v0": 1e154, "model.y0": 1.3e154, **_SMALL}),
         ("red-optimize", {"red.penalty": "quadratic", "red.lambda_reg": 1e308}),
         (
             "red-optimize",
@@ -350,9 +350,10 @@ _SMALL = {"grid.n_steps": 20, "mc.n_paths": 100}
     ],
 )
 def test_arithmetic_errors_exit_2(tmp_path, capsys, recwarn, command, overrides):
-    # each config is accepted but overflows at run time: v0^2 is finite while
-    # the moment solve and the paths are not (on the small grid, the
-    # martingale pilot's mean overflows too); the nn cases overflow in the
+    # each config is accepted but overflows at run time: v0^2 is finite
+    # while red-optimize's closed-form update is not; for validate, v0^2 and
+    # y0^2 are finite while the paths are not, nor is the moment solve, whose
+    # E[Y^2] starts at 1.69e308 and grows; the nn cases overflow in the
     # Euler objective or in Adam's moment estimates, or have a zero anchor;
     # the quadratic fpi and fbs cases overflow in the closed-form update
     cfg = write_config(tmp_path, dict(README_DOC, **overrides))

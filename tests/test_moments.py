@@ -27,7 +27,12 @@ from redblue.odeint import integrate_backward, integrate_forward
 from redblue.red.objective import solve_stack
 from redblue.riccati import ValueCoeffs
 import moment_reference as reference
-from conftest import make_params, random_params
+from conftest import (
+    assert_within_column_max,
+    make_params,
+    random_params,
+    states_or_node,
+)
 
 
 def manual_coeffs(grid, mu_value):
@@ -242,6 +247,13 @@ def test_batched_solve_stack_matches_single_solves(seed, mode, n_steps, kinds):
         assert elr[b] == elr_b
 
 
+# The largest difference from the per-stage reference, relative to each
+# column's max |value|, was 1.3e-13 over 2100 single rows drawn as this test
+# draws them; the 256 that went non-finite did so at the same node on both
+# sides
+STATE_BOUND = 1e-12
+
+
 def reference_stack(params, row, grid):
     """solve_stack's x for one row, with G stepped by the per-stage
     reference right-hand side, which restates K at every stage."""
@@ -269,22 +281,24 @@ def reference_stack(params, row, grid):
     scale=st.sampled_from([1e-3, 1.0, 40.0, 200.0]),
 )
 def test_solve_stack_matches_the_per_stage_reference(seed, mode, n_steps, size, scale):
-    # K's table steps G bit for bit as the per-stage right-hand side did,
-    # for one pattern and for each member of a batch
+    # G's composed RK4 maps step the moments as the per-stage right-hand
+    # side did, up to rounding, for one pattern and for each member of a
+    # batch; a solve that goes non-finite does so at the same node
     rng = np.random.default_rng(seed)
     params = replace(random_params(rng, mode), vbar=Constant(0.0), vbar_final=0.0)
     grid = GridConfig(n_steps, params.horizon)
     rows = scale * rng.standard_normal((size, n_steps + 1))
-    wants = [solved_or_none(reference_stack, params, row, grid) for row in rows]
+    wants = [states_or_node(reference_stack, params, row, grid) for row in rows]
     for row, want in zip(rows, wants):
-        got = solved_or_none(solve_stack, params, row, grid)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert got[0].tobytes() == want.tobytes()
-    if any(want is None for want in wants):
+        got = states_or_node(solve_stack, params, row, grid)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_within_column_max(got[0], want, STATE_BOUND)
+    if any(isinstance(want, str) for want in wants):
         with pytest.raises(NonFiniteStateError):
             solve_stack(params, rows, grid)
         return
     x, _ = solve_stack(params, rows, grid)
     for b, want in enumerate(wants):
-        assert np.ascontiguousarray(x[:, :, b]).tobytes() == want.tobytes()
+        assert_within_column_max(x[:, :, b], want, STATE_BOUND)

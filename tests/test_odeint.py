@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from redblue import GridConfig, NonFiniteStateError
-from redblue.odeint import integrate_backward, integrate_forward
+from redblue.odeint import integrate_backward, integrate_forward, integrate_linear
 
 
 def reference_rk4(rhs, state, grid, direction):
@@ -287,3 +287,159 @@ def test_batch_with_one_overflowing_member_raises_without_warnings():
             integrate_forward(rhs, np.array([[0.5, 10.0]]), grid)
     assert str(info.value) == single
     assert single.startswith(f"non-finite state at t={7 * grid.h}: ")
+
+
+def random_linear_system(rng, dim, split=0):
+    """The augmented matrix [[A(t), b(t)], [0, 0]] of a random linear system
+    at the times t, with rows from ``split`` on zero left of column
+    ``split``, as a function of t."""
+    a0, a1, a2 = rng.standard_normal((3, dim, dim))
+    b0, b1 = rng.standard_normal((2, dim))
+
+    def abar(t):
+        out = np.zeros((len(t), dim + 1, dim + 1))
+        tt = t[:, None, None]
+        out[:, :dim, :dim] = a0 + np.sin(3.0 * tt) * a1 + tt * a2
+        out[:, :dim, dim] = b0 + np.cos(2.0 * t)[:, None] * b1
+        out[:, split:, :split] = 0.0
+        return out
+
+    return abar
+
+
+def linear_rhs(abar):
+    """x' = A x + b as a right-hand side of the RK4 loop, read from the
+    half-grid table ``abar``."""
+    rows = abar[:, :-1, :]
+    return lambda j, x: rows[j] @ np.append(x, 1.0)
+
+
+def solve_linear(abar, start, grid, direction, split=0, rk4=False):
+    """The linear stepper's solve, or the RK4 loop's; either one's reason
+    if it goes non-finite."""
+    try:
+        if not rk4:
+            return integrate_linear(abar, start, grid, direction, split)
+        solve = integrate_forward if direction > 0 else integrate_backward
+        return solve(linear_rhs(abar), start, grid)
+    except NonFiniteStateError as exc:
+        return str(exc)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 6),
+    split=st.integers(0, 6),
+    direction=st.sampled_from([1, -1]),
+    n=st.integers(2, 120),
+    horizon=st.floats(0.05, 1.0),
+)
+def test_linear_stepper_matches_the_rk4_loop(seed, dim, split, direction, n, horizon):
+    # the composed maps are the RK4 loop's scheme, rounded differently
+    rng = np.random.default_rng(seed)
+    grid = GridConfig(n, horizon)
+    abar = random_linear_system(rng, dim, min(split, dim))(grid.half_times())
+    start = rng.standard_normal(dim)
+    got = integrate_linear(abar, start, grid, direction, min(split, dim))
+    want = solve_linear(abar, start, grid, direction, rk4=True)
+    assert got.shape == want.shape == (n + 1, dim)
+    # the start row is exact; elsewhere at most a few roundings of the
+    # largest value apart
+    assert np.array_equal(got[0 if direction > 0 else n], start)
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_linear_stepper_fourth_order_convergence(direction):
+    # halving the step divides the error at the far end by ~16
+    abar = random_linear_system(np.random.default_rng(3), 3)
+    start = np.array([1.0, -0.5, 0.25])
+    end = -1 if direction > 0 else 0
+
+    def solve(n):
+        grid = GridConfig(n, 1.0)
+        return integrate_linear(abar(grid.half_times()), start, grid, direction)[end]
+
+    exact = solve(1280)
+    ratio = np.linalg.norm(solve(40) - exact) / np.linalg.norm(solve(80) - exact)
+    assert 14.0 < ratio < 18.0
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 6),
+    split=st.integers(0, 6),
+    size=st.integers(1, 6),
+    direction=st.sampled_from([1, -1]),
+    n=st.integers(2, 120),
+)
+def test_linear_batch_matches_single_solves(seed, dim, split, size, direction, n):
+    # member b of a (C, B) start with its own matrices is bit for bit its
+    # own solve
+    rng = np.random.default_rng(seed)
+    split = min(split, dim)
+    grid = GridConfig(n, 1.0)
+    t = grid.half_times()
+    abars = [random_linear_system(rng, dim, split)(t) for _ in range(size)]
+    starts = rng.standard_normal((size, dim))
+    got = integrate_linear(np.stack(abars, 1), starts.T, grid, direction, split)
+    assert got.shape == (n + 1, dim, size)
+    for b, (abar, start) in enumerate(zip(abars, starts)):
+        single = integrate_linear(abar, start, grid, direction, split)
+        assert np.array_equal(got[:, :, b], single)
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_linear_blow_up_names_first_non_finite_node_in_stepping_order(direction):
+    # x' = A(t) x, with A's rows above the split scaled by 1/100 and
+    # 200 direction added on their diagonal, grows those four components
+    # away from the start of the solve by about 65 per step of 1/40, and they
+    # overflow part way from 1e250; the four below the split never read
+    # them and stay finite.  From 2^-400 times that start nothing
+    # overflows, and every rounding scales exactly, so that solve times
+    # 2^400 is the path from 1e250 wherever no partial sum overflows, which
+    # the dominant diagonal ensures.  The reason names the path's first
+    # non-finite node in stepping order, on one line, for a single solve
+    # and for the member that overflows first in a batch.
+    grid = GridConfig(40, 1.0)
+    dim, split = 8, 4
+    abar = random_linear_system(np.random.default_rng(5), dim, split)(grid.half_times())
+    abar[:, :dim, dim] = 0.0
+    abar[:, :split] *= 0.01
+    abar[:, range(split), range(split)] += 200.0 * direction
+    start = np.full(dim, 1e250)
+    with np.errstate(over="ignore"):
+        small = integrate_linear(abar, start * 2.0**-400, grid, direction, split)
+        path = small * 2.0**400
+    bad = np.flatnonzero(~np.isfinite(path).all(axis=1))
+    node = bad[0] if direction > 0 else bad[-1]
+    assert 0 < node < grid.n_steps
+    assert np.isfinite(path[node, split:]).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solve_linear(abar, start, grid, direction, split)
+        assert got.startswith(f"non-finite state at t={node * grid.h}: ")
+        # longer than numpy's default line width
+        assert "\n" not in got and len(got) > 100
+        # beside it, a member that stays finite and one that starts higher
+        # and so overflows first
+        batch = np.stack((abar, abar, abar), 1)
+        starts = np.stack((np.zeros(dim), start, 1e50 * start), 1)
+        first = solve_linear(batch, starts, grid, direction, split)
+        assert first == solve_linear(abar, 1e50 * start, grid, direction, split)
+
+
+def test_linear_split_keeps_an_overflow_above_it():
+    # maps whose upper-left block overflows at once: the rows below the
+    # split never read it, so they stay finite in the reason, where a
+    # product through the zero block would make them nan (0 * inf)
+    grid = GridConfig(20, 1.0)
+    dim, split = 6, 3
+    abar = random_linear_system(np.random.default_rng(7), dim, split)(grid.half_times())
+    abar[:, :split, :split] *= 1e300
+    reason = solve_linear(abar, np.ones(dim), grid, 1, split)
+    assert reason.startswith(f"non-finite state at t={grid.h}: ")
+    row = np.array([float(v) for v in reason.split("[")[1].rstrip("]").split()])
+    assert not np.isfinite(row[:split]).all()
+    assert np.isfinite(row[split:]).all()

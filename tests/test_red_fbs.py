@@ -14,7 +14,12 @@ from redblue.red.fbs import fbs_solve, solve_adjoint
 from redblue.red.fpi import fpi_solve
 from redblue.red.objective import solve_stack
 import moment_reference as reference
-from conftest import make_params, random_params
+from conftest import (
+    assert_within_column_max,
+    make_params,
+    random_params,
+    states_or_node,
+)
 
 
 def full_intensity_params():
@@ -126,11 +131,12 @@ def reference_adjoint(params, f_nodes, x, grid):
     return integrate_backward(rhs, (0.0,) * 6, grid)
 
 
-def _outcome(solve, *args):
-    try:
-        return solve(*args)
-    except NonFiniteStateError as exc:
-        return str(exc)
+# The largest difference from the per-stage reference, relative to each
+# column's max |value|, was 2.7e-12 over 1518 draws made as this test makes
+# them.  It comes from the pattern's midpoints, which the reference interpolates
+# with np.interp, amplified on patterns of scale 40; with the reference's
+# midpoints the maps differ by at most 4.5e-14 on the worst draw.
+COSTATE_BOUND = 1e-11
 
 
 @settings(max_examples=40)
@@ -141,8 +147,8 @@ def _outcome(solve, *args):
     scale=st.sampled_from([1e-3, 1.0, 40.0]),
 )
 def test_adjoint_matches_the_per_stage_reference(seed, mode, n_steps, scale):
-    # the tables of K, dG/ds and the payoff gradient step the costates bit
-    # for bit as the per-stage products did
+    # the composed RK4 maps step the costates as the per-stage products did,
+    # up to rounding; a solve that goes non-finite does so at the same node
     rng = np.random.default_rng(seed)
     params = replace(random_params(rng, mode), vbar=Constant(0.0), vbar_final=0.0)
     grid = GridConfig(n_steps, params.horizon)
@@ -151,9 +157,9 @@ def test_adjoint_matches_the_per_stage_reference(seed, mode, n_steps, scale):
         x, _ = solve_stack(params, f_nodes, grid)
     except NonFiniteStateError:
         return
-    want = _outcome(reference_adjoint, params, f_nodes, x, grid)
-    got = _outcome(solve_adjoint, params, f_nodes, x, grid)
+    want = states_or_node(reference_adjoint, params, f_nodes, x, grid)
+    got = states_or_node(solve_adjoint, params, f_nodes, x, grid)
     if isinstance(want, str):
         assert got == want
     else:
-        assert got.tobytes() == want.tobytes()
+        assert_within_column_max(got, want, COSTATE_BOUND)
