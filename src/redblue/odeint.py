@@ -35,8 +35,9 @@ matrix [[A, b], [0, 0]] at every half-grid point, builds every RK4 step as
 one affine map with batched matrix products, and composes the maps with a
 prefix scan.  It is the same scheme, rounded differently, and ends with the
 same finiteness check.  The package steps the moment block and the fbs
-costates this way, and only the nonlinear coefficient block F through the
-loop.
+costates this way.  The loop steps the nonlinear coefficient block F, alone
+in ``moments.solve_stack`` and together with its linear lines gamma, theta
+and xi in ``riccati.solve_value_coeffs``.
 """
 
 from __future__ import annotations
@@ -138,25 +139,8 @@ def integrate_backward(rhs: Rhs, terminal_state, grid: GridConfig) -> np.ndarray
     return _rk4(rhs, terminal_state, grid, -1)
 
 
-def _compose(a: np.ndarray, b: np.ndarray, split: int) -> np.ndarray:
-    """The batched product a @ b of matrices of one shape whose rows from
-    ``split`` on are zero left of column ``split``.  No product reads that
-    zero block, so an inf or nan above it never reaches the rows below it
-    (0 * inf is nan)."""
-    if not split:
-        return a @ b
-    r = split
-    out = np.empty(a.shape)
-    np.matmul(a[..., :r, :r], b[..., :r, :r], out=out[..., :r, :r])
-    # the rows above the split, right of it: both terms of the block product
-    np.matmul(a[..., :r, :], b[..., :, r:], out=out[..., :r, r:])
-    out[..., r:, :r] = 0.0
-    np.matmul(a[..., r:, r:], b[..., r:, r:], out=out[..., r:, r:])
-    return out
-
-
 def integrate_linear(
-    abar: np.ndarray, state, grid: GridConfig, direction: int, split: int = 0
+    abar: np.ndarray, state, grid: GridConfig, direction: int
 ) -> np.ndarray:
     """RK4 states of x' = A(t) x + b(t) at every node, stepping from node 0
     (direction +1) or from node n_steps (direction -1): ``_rk4``'s scheme,
@@ -165,9 +149,7 @@ def integrate_linear(
     ``abar`` holds the augmented matrix [[A, b], [0, 0]] at every half-grid
     point, (2 n_steps + 1, C + 1, C + 1), or (2 n_steps + 1, B, C + 1, C + 1)
     for B members; ``state`` is (C,) or (C, B), and the node states are laid
-    out as ``_rk4``'s.  A system whose rows from ``split`` on never read the
-    components before ``split`` (a block-triangular A) passes that index,
-    and its products never multiply that zero block.
+    out as ``_rk4``'s.
 
     One RK4 step of a linear system is the affine map
     M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) of the augmented state (x, 1), with
@@ -189,15 +171,15 @@ def integrate_linear(
     # an overflow gives inf or nan for the finiteness check to reject
     with np.errstate(over="ignore", invalid="ignore"):
         a, m, c = abar[:-1:2], abar[1::2], abar[2::2]
-        k2 = _compose(m, eye + (0.5 * h) * a, split)
-        k3 = _compose(m, eye + (0.5 * h) * k2, split)
-        k4 = _compose(c, eye + h * k3, split)
+        k2 = m @ (eye + (0.5 * h) * a)
+        k3 = m @ (eye + (0.5 * h) * k2)
+        k4 = c @ (eye + h * k3)
         maps = eye + (h / 6.0) * (a + 2.0 * k2 + 2.0 * k3 + k4)
         # after the pass of stride d, maps[i] composes the steps from
         # max(0, i - 2d + 1) to i, the earliest applied first
         d = 1
         while d < n:
-            maps[d:] = _compose(maps[d:], maps[:-d], split)
+            maps[d:] = maps[d:] @ maps[:-d]
             d *= 2
         # (x, 1) at the start, one (C + 1, 1) column per member
         start_bar = np.concatenate((start, np.ones((1, *start.shape[1:]))))

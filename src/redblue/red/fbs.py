@@ -8,14 +8,16 @@ coefficient block is autonomous so this ordering is exact), solves the six
 adjoint equations backward from zero into one (n_steps + 1, 6) costate
 array, and replaces the pattern by the relaxed Hamiltonian minimizer.  The
 relaxation weight is halved whenever the objective rises, which tames the
-oscillation plain sweeps are prone to.
+oscillation plain sweeps are prone to.  The sweep stops once the relaxed
+step is below the tolerance, and reports converged only if the step at the
+configured weight is too.
 
 The costate equations are linear in the costates, and every factor is
 known once the states are: F's Jacobian, the moment block's matrix K,
 dG/d(mu, eta, rho) and the payoff gradient, all from ``redblue.dynamics``.
-The adjoint lays them out over the half grid as one block-triangular
-linear system, since the moment costates never read the coefficient ones,
-and ``odeint.integrate_linear`` composes its RK4 step maps.
+The adjoint lays them out over the half grid as one linear system, whose
+moment costates never read the coefficient ones, and
+``odeint.integrate_linear`` composes its RK4 step maps.
 """
 
 from __future__ import annotations
@@ -53,8 +55,9 @@ def solve_adjoint(
     rows, cols = np.array(GAIN_ROWS), np.array(GAIN_COLS)
     # psi' = -abar (psi, 1) with psi = (q, p), q over (mu, eta, rho) and p
     # over (h20, h11, h02): the q rows read J_F^T, (dG/ds)^T and dL/ds, the
-    # p rows only K^T and dL/dm, so the p rows never read q.  An overflow
-    # gives inf or nan for the solve to reject.
+    # p rows only K^T and dL/dm: their entries left of column 3 are zero,
+    # since the moment costates never read q.  An overflow gives inf or nan
+    # for the solve to reject.
     abar = np.zeros((len(f), 7, 7))
     with np.errstate(over="ignore", invalid="ignore"):
         for i, unit in enumerate(np.eye(3)):
@@ -67,7 +70,7 @@ def solve_adjoint(
         abar[:, (1, 2, 4, 5), 6] = np.stack(
             (*dyn.payoff_grad_s(h11, h02, f), *dyn.payoff_grad_m(eta, rho, f)), -1
         )
-    return integrate_linear(-abar, np.zeros(6), grid, -1, split=3)
+    return integrate_linear(-abar, np.zeros(6), grid, -1)
 
 
 def _hamiltonian_coeffs(
@@ -114,7 +117,9 @@ def fbs_solve(
         f = f_new
         iterations = it + 1
         if delta < config.tolerance:
-            converged = True
+            # omega only halves, so the factor is exactly 2^k: the step at
+            # the configured weight, not a step shrunk by halving, must pass
+            converged = delta * (config.fbs_relaxation / omega) < config.tolerance
             break
     return finish_report(
         params, config, grid, f, anchor, history, iterations, converged

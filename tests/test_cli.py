@@ -415,7 +415,8 @@ def test_validate_fails_both_closure_rows_on_a_tiny_target(tmp_path, capsys, tar
 
 def test_six_component_blow_up_reason_is_one_line(tmp_path, capsys):
     # the fbs costate solve goes non-finite; its six-component row is longer
-    # than numpy's default line width
+    # than numpy's default line width.  The step maps overflow, so every
+    # entry of the row is inf or nan, the moment costates too (0 * inf)
     overrides = {
         "red.solver": "fbs",
         "model.r_beta": 1e154,
@@ -425,9 +426,13 @@ def test_six_component_blow_up_reason_is_one_line(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(README_DOC, **overrides))
     assert main(["red-optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("numeric failure: non-finite state at t=")
+    prefix = "numeric failure: non-finite state at t="
+    assert err.startswith(prefix)
     assert err.count("\n") == 1
-    assert err.count("nan") == 3
+    node, row = err[len(prefix):].split(": ")
+    assert node == "0.09166666666666666"
+    entries = [float(v) for v in row.strip().strip("[]").split()]
+    assert len(entries) == 6 and not np.isfinite(entries).any()
 
 
 def test_martingale_check_fails_on_an_overflowing_sample(

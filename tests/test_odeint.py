@@ -314,12 +314,12 @@ def linear_rhs(abar):
     return lambda j, x: rows[j] @ np.append(x, 1.0)
 
 
-def solve_linear(abar, start, grid, direction, split=0, rk4=False):
+def solve_linear(abar, start, grid, direction, rk4=False):
     """The linear stepper's solve, or the RK4 loop's; either one's reason
     if it goes non-finite."""
     try:
         if not rk4:
-            return integrate_linear(abar, start, grid, direction, split)
+            return integrate_linear(abar, start, grid, direction)
         solve = integrate_forward if direction > 0 else integrate_backward
         return solve(linear_rhs(abar), start, grid)
     except NonFiniteStateError as exc:
@@ -340,7 +340,7 @@ def test_linear_stepper_matches_the_rk4_loop(seed, dim, split, direction, n, hor
     grid = GridConfig(n, horizon)
     abar = random_linear_system(rng, dim, min(split, dim))(grid.half_times())
     start = rng.standard_normal(dim)
-    got = integrate_linear(abar, start, grid, direction, min(split, dim))
+    got = integrate_linear(abar, start, grid, direction)
     want = solve_linear(abar, start, grid, direction, rk4=True)
     assert got.shape == want.shape == (n + 1, dim)
     # the start row is exact; elsewhere at most a few roundings of the
@@ -383,10 +383,10 @@ def test_linear_batch_matches_single_solves(seed, dim, split, size, direction, n
     t = grid.half_times()
     abars = [random_linear_system(rng, dim, split)(t) for _ in range(size)]
     starts = rng.standard_normal((size, dim))
-    got = integrate_linear(np.stack(abars, 1), starts.T, grid, direction, split)
+    got = integrate_linear(np.stack(abars, 1), starts.T, grid, direction)
     assert got.shape == (n + 1, dim, size)
     for b, (abar, start) in enumerate(zip(abars, starts)):
-        single = integrate_linear(abar, start, grid, direction, split)
+        single = integrate_linear(abar, start, grid, direction)
         assert np.array_equal(got[:, :, b], single)
 
 
@@ -410,7 +410,7 @@ def test_linear_blow_up_names_first_non_finite_node_in_stepping_order(direction)
     abar[:, range(split), range(split)] += 200.0 * direction
     start = np.full(dim, 1e250)
     with np.errstate(over="ignore"):
-        small = integrate_linear(abar, start * 2.0**-400, grid, direction, split)
+        small = integrate_linear(abar, start * 2.0**-400, grid, direction)
         path = small * 2.0**400
     bad = np.flatnonzero(~np.isfinite(path).all(axis=1))
     node = bad[0] if direction > 0 else bad[-1]
@@ -418,7 +418,7 @@ def test_linear_blow_up_names_first_non_finite_node_in_stepping_order(direction)
     assert np.isfinite(path[node, split:]).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = solve_linear(abar, start, grid, direction, split)
+        got = solve_linear(abar, start, grid, direction)
         assert got.startswith(f"non-finite state at t={node * grid.h}: ")
         # longer than numpy's default line width
         assert "\n" not in got and len(got) > 100
@@ -426,20 +426,5 @@ def test_linear_blow_up_names_first_non_finite_node_in_stepping_order(direction)
         # and so overflows first
         batch = np.stack((abar, abar, abar), 1)
         starts = np.stack((np.zeros(dim), start, 1e50 * start), 1)
-        first = solve_linear(batch, starts, grid, direction, split)
-        assert first == solve_linear(abar, 1e50 * start, grid, direction, split)
-
-
-def test_linear_split_keeps_an_overflow_above_it():
-    # maps whose upper-left block overflows at once: the rows below the
-    # split never read it, so they stay finite in the reason, where a
-    # product through the zero block would make them nan (0 * inf)
-    grid = GridConfig(20, 1.0)
-    dim, split = 6, 3
-    abar = random_linear_system(np.random.default_rng(7), dim, split)(grid.half_times())
-    abar[:, :split, :split] *= 1e300
-    reason = solve_linear(abar, np.ones(dim), grid, 1, split)
-    assert reason.startswith(f"non-finite state at t={grid.h}: ")
-    row = np.array([float(v) for v in reason.split("[")[1].rstrip("]").split()])
-    assert not np.isfinite(row[:split]).all()
-    assert np.isfinite(row[split:]).all()
+        first = solve_linear(batch, starts, grid, direction)
+        assert first == solve_linear(abar, 1e50 * start, grid, direction)

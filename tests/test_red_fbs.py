@@ -10,9 +10,9 @@ from redblue.dynamics import Dynamics
 from redblue.model import GridSampled, grid_function, sample_on_half_grid
 from redblue.moments import nodes_to_half_grid
 from redblue.odeint import integrate_backward
-from redblue.red.fbs import fbs_solve, solve_adjoint
+from redblue.red.fbs import _hamiltonian_coeffs, fbs_solve, solve_adjoint
 from redblue.red.fpi import fpi_solve
-from redblue.red.objective import solve_stack
+from redblue.red.objective import anchor_values, closed_form_update, solve_stack
 import moment_reference as reference
 from conftest import (
     assert_within_column_max,
@@ -163,3 +163,75 @@ def test_adjoint_matches_the_per_stage_reference(seed, mode, n_steps, scale):
         assert got == want
     else:
         assert_within_column_max(got, want, COSTATE_BOUND)
+
+
+def step_at_configured_weight(params, config, grid, f):
+    """fbs_relaxation * ||f_hat - f||: the step an undamped sweep would take
+    from the pattern f."""
+    x, _ = solve_stack(params, f, grid)
+    psi = solve_adjoint(params, f, x, grid)
+    a, b = _hamiltonian_coeffs(Dynamics.of(params), x, psi)
+    f_hat = closed_form_update(a, b, anchor_values(config, grid), config)
+    return config.fbs_relaxation * float(np.linalg.norm(f_hat - f))
+
+
+def test_fbs_is_unconverged_when_halving_shrank_its_step():
+    # the objective rises from iteration 5 on, so omega is halved six times
+    # and the relaxed step falls below the tolerance at iteration 11, while
+    # the step at the configured weight is still about 49 times it.  The
+    # stop rule is unchanged: the same iterations, history and pattern.
+    params = make_params(horizon=1.0, sigma_b=0.25, sigma_w=0.25, lam=0.5)
+    grid = GridConfig(300, 1.0)
+    config = RedConfig(lambda_reg=1.0, penalty_kind="quadratic", solver="fbs")
+    report = fbs_solve(params, config, grid)
+    assert not report.converged
+    assert report.iterations == 11
+    np.testing.assert_allclose(
+        report.objective_history,
+        [
+            29.17455223413,
+            12.17066887738661,
+            10.770672084394313,
+            10.614646781901046,
+            10.60133019347486,
+            10.603768122739561,
+            10.604711622491614,
+            10.605114091050838,
+            10.605298785990367,
+            10.605387173037997,
+            10.605430400910809,
+            10.60545177660515,
+        ],
+        rtol=1e-12,
+    )
+    f = report.f_c.values
+    assert f.sum() == pytest.approx(88.75453238535562, rel=1e-12)
+    assert f[0] == pytest.approx(0.36537286619022297, rel=1e-12)
+    assert f[-1] == pytest.approx(0.2531194023996015, rel=1e-12)
+    step = step_at_configured_weight(params, config, grid, f)
+    assert step > 40.0 * config.tolerance
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_steps=st.integers(10, 60),
+    lambda_reg=st.sampled_from([0.01, 0.1, 1.0]),
+    kind=st.sampled_from(["quadratic", "logarithmic"]),
+)
+def test_fbs_converged_means_the_configured_step_is_small(
+    seed, n_steps, lambda_reg, kind
+):
+    # a converged report is a true statement at the returned pattern: the
+    # step at the configured relaxation weight is below the tolerance there
+    rng = np.random.default_rng(seed)
+    params = replace(random_params(rng, "upper"), vbar=Constant(0.0), vbar_final=0.0)
+    grid = GridConfig(n_steps, params.horizon)
+    config = RedConfig(lambda_reg=lambda_reg, penalty_kind=kind, solver="fbs")
+    try:
+        report = fbs_solve(params, config, grid)
+    except NonFiniteStateError:
+        return
+    if report.converged:
+        step = step_at_configured_weight(params, config, grid, report.f_c.values)
+        assert step < config.tolerance
