@@ -1,16 +1,17 @@
 """Blue-team feedback controls built from the solved coefficient curves.
 
-Both controls are affine in the state:
+Both controls are affine in the state,
 
-    alpha_hat(t, v, y) = -(mu/r_alpha) v - (eta/r_alpha) y - gamma/r_alpha
-    beta_hat(t, v, y)  = -(eta/r_beta) v
-                         + (u f_c(t) - rho/r_beta) y + (u f_d(t) - theta/r_beta)
+    alpha_hat(t, v, y) = a_v v + a_y y + a_0
+    beta_hat(t, v, y)  = b_v v + b_y y + b_0,
 
-with u = lam / (r_beta sigma_w^2).  Coefficient curves are linearly
-interpolated between nodes for off-grid times; the pattern functions are
-evaluated exactly.  Without misdirection (lam = 0 or a zero pattern)
-beta_hat vanishes identically, and at the upper bound lam = r_beta sigma_w^2
-it reproduces the pattern drift f_c(t) y + f_d(t) exactly.
+with the gains of ``redblue.dynamics`` (``Dynamics.state_gains`` and
+``offset_gains``), the only place they are written out.  Coefficient curves
+are linearly interpolated between nodes for off-grid times; the pattern
+functions are evaluated exactly.  Without misdirection (lam = 0 or a zero
+pattern) beta_hat vanishes identically, and at the upper bound
+lam = r_beta sigma_w^2 it reproduces the pattern drift f_c(t) y + f_d(t)
+exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import misdirection_gain
+from .dynamics import Dynamics
 from .errors import GridMismatchError, OutOfDomainError
 from .model import GridConfig, ModelParams, Pattern, sample_on_grid
 from .riccati import ValueCoeffs, check_same_grid, solve_value_coeffs
@@ -50,16 +51,14 @@ class FeedbackPolicy:
         for name in ("mu", "eta", "rho", "gamma", "theta", "xi"):
             if getattr(self.coeffs, name).shape != (n,):
                 raise GridMismatchError(f"coefficient curve {name} has wrong length")
-        p = self.params
-        u = misdirection_gain(p)
+        dyn = Dynamics.of(self.params)
+        c = self.coeffs
         fc = sample_on_grid(self.pattern.f_c, self.grid)
         fd = sample_on_grid(self.pattern.f_d, self.grid)
-        self.alpha_v = -self.coeffs.mu / p.r_alpha
-        self.alpha_y = -self.coeffs.eta / p.r_alpha
-        self.alpha_0 = -self.coeffs.gamma / p.r_alpha
-        self.beta_v = -self.coeffs.eta / p.r_beta
-        self.beta_y = u * fc - self.coeffs.rho / p.r_beta
-        self.beta_0 = u * fd - self.coeffs.theta / p.r_beta
+        self.alpha_v, self.alpha_y, self.beta_v, self.beta_y = dyn.state_gains(
+            c.mu, c.eta, c.rho, fc
+        )
+        self.alpha_0, self.beta_0 = dyn.offset_gains(c.gamma, c.theta, fd)
 
     @classmethod
     def solve(
@@ -67,37 +66,32 @@ class FeedbackPolicy:
     ) -> "FeedbackPolicy":
         return cls(params, pattern, grid, solve_value_coeffs(params, pattern, grid))
 
-    def _check_time(self, t) -> None:
+    def _gains(self, t):
+        """(a_v, a_y, b_v, b_y, a_0, b_0) at time t: the coefficient curves
+        interpolated in t, the pattern evaluated exactly."""
         arr = np.asarray(t, dtype=float)
         if np.any(arr < -1e-9) or np.any(arr > self.grid.horizon + 1e-9):
             raise OutOfDomainError(f"time {t} outside [0, {self.grid.horizon}]")
-
-    def _interp(self, curve: np.ndarray, t):
-        return np.interp(
-            np.clip(t, 0.0, self.grid.horizon), self.grid.times(), curve
+        c, nodes = self.coeffs, self.grid.times()
+        at = np.clip(t, 0.0, self.grid.horizon)
+        mu, eta, rho, gamma, theta = (
+            np.interp(at, nodes, curve)
+            for curve in (c.mu, c.eta, c.rho, c.gamma, c.theta)
+        )
+        dyn = Dynamics.of(self.params)
+        return (
+            *dyn.state_gains(mu, eta, rho, self.pattern.f_c(t)),
+            *dyn.offset_gains(gamma, theta, self.pattern.f_d(t)),
         )
 
 
 def optimal_alpha(policy: FeedbackPolicy, t, v, y):
     """Primary control at (t, v, y); coefficient curves interpolated in t."""
-    policy._check_time(t)
-    p = policy.params
-    mu = policy._interp(policy.coeffs.mu, t)
-    eta = policy._interp(policy.coeffs.eta, t)
-    gamma = policy._interp(policy.coeffs.gamma, t)
-    return -(mu / p.r_alpha) * v - (eta / p.r_alpha) * y - gamma / p.r_alpha
+    a_v, a_y, _, _, a_0, _ = policy._gains(t)
+    return a_v * v + a_y * y + a_0
 
 
 def optimal_beta(policy: FeedbackPolicy, t, v, y):
     """Misdirection control at (t, v, y); pattern terms evaluated exactly."""
-    policy._check_time(t)
-    p = policy.params
-    u = misdirection_gain(p)
-    eta = policy._interp(policy.coeffs.eta, t)
-    rho = policy._interp(policy.coeffs.rho, t)
-    theta = policy._interp(policy.coeffs.theta, t)
-    fc_t = policy.pattern.f_c(t)
-    fd_t = policy.pattern.f_d(t)
-    coef_y = u * fc_t - rho / p.r_beta
-    coef_0 = u * fd_t - theta / p.r_beta
-    return -(eta / p.r_beta) * v + coef_y * y + coef_0
+    _, _, b_v, b_y, _, b_0 = policy._gains(t)
+    return b_v * v + b_y * y + b_0

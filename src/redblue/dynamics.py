@@ -1,32 +1,55 @@
 """The model's equations, stated once.
 
-Under a pattern f = f_c(t) (zero offset, zero velocity targets) the blue
-solution is one system of ODEs in the coefficient block s = (mu, eta, rho),
-solved backward from s(T) = (t_v, 0, 0), and the second-moment block
-m = (h20, h11, h02), solved forward from m(0) = (v0^2, v0 y0, y0^2):
+Blue plays a linear feedback law, alpha = a_v V + a_y Y + a_0 and
+beta = b_v V + b_y Y + b_0, on the state V' = alpha, Y' = V + beta (plus
+noise), so everything blue's solution implies is a property of one closed
+loop,
+
+    A = [[a_v,     a_y],
+         [1 + b_v, b_y]],
+
+with the gains of ``state_gains`` and ``offset_gains``:
+
+    a_v = -(mu/r_alpha),  a_y = -(eta/r_alpha),  a_0 = -(gamma/r_alpha),
+    b_v = -(eta/r_beta),  b_y = u f_c - rho/r_beta,  b_0 = u f_d - theta/r_beta,
+
+where u = lam/(r_beta sigma_w^2) and c2 = (lam/sigma_w^2)(u - 1).  The
+coefficient block s = (mu, eta, rho) is solved backward from
+s(T) = (t_v, 0, 0):
 
     F:  mu'  = mu^2/r_alpha + eta^2/r_beta - 2 eta - r_v
-        eta' = mu eta/r_alpha + rho eta/r_beta - rho - u eta f
-        rho' = eta^2/r_alpha + rho^2/r_beta - 2 u rho f + c2 f^2
+        eta' = mu eta/r_alpha + rho eta/r_beta - rho - u eta f_c
+        rho' = eta^2/r_alpha + rho^2/r_beta - 2 u rho f_c + c2 f_c^2
 
-    G:  h20' = -2 (mu/r_alpha) h20 - 2 (eta/r_alpha) h11 + sigma_b^2
-        h11' = (u f - rho/r_beta - mu/r_alpha) h11 + (1 - eta/r_beta) h20
-               - (eta/r_alpha) h02
-        h02' = 2 (1 - eta/r_beta) h11 + 2 (u f - rho/r_beta) h02 + sigma_w^2
+The value function's linear terms follow the transposed loop,
+(gamma, theta)' = -A^T (gamma, theta) + (r_v vbar - u eta f_d,
+-u rho f_d + c2 f_c f_d), and xi collects the constant terms; the three
+lines are ``value_rhs``.
 
-with u = lam/(r_beta sigma_w^2) and c2 = (lam/sigma_w^2)(u - 1).  G is
-linear in m: G = K m + sigma with sigma = (sigma_b^2, 0, sigma_w^2), where
-K depends on (mu, eta, rho) and f only, and dG/d(mu, eta, rho) depends on m
-only.  The payoff integrand L = -(eta h11 + rho h02) f/r_beta
-+ (u - 1/2) h02 f^2, divided by sigma_w^2, is the rate of the expected log
-likelihood ratio.
+Under a pattern f = f_c(t) (zero offset, zero velocity targets) the
+second-moment block m = (h20, h11, h02), solved forward from
+m(0) = (v0^2, v0 y0, y0^2), obeys A's Lyapunov equation
+M' = A M + M A^T + diag(sigma_b^2, sigma_w^2) for M = [[h20, h11], [h11, h02]]:
+
+    G:  h20' = 2 a_v h20 + 2 a_y h11 + sigma_b^2
+        h11' = (b_y + a_v) h11 + (1 + b_v) h20 + a_y h02
+        h02' = 2 (1 + b_v) h11 + 2 b_y h02 + sigma_w^2
+
+G is linear in m, G = K m + sigma with sigma = (sigma_b^2, 0, sigma_w^2):
+K, A's Lyapunov operator on m, depends on (mu, eta, rho) and f only, and
+dG/d(mu, eta, rho) on m only.  The payoff integrand
+L = -(eta h11 + rho h02) f/r_beta + (u - 1/2) h02 f^2, divided by
+sigma_w^2, is the rate of the expected log likelihood ratio.
+
+The gains are computed only here: ``controls.FeedbackPolicy`` tables them
+for the Monte Carlo paths and the pointwise controls, ``moment_gains`` reads
+K off them, and ``value_rhs`` steps gamma and theta with them.
 
 G is stepped by RK4, and the payoff integrated, only in ``redblue.moments``:
 its ``solve_stack`` steps F and then G for the pattern optimizers and the
 Stackelberg loop, one pattern or a batch, and its public ``solve_moments``
 steps G through the same function, from the curves of
-``riccati.solve_value_coeffs``, which steps F alongside the gamma, theta and
-xi lines.
+``riccati.solve_value_coeffs``, which steps F and ``value_rhs`` together.
 The Euler recursions of the network objective and their reverse sweeps, and
 the forward-backward sweep's costates, evaluate the same functions and their
 transposed-Jacobian products; nothing else restates them.  Each product, and
@@ -131,39 +154,55 @@ class Dynamics:
         d_rho = eta * eta / ra + rho * rho / rb - 2.0 * u * rho * f + self.c2 * f * f
         return d_mu, d_eta, d_rho
 
+    def state_gains(self, mu, eta, rho, f):
+        """(a_v, a_y, b_v, b_y): the gains of blue's feedback on (V, Y), with
+        alpha = a_v V + a_y Y + a_0 and beta = b_v V + b_y Y + b_0."""
+        ra, rb = self.r_alpha, self.r_beta
+        return -(mu / ra), -(eta / ra), -(eta / rb), self.u * f - rho / rb
+
+    def offset_gains(self, gamma, theta, f_d):
+        """(a_0, b_0): the state-free terms of alpha and beta."""
+        return -(gamma / self.r_alpha), self.u * f_d - theta / self.r_beta
+
+    def value_rhs(self, mu, eta, rho, gamma, theta, f_c, f_d, vbar):
+        """Time derivatives of (gamma, theta, xi), the value function's
+        linear and constant terms: (gamma, theta)' = -A^T (gamma, theta)
+        plus the forcing of the velocity target and the pattern offset."""
+        a_v, a_y, b_v, b_y = self.state_gains(mu, eta, rho, f_c)
+        ra, rb, r_v, u, c2 = self.r_alpha, self.r_beta, self.r_v, self.u, self.c2
+        d_gamma = -(a_v * gamma + (1.0 + b_v) * theta) + r_v * vbar - u * eta * f_d
+        d_theta = -(a_y * gamma + b_y * theta) - u * f_d * rho + c2 * f_c * f_d
+        d_xi = (
+            gamma * gamma / (2.0 * ra)
+            + theta * theta / (2.0 * rb)
+            - 0.5 * self.sb2 * mu
+            - 0.5 * self.sw2 * rho
+            - u * f_d * theta
+            - 0.5 * r_v * vbar * vbar
+            + 0.5 * c2 * f_d * f_d
+        )
+        return d_gamma, d_theta, d_xi
+
     def moment_gains(self, mu, eta, rho, f):
         """The seven nonzero entries of K, row by row, with G = K m + sigma:
+        A, from ``state_gains``, acting on the second moments,
 
-            K = [[k00, k01, 0  ],
-                 [k10, k11, k12],
-                 [0,   k21, k22]]
-
-        k00 = -2 (mu/r_alpha), k01 = -(2 (eta/r_alpha)), k10 = 1 - eta/r_beta,
-        k11 = (u f - rho/r_beta) - mu/r_alpha, k12 = -(eta/r_alpha),
-        k21 = 2 (1 - eta/r_beta) and k22 = 2 (u f - rho/r_beta).
+            K = [[2 a_v,   2 a_y,       0    ],
+                 [1 + b_v, b_y + a_v,   a_y  ],
+                 [0,       2 (1 + b_v), 2 b_y]].
 
         K m and K^T p built from these entries equal, bit for bit, G and
-        its vjp with every factor computed in place, outside the subnormal
-        range (and short of overflow).  The in-place factors differ from the
-        entries only by exact power-of-two scalings: (-2 mu)/r_alpha against
-        -2 (mu/r_alpha), (2 p3) b against p3 (2 b), and (-eta)/r_alpha
-        against -(eta/r_alpha).  A negative entry added equals its magnitude
-        subtracted, since x - y is x + (-y) in IEEE arithmetic.
+        its vjp with every factor computed in place from (mu, eta, rho, f),
+        outside the subnormal range (and short of overflow).  The in-place
+        factors differ from the entries only by exact power-of-two scalings
+        and signs: (-2 mu)/r_alpha against 2 a_v = 2 (-(mu/r_alpha)), (2 p3) b
+        against p3 (2 b), and (-eta)/r_alpha against a_y = -(eta/r_alpha).
+        A negative entry added equals its magnitude subtracted, since x - y
+        is x + (-y) in IEEE arithmetic.
         """
-        ra, rb = self.r_alpha, self.r_beta
-        mu_a = mu / ra
-        eta_a = eta / ra
-        leak = 1.0 - eta / rb
-        drift = self.u * f - rho / rb
-        return (
-            -2.0 * mu_a,
-            -(2.0 * eta_a),
-            leak,
-            drift - mu_a,
-            -eta_a,
-            2.0 * leak,
-            2.0 * drift,
-        )
+        a_v, a_y, b_v, b_y = self.state_gains(mu, eta, rho, f)
+        leak = 1.0 + b_v
+        return 2.0 * a_v, 2.0 * a_y, leak, b_y + a_v, a_y, 2.0 * leak, 2.0 * b_y
 
     def moment_rhs(self, h20, h11, h02, gains):
         """G = K m + sigma: time derivatives of (h20, h11, h02), given the

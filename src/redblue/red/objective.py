@@ -96,16 +96,6 @@ class OptimizationReport:
         }
 
 
-def node_values(f_c, grid: GridConfig) -> np.ndarray:
-    """Accept a TimeFunction or a bare node array; return node values."""
-    if isinstance(f_c, TimeFunction):
-        return sample_on_grid(f_c, grid)
-    vals = np.asarray(f_c, dtype=float)
-    if vals.shape != (grid.n_steps + 1,):
-        raise ValueError(f"expected {grid.n_steps + 1} node values")
-    return vals
-
-
 def anchor_values(config: RedConfig, grid: GridConfig) -> np.ndarray:
     anchor = sample_on_grid(config.f_c_initial, grid)
     if config.penalty_kind == PENALTY_LOGARITHMIC and np.any(anchor <= 0.0):
@@ -113,18 +103,12 @@ def anchor_values(config: RedConfig, grid: GridConfig) -> np.ndarray:
     return anchor
 
 
-def penalty(f_c, config: RedConfig, grid: GridConfig) -> float:
-    """Trapezoid quadrature of the trust penalty over [0, T]."""
-    return anchored_penalty(
-        node_values(f_c, grid), anchor_values(config, grid), config, grid
-    )
-
-
 def anchored_penalty(
     f: np.ndarray, anchor: np.ndarray, config: RedConfig, grid: GridConfig
 ) -> float:
-    """``penalty`` of the node values f, given the anchor's node values, so
-    a solver that evaluates many patterns samples the anchor once."""
+    """Trapezoid quadrature over [0, T] of the trust penalty of the node
+    values f, given the anchor's node values, so a solver that evaluates
+    many patterns samples the anchor once."""
     if config.penalty_kind == PENALTY_QUADRATIC:
         return float(np.trapezoid((f - anchor) ** 2, dx=grid.h))
     if np.any(f <= 0.0):

@@ -5,13 +5,14 @@ The blue team's value function is quadratic in (v, y):
     V(t, v, y) = mu/2 v^2 + eta v y + rho/2 y^2 + gamma v + theta y + xi,
 
 so dynamic programming reduces to six coupled scalar ODEs integrated backward
-from the terminal cost.  The (mu, eta, rho) block is autonomous and its
-equations F are stated in ``redblue.dynamics``; this module adds the gamma,
-theta lines, which pick up the running target vbar and the pattern offset
-f_d, and the xi line, which collects the constant terms.  This public solve
-takes one pattern; the pattern optimizers and the Stackelberg loop, which
-read only (mu, eta, rho), integrate F alone for one pattern or a batch in
-``redblue.moments.solve_stack``.
+from the terminal cost.  Their right-hand sides are stated in
+``redblue.dynamics``: ``coeff_rhs`` for the autonomous (mu, eta, rho) block
+F, and ``value_rhs`` for the gamma and theta lines, which pick up the
+running target vbar and the pattern offset f_d, and the xi line, which
+collects the constant terms.  This module samples the inputs and runs the
+one backward solve, for one pattern; the pattern optimizers and the
+Stackelberg loop, which read only (mu, eta, rho), integrate F alone for one
+pattern or a batch in ``redblue.moments.solve_stack``.
 """
 
 from __future__ import annotations
@@ -80,40 +81,14 @@ def solve_value_coeffs(
     fd = sample_on_half_grid(pattern.f_d, grid).tolist()
     vb = sample_on_half_grid(params.vbar, grid).tolist()
     dyn = Dynamics.of(params)
-    coeff_rhs = dyn.coeff_rhs
-    r_alpha, r_beta, r_v = dyn.r_alpha, dyn.r_beta, dyn.r_v
-    u, c2, sb2, sw2 = dyn.u, dyn.c2, dyn.sb2, dyn.sw2
+    coeff_rhs, value_rhs = dyn.coeff_rhs, dyn.value_rhs
 
     def rhs(j: int, state: tuple) -> tuple:
-        mu, eta, rho, gamma, theta, xi = state
-        fc_t = fc[j]
-        fd_t = fd[j]
-        vb_t = vb[j]
-        d_mu, d_eta, d_rho = coeff_rhs(mu, eta, rho, fc_t)
-        d_gamma = (
-            mu * gamma / r_alpha
-            + eta * theta / r_beta
-            - theta
-            + r_v * vb_t
-            - u * eta * fd_t
+        mu, eta, rho, gamma, theta, _ = state
+        return (
+            *coeff_rhs(mu, eta, rho, fc[j]),
+            *value_rhs(mu, eta, rho, gamma, theta, fc[j], fd[j], vb[j]),
         )
-        d_theta = (
-            eta * gamma / r_alpha
-            + rho * theta / r_beta
-            - u * theta * fc_t
-            - u * fd_t * rho
-            + c2 * fc_t * fd_t
-        )
-        d_xi = (
-            gamma * gamma / (2.0 * r_alpha)
-            + theta * theta / (2.0 * r_beta)
-            - 0.5 * sb2 * mu
-            - 0.5 * sw2 * rho
-            - u * fd_t * theta
-            - 0.5 * r_v * vb_t * vb_t
-            + 0.5 * c2 * fd_t * fd_t
-        )
-        return d_mu, d_eta, d_rho, d_gamma, d_theta, d_xi
 
     states = integrate_backward(rhs, terminal_conditions(params), grid)
     return ValueCoeffs(

@@ -44,27 +44,15 @@ def base_doc(**overrides):
     return doc
 
 
-# The example config of the README, verbatim.
-README_DOC = {
-    "model.T": 0.1,
-    "model.sigma_B": 0.1,
-    "model.sigma_W": 0.1,
-    "model.r_alpha": 1.0,
-    "model.r_beta": 10.0,
-    "model.r_v": 1.0,
-    "model.t_v": 1.0,
-    "model.lambda": 0.1,
-    "model.v0": 1.0,
-    "model.y0": 2.0,
-    "grid.n_steps": 200,
-    "pattern.f_c": "constant:1",
-    "red.penalty": "logarithmic",
-    "red.lambda_reg": 1.0,
-    "red.solver": "fpi",
-    "mc.n_paths": 10000,
-    "stackelberg.n_rounds": 3,
-    "seed": 7,
-}
+def readme_example_config() -> dict:
+    """The example config of the README: its one ```json block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = text.split("```json\n")[1:]
+    assert len(blocks) == 1
+    return json.loads(blocks[0].split("```")[0])
+
+
+README_DOC = readme_example_config()
 
 
 def write_config(tmp_path: Path, doc, name="cfg.json") -> str:
@@ -294,6 +282,13 @@ def test_numeric_failure_exits_2(tmp_path):
     )
     cfg = write_config(tmp_path, doc)
     assert main(["blue-solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("command", ["blue-solve", "red-optimize", "validate"])
+def test_readme_example_runs(tmp_path, command):
+    cfg = write_config(tmp_path, README_DOC)
+    out = [] if command == "validate" else ["--out", str(tmp_path / "o")]
+    assert main([command, "--config", cfg, *out]) == 0
 
 
 @pytest.mark.parametrize("solver", ["fpi", "fbs"])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redblue import (
     Affine,
@@ -14,6 +16,8 @@ from redblue import (
     ZERO_PATTERN,
 )
 from redblue.controls import optimal_alpha, optimal_beta
+from redblue.dynamics import Dynamics
+from redblue.model import sample_on_grid
 from conftest import make_params, random_params
 
 
@@ -97,3 +101,48 @@ def test_policy_rejects_mismatched_grid():
     coeffs = FeedbackPolicy.solve(params, ZERO_PATTERN, grid).coeffs
     with pytest.raises(GridMismatchError):
         FeedbackPolicy(params, ZERO_PATTERN, other, coeffs)
+
+
+def bits(arrays) -> bytes:
+    """The bytes of a sequence of equal-length arrays, stacked."""
+    return np.asarray(arrays, dtype=float).tobytes()
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["any", "zero", "full", "upper"]),
+    n_steps=st.integers(2, 200),
+)
+def test_paths_controls_and_moments_share_one_closed_loop(seed, mode, n_steps):
+    # the node tables the paths step with, the pointwise controls at the
+    # nodes and the moment matrix K are the same gains, bit for bit, under
+    # velocity targets and a pattern with an offset
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, mode)
+    pattern = Pattern(
+        Sinusoid(rng.uniform(0.2, 2.0), rng.uniform(1.0, 30.0), rng.uniform(0.0, 3.0)),
+        Affine(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
+    )
+    p = solve_policy(params, pattern, n_steps)
+    c = p.coeffs
+    f_c = sample_on_grid(pattern.f_c, p.grid)
+    assert bits(Dynamics.of(params).moment_gains(c.mu, c.eta, c.rho, f_c)) == bits(
+        (
+            2.0 * p.alpha_v,
+            2.0 * p.alpha_y,
+            1.0 + p.beta_v,
+            p.beta_y + p.alpha_v,
+            p.alpha_y,
+            2.0 * (1.0 + p.beta_v),
+            2.0 * p.beta_y,
+        )
+    )
+    t = p.grid.times()
+    v, y = rng.uniform(-2.0, 2.0, t.size), rng.uniform(-3.0, 3.0, t.size)
+    assert bits((optimal_alpha(p, t, v, y), optimal_beta(p, t, v, y))) == bits(
+        (
+            p.alpha_v * v + p.alpha_y * y + p.alpha_0,
+            p.beta_v * v + p.beta_y * y + p.beta_0,
+        )
+    )

@@ -12,9 +12,9 @@ from redblue import (
     NonPositiveFcError,
     RedConfig,
 )
-from redblue.model import grid_function
+from redblue.model import grid_function, sample_on_grid
 from redblue.red.fpi import fpi_solve
-from redblue.red.objective import anchor_values, closed_form_update, penalty
+from redblue.red.objective import anchor_values, anchored_penalty, closed_form_update
 from conftest import make_params
 
 
@@ -138,11 +138,17 @@ def test_logarithmic_update_root_is_real_and_non_negative(a, b, anchor, lambda_r
 
 def test_penalty_values():
     grid = GridConfig(100, 0.1)
+
+    def penalty(f_c, config):
+        return anchored_penalty(
+            sample_on_grid(f_c, grid), anchor_values(config, grid), config, grid
+        )
+
     quad = RedConfig(lambda_reg=1.0, penalty_kind="quadratic")
-    assert penalty(Constant(1.5), quad, grid) == pytest.approx(0.025, rel=1e-12)
+    assert penalty(Constant(1.5), quad) == pytest.approx(0.025, rel=1e-12)
     log = RedConfig(lambda_reg=1.0, penalty_kind="logarithmic")
     e = float(np.exp(1.0))
-    assert penalty(Constant(e), log, grid) == pytest.approx(-0.1, rel=1e-12)
+    assert penalty(Constant(e), log) == pytest.approx(-0.1, rel=1e-12)
 
 
 def test_fpi_solve_requires_matching_solver():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redblue import (
     Affine,
@@ -14,8 +16,15 @@ from redblue import (
     solve_value_coeffs,
 )
 from redblue.dynamics import misdirection_gain, pattern_curvature
+from redblue.model import grid_function
 from redblue.riccati import check_same_grid, terminal_conditions
-from conftest import make_params, random_params
+from conftest import (
+    assert_within_column_max,
+    make_params,
+    random_params,
+    states_or_node,
+)
+import value_reference as reference
 
 
 def test_terminal_conditions():
@@ -125,3 +134,43 @@ def test_check_same_grid():
         check_same_grid(coeffs.grid, GridConfig(60, 0.1))
     with pytest.raises(GridMismatchError):
         check_same_grid(coeffs.grid, GridConfig(50, 0.2))
+
+
+# The largest difference of gamma, theta and xi from the per-stage reference,
+# relative to each column's max |value|, was 6.2e-16 over 4000 draws made as
+# this test makes them, and 7.4e-16 over 300 smooth-pattern draws; the 297
+# draws that went non-finite did so at the same node on both sides
+VALUE_BOUND = 5e-15
+
+
+def value_curves(params, pattern, grid):
+    c = solve_value_coeffs(params, pattern, grid)
+    return np.column_stack((c.mu, c.eta, c.rho, c.gamma, c.theta, c.xi))
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["any", "zero", "full", "upper"]),
+    n_steps=st.integers(2, 300),
+    # at the largest scale some patterns overflow
+    scale=st.sampled_from([1e-3, 1.0, 40.0, 200.0]),
+)
+def test_value_lines_match_the_per_stage_reference(seed, mode, n_steps, scale):
+    # gamma and theta read off the closed loop's gains step as the in-place
+    # lines did, up to rounding, under velocity targets and a pattern
+    # offset; F is the same function on both sides, so (mu, eta, rho) agree
+    # bit for bit, and a solve that goes non-finite does so at the same node
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, mode)
+    grid = GridConfig(n_steps, params.horizon)
+    f_c = grid_function(scale * rng.standard_normal(n_steps + 1), grid)
+    f_d = Sinusoid(*rng.uniform((-2.0, 0.0, 0.0), (2.0, 20.0, 3.0)))
+    args = (params, Pattern(f_c, f_d), grid)
+    want = states_or_node(reference.solve_value_coeffs, *args)
+    got = states_or_node(value_curves, *args)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert np.array_equal(got[:, :3], want[:, :3])
+    assert_within_column_max(got, want, VALUE_BOUND)
