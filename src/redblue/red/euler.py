@@ -8,8 +8,9 @@ the same grid:
     coefficients (backward):  s_k     = s_{k+1} - h F(s_{k+1}, f_{k+1})
     moments (forward):        m_{k+1} = m_k     + h G(m_k, s_k, f_k)
 
-followed by trapezoid quadrature for the payoff and the penalty.  F, G, the
-payoff and their transposed-Jacobian products come from ``redblue.dynamics``.
+followed by trapezoid quadrature for the payoff, and J of
+``objective.objective_terms``.  F, G, the payoff and their
+transposed-Jacobian products come from ``redblue.dynamics``.
 The gradient is computed by reverse accumulation through exactly these
 recursions, so it matches central finite differences to rounding error.
 
@@ -29,9 +30,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..dynamics import Dynamics
-from ..errors import NonFiniteStateError, NonPositiveFcError
+from ..errors import NonFiniteStateError
 from ..model import GridConfig, ModelParams
-from .objective import PENALTY_QUADRATIC, RedConfig, anchor_values
+from .objective import PENALTY_QUADRATIC, RedConfig, anchor_values, objective_terms
 
 
 def _trapezoid_weights(grid: GridConfig) -> np.ndarray:
@@ -70,15 +71,11 @@ def _euler_states(
     return (mu, eta, rho, h20, h11, h02), gains
 
 
-def _penalty_terms(f, anchor, w, config: RedConfig):
-    """Penalty value and its derivative with respect to each node value."""
+def _penalty_grad(f, anchor, w, config: RedConfig) -> np.ndarray:
+    """dP/df at each node, P being ``objective.anchored_penalty``."""
     if config.penalty_kind == PENALTY_QUADRATIC:
-        diff = f - anchor
-        return float(np.sum(w * diff * diff)), 2.0 * w * diff
-    if np.any(f <= 0.0):
-        raise NonPositiveFcError("logarithmic penalty needs f_c > 0 on the grid")
-    value = float(np.sum(w * (-anchor * np.log(f / anchor))))
-    return value, -w * anchor / f
+        return 2.0 * w * (f - anchor)
+    return -w * anchor / f
 
 
 def euler_objective_and_gradient(
@@ -117,21 +114,16 @@ def euler_objective_and_gradient(
 
     a, b = dyn.payoff_coeffs(eta, rho, h11, h02)
     elr = float(np.sum(w * (dyn.payoff_from(a, b, f) / sw2)))
-    if config.lambda_reg != 0.0:
-        if anchor is None:
-            anchor = anchor_values(config, grid)
-        pen, dpen = _penalty_terms(f, anchor, w, config)
-        objective = elr + (config.lambda_reg / sw2) * pen
-    else:
-        dpen = None
-        objective = elr
+    if anchor is None and config.lambda_reg != 0.0:
+        anchor = anchor_values(config, grid)
+    _, objective = objective_terms(params, config, grid, elr, f, anchor)
 
     # Direct derivatives of the quadrature with respect to f and the states.
     l_eta, l_rho = dyn.payoff_grad_s(h11, h02, f)
     l_h11, l_h02 = dyn.payoff_grad_m(eta, rho, f)
     grad = w * dyn.payoff_grad_f(a, b, f) / sw2
-    if dpen is not None:
-        grad = grad + (config.lambda_reg / sw2) * dpen
+    if config.lambda_reg != 0.0:
+        grad = grad + (config.lambda_reg / sw2) * _penalty_grad(f, anchor, w, config)
     # bs_* collect the sensitivities pushed onto the coefficient curves.
     bs_mu = np.zeros(n + 1)
     bs_eta = w * l_eta / sw2

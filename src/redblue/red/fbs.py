@@ -2,15 +2,16 @@
 
 Treats the pattern as the control of a deterministic optimal-control problem
 whose state stacks the coefficient block with the moment block,
-x = (mu, eta, rho, h20, h11, h02).  Each sweep solves the state equations
-with ``solve_stack`` (coefficients backward, then moments forward; the
-coefficient block is autonomous so this ordering is exact), solves the six
-adjoint equations backward from zero into one (n_steps + 1, 6) costate
-array, and replaces the pattern by the relaxed Hamiltonian minimizer.  The
-relaxation weight is halved whenever the objective rises, which tames the
-oscillation plain sweeps are prone to.  The sweep stops once the relaxed
-step is below the tolerance, and reports converged only if the step at the
-configured weight is too.
+x = (mu, eta, rho, h20, h11, h02).  fbs is an update rule of
+``objective.sweep``, which solves the state equations with ``solve_stack``
+(coefficients backward, then moments forward; the coefficient block is
+autonomous so this ordering is exact).  The rule solves the six adjoint
+equations backward from zero into one (n_steps + 1, 6) costate array, and
+replaces the pattern by the relaxed Hamiltonian minimizer.  The relaxation
+weight is halved whenever the objective rises, which tames the oscillation
+plain sweeps are prone to.  The sweep stops once the relaxed step is below
+the tolerance, and reports converged only if the step at the configured
+weight is too.
 
 The costate equations are linear in the costates, and every factor is
 known once the states are: F's Jacobian, the moment block's matrix K,
@@ -26,16 +27,14 @@ import numpy as np
 
 from ..dynamics import GAIN_COLS, GAIN_ROWS, Dynamics
 from ..model import GridConfig, ModelParams
-from ..moments import nodes_to_half_grid, solve_stack
+from ..moments import nodes_to_half_grid
 from ..odeint import integrate_linear
 from .objective import (
     SOLVER_FBS,
     OptimizationReport,
     RedConfig,
-    anchor_values,
-    anchored_penalty,
     closed_form_update,
-    finish_report,
+    sweep,
 )
 
 
@@ -95,32 +94,18 @@ def fbs_solve(
 ) -> OptimizationReport:
     if config.solver != SOLVER_FBS:
         raise ValueError(f"config selects solver {config.solver!r}, not fbs")
-    anchor = anchor_values(config, grid)
     dyn = Dynamics.of(params)
-    scale = config.lambda_reg / params.sigma_w**2
-    f = anchor.copy()
     omega = config.fbs_relaxation
-    history: list[float] = []
-    converged = False
-    iterations = 0
-    for it in range(config.max_iters):
-        x, elr = solve_stack(params, f, grid)
-        objective = elr + scale * anchored_penalty(f, anchor, config, grid)
-        if history and objective > history[-1]:
+
+    def update(f, x, anchor, history):
+        nonlocal omega
+        if len(history) > 1 and history[-1] > history[-2]:
             omega *= 0.5
-        history.append(objective)
         psi = solve_adjoint(params, f, x, grid)
         a, b = _hamiltonian_coeffs(dyn, x, psi)
         f_hat = closed_form_update(a, b, anchor, config)
-        f_new = (1.0 - omega) * f + omega * f_hat
-        delta = float(np.linalg.norm(f_new - f))
-        f = f_new
-        iterations = it + 1
-        if delta < config.tolerance:
-            # omega only halves, so the factor is exactly 2^k: the step at
-            # the configured weight, not a step shrunk by halving, must pass
-            converged = delta * (config.fbs_relaxation / omega) < config.tolerance
-            break
-    return finish_report(
-        params, config, grid, f, anchor, history, iterations, converged
-    )
+        # omega only halves, so the factor is exactly 2^k: the step at the
+        # configured weight, not a step shrunk by halving, must pass
+        return (1.0 - omega) * f + omega * f_hat, config.fbs_relaxation / omega
+
+    return sweep(params, config, grid, update)

@@ -7,13 +7,15 @@ away from the pattern currently trusted by the controller:
 
 where E[log LR] comes from the moment closure, ``redblue.moments.solve_stack``
 (one pattern or a batch), and P is either a quadratic or a logarithmic trust
-penalty.  Minimizing the pointwise integrand gives the closed-form node
-update shared by the fixed-point and sweep solvers.
+penalty; ``objective_terms`` forms J.  Minimizing the pointwise integrand
+gives the closed-form node update shared by the fixed-point and sweep
+solvers, which are update rules of the one loop ``sweep``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -116,6 +118,18 @@ def anchored_penalty(
     return float(np.trapezoid(-anchor * np.log(f / anchor), dx=grid.h))
 
 
+def objective_terms(
+    params: ModelParams, config: RedConfig, grid: GridConfig, elr: float, f, anchor
+) -> tuple[float, float]:
+    """(P, J) of the node values f given their E[log LR].  P is not
+    evaluated at lambda_reg = 0, where J is E[log LR], the anchor may be None
+    and iterates may reach 0 under the logarithmic penalty."""
+    if config.lambda_reg == 0.0:
+        return 0.0, elr
+    pen = anchored_penalty(f, anchor, config, grid)
+    return pen, elr + (config.lambda_reg / params.sigma_w**2) * pen
+
+
 def closed_form_update(
     a: np.ndarray, b: np.ndarray, anchor: np.ndarray, config: RedConfig
 ) -> np.ndarray:
@@ -170,12 +184,7 @@ def finish_report(
     """Evaluate the returned pattern once more and assemble the report;
     ``anchor`` holds the anchor's node values."""
     _, elr = solve_stack(params, f_nodes, grid)
-    pen = (
-        anchored_penalty(f_nodes, anchor, config, grid)
-        if config.lambda_reg != 0.0
-        else 0.0
-    )
-    objective = elr + (config.lambda_reg / params.sigma_w**2) * pen
+    pen, objective = objective_terms(params, config, grid, elr, f_nodes, anchor)
     history = list(history) + [objective]
     return OptimizationReport(
         f_c=grid_function(f_nodes, grid),
@@ -185,4 +194,34 @@ def finish_report(
         final_expected_log_lr=elr,
         final_penalty=pen,
         final_objective=objective,
+    )
+
+
+def sweep(
+    params: ModelParams, config: RedConfig, grid: GridConfig, update: Callable
+) -> OptimizationReport:
+    """The fixed-point and sweep solvers' loop, from the anchor.
+
+    ``update(f, x, anchor, history)`` gets f's node states x and a history
+    ending with f's J.  It returns the next node values and the factor from
+    its step to the step at the configured weight.  The loop stops once the
+    step is below the tolerance (Euclidean norm), or after
+    ``config.max_iters`` updates, and reports converged only if the step
+    times the factor is below the tolerance too.
+    """
+    anchor = anchor_values(config, grid)
+    f = anchor.copy()
+    history: list[float] = []
+    converged = False
+    for iterations in range(1, config.max_iters + 1):
+        x, elr = solve_stack(params, f, grid)
+        history.append(objective_terms(params, config, grid, elr, f, anchor)[1])
+        f_new, factor = update(f, x, anchor, history)
+        delta = float(np.linalg.norm(f_new - f))
+        f = f_new
+        if delta < config.tolerance:
+            converged = delta * factor < config.tolerance
+            break
+    return finish_report(
+        params, config, grid, f, anchor, history, iterations, converged
     )

@@ -45,3 +45,12 @@ def test_mc_ensemble_oracle_is_finite(bench):
     workload = workloads.McEnsemble(1)
     workload.prepare()
     assert math.isfinite(workload.oracle)
+
+
+def test_readme_config_is_the_readme_example(bench):
+    # the benchmark runs the README's example config; a change to either
+    # must show here, not as a benchmark that no longer runs the README
+    from test_cli import README_DOC
+
+    _, workloads = bench
+    assert workloads.README_CONFIG == README_DOC

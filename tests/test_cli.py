@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redblue import LambdaOutOfRangeError
+from redblue import LambdaOutOfRangeError, RedConfig
 from redblue.cli import (
     ConfigError,
     build_run_config,
@@ -101,6 +101,13 @@ def test_build_run_config_defaults():
     assert cfg.seed == 0
     assert cfg.threads == 1
     assert cfg.out_dir == Path("out")
+
+
+def test_red_keys_default_to_the_red_config_defaults():
+    # cli._KEYS and RedConfig each state the defaults; a config with no
+    # red.* keys must build RedConfig's own
+    cfg = build_run_config(base_doc())
+    assert cfg.red == RedConfig(lambda_reg=cfg.red.lambda_reg)
 
 
 def test_build_run_config_rejects_unknown_keys():
@@ -289,6 +296,15 @@ def test_readme_example_runs(tmp_path, command):
     cfg = write_config(tmp_path, README_DOC)
     out = [] if command == "validate" else ["--out", str(tmp_path / "o")]
     assert main([command, "--config", cfg, *out]) == 0
+
+
+def test_readme_red_optimize_runs_without_a_penalty(tmp_path):
+    # lambda_reg 0 turns the penalty off, so fpi's iterates may reach 0
+    # under the logarithmic penalty
+    cfg = write_config(tmp_path, dict(README_DOC, **{"red.lambda_reg": 0.0}))
+    out = tmp_path / "o"
+    assert main(["red-optimize", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["final_penalty"] == 0.0
 
 
 @pytest.mark.parametrize("solver", ["fpi", "fbs"])

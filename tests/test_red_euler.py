@@ -6,11 +6,8 @@ from redblue import Constant, GridConfig, RedConfig
 from redblue.dynamics import Dynamics
 from redblue.errors import NonFiniteStateError, NonPositiveFcError
 from redblue.model import sample_on_grid
-from redblue.red.euler import (
-    _penalty_terms,
-    _trapezoid_weights,
-    euler_objective_and_gradient,
-)
+from redblue.red.euler import _trapezoid_weights, euler_objective_and_gradient
+from redblue.red.objective import anchored_penalty
 from conftest import random_params, short_params
 from moment_reference import moment_rhs as _moment_rhs
 
@@ -90,7 +87,11 @@ def reference_euler_objective_and_gradient(f, params, config, grid):
     elr = float(np.sum(w * (dyn.payoff(eta, rho, h11, h02, f) / sw2)))
     if config.lambda_reg != 0.0:
         anchor = sample_on_grid(config.f_c_initial, grid)
-        pen, dpen = _penalty_terms(f, anchor, w, config)
+        pen = anchored_penalty(f, anchor, config, grid)
+        if config.penalty_kind == "quadratic":
+            dpen = 2.0 * w * (f - anchor)
+        else:
+            dpen = -w * anchor / f
         objective = elr + (config.lambda_reg / sw2) * pen
     else:
         dpen = None
