@@ -67,7 +67,12 @@ lay them out as matrices of a linear system, whose step maps
 through ``moment_rhs`` (K m + sigma), ``moment_vjp_m`` (K^T p) and
 ``moment_vjp_s``.  Only the Riccati block F, which is nonlinear in its own
 state, is evaluated per RK4 stage; the costates read its Jacobian from
-``coeff_vjp_s`` at unit covectors.  Likewise ``payoff_coeffs`` states L's
+``coeff_vjp_s`` at unit covectors.  F's three rates are stated only in
+``coeff_rhs``, with ``+``, ``-``, ``*`` and ``/`` on (mu, eta, rho, f) and
+the ``Dynamics`` fields.  The Euler recursions and riccati's six-line solve
+call it; ``moments.solve_stack`` hands it to ``odeint.integrate_backward``
+paired with the pattern as its forcing, and odeint traces its expressions
+into a written-out RK4 loop.  Likewise ``payoff_coeffs`` states L's
 coefficients (a, b) once, and ``payoff_from`` and ``payoff_grad_f`` take
 them.  Every function works elementwise on floats and on numpy arrays.
 """
@@ -147,7 +152,9 @@ class Dynamics:
         return self.v0**2, self.v0 * self.y0, self.y0**2
 
     def coeff_rhs(self, mu, eta, rho, f):
-        """F: time derivatives of (mu, eta, rho)."""
+        """F: time derivatives of (mu, eta, rho).  The only statement of F:
+        ``odeint`` traces these expressions, operands in their order, into
+        the generated loop that steps F for ``moments.solve_stack``."""
         ra, rb, u = self.r_alpha, self.r_beta, self.u
         d_mu = mu * mu / ra + eta * eta / rb - 2.0 * eta - self.r_v
         d_eta = mu * eta / ra + rho * eta / rb - rho - u * eta * f

@@ -10,14 +10,16 @@ sigma_w^2, integrated by the trapezoid rule.
 This module is the only place that steps G, integrates the payoff and decides
 whether the closure applies.  ``solve_stack`` steps the coefficient block F
 and then G for one pattern or a batch; the pattern optimizers and the
-Stackelberg loop call it.  The public ``solve_moments`` and
-``expected_log_lr`` take one pattern and the six coefficient curves of
-``solve_value_coeffs``, and go through the same G stepper and payoff
-integral.  G = K m + sigma is linear in the moments, and its matrix K
-(``dynamics.moment_gains``) depends only on the coefficients and the
-pattern, so the G stepper lays K and sigma out over the half grid, with
-numpy, and ``odeint.integrate_linear`` turns them into the RK4 step maps
-and composes those.
+Stackelberg loop call it.  F's rates, ``dynamics.Dynamics.coeff_rhs``, go
+to ``odeint.integrate_backward`` paired with the pattern as their forcing,
+and step through the RK4 loop generated from their expressions.  The public
+``solve_moments`` and ``expected_log_lr`` take one pattern and the six
+coefficient curves of ``solve_value_coeffs``, and go through the same G
+stepper and payoff integral.  G = K m + sigma is linear in the moments, and
+its matrix K (``dynamics.moment_gains``) depends only on the coefficients
+and the pattern, so the G stepper lays K and sigma out over the half grid,
+with numpy, and ``odeint.integrate_linear`` turns them into the RK4 step
+maps and composes those.
 """
 
 from __future__ import annotations
@@ -130,7 +132,7 @@ def solve_stack(params: ModelParams, f_nodes: np.ndarray, grid: GridConfig):
     x and a float, or (B, n_steps + 1) node values of B patterns solved as
     one batch, giving an (n_steps + 1, 6, B) x and a (B,) array.  Member b
     equals ``solve_stack(params, f_nodes[b], grid)`` bit for bit: each
-    member is sampled on its own, F's right-hand side steps every member
+    member is sampled on its own, F's generated loop steps every member
     with the same operations in the same order, G's step maps are each
     member's own matrix products, and each member's payoff is integrated
     along a contiguous row (numpy sums a strided axis row by row, not
@@ -146,12 +148,10 @@ def solve_stack(params: ModelParams, f_nodes: np.ndarray, grid: GridConfig):
         )
     else:
         f = sample_on_half_grid(grid_function(nodes, grid), grid)
-    # one float, or one (B,) row, per half-grid point
-    f_rows = list(f) if batch else f.tolist()
     dyn = Dynamics.of(params)
-    coeff_rhs = dyn.coeff_rhs
     coeffs = integrate_backward(
-        lambda j, s: coeff_rhs(*s, f_rows[j]),
+        # one float, or one (B,) row, per half-grid point
+        (dyn.coeff_rhs, list(f) if batch else f.tolist()),
         np.multiply.outer(dyn.coeff_terminal(), np.ones(batch)),
         grid,
     )

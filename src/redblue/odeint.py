@@ -11,13 +11,13 @@ t = T with the signed step -h.
 States are tuples of C Python floats, and a right-hand side returns an
 indexable sequence (a tuple or a list) of C values: the same IEEE arithmetic
 as numpy scalars, at a fraction of the per-operation cost on systems of a
-few components.  For the same reason the RK4 step is written out per
+few components.  For the same reason the RK4 loop is written out per
 component, ``x_i + half * k1[i]`` and so on, with no loop over the
-components; it is generated from a source template the first time a state
-width C is solved, and reused for every later solve of that width.  Float
-``*``, ``+`` and ``-`` overflow to inf or nan without raising, so the loop
-runs to the end and finiteness is checked once per solve, on the output
-array.
+components or call per step; it is built as a syntax tree the first time a
+state width C is solved, and reused for every later solve of that width.
+Float ``*``, ``+`` and ``-`` overflow to inf or nan without raising, so the
+loop runs to the end and finiteness is checked once per solve, on the
+output array.
 
 A batch of B systems steps through the same loop: given a ``(C, B)`` start
 state, each component is a ``(B,)`` row, the right-hand side receives and
@@ -35,13 +35,24 @@ matrix [[A, b], [0, 0]] at every half-grid point, builds every RK4 step as
 one affine map with batched matrix products, and composes the maps with a
 prefix scan.  It is the same scheme, rounded differently, and ends with the
 same finiteness check.  The package steps the moment block and the fbs
-costates this way.  The loop steps the nonlinear coefficient block F, alone
-in ``moments.solve_stack`` and together with its linear lines gamma, theta
-and xi in ``riccati.solve_value_coeffs``.
+costates this way.
+
+A right-hand side may instead be a pair ``(rates, forcing)``: a method
+bound to an object of float fields, called as ``rates(*state, forcing[j])``
+and stated with ``+``, ``-``, ``*`` and ``/`` alone, and the forcing at
+every half-grid point.  The loop then traces the method once with symbolic
+terms and compiles itself with every stage of every component written out,
+cached per method and state width.  Each expression keeps its operands in
+their order, so the nodes equal those of the callback
+``lambda j, s: rates(*s, forcing[j])`` bit for bit, without a call per
+stage.  ``moments.solve_stack`` steps F, ``Dynamics.coeff_rhs`` under the
+pattern, this way; ``riccati.solve_value_coeffs`` steps F with its linear
+lines gamma, theta and xi through the callback.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import sys
 from collections.abc import Callable, Sequence
@@ -51,38 +62,140 @@ import numpy as np
 from .errors import NonFiniteStateError
 from .model import GridConfig
 
-# the state tuple holds floats, or (B,) arrays for a batch of B members
-Rhs = Callable[[int, tuple], Sequence]
+# the state tuple holds floats, or (B,) arrays for a batch of B members; a
+# pair holds a rates method and its forcing, one float or (B,) row per
+# half-grid point
+Rhs = Callable[[int, tuple], Sequence] | tuple[Callable, Sequence]
+
+
+def _binop(op):
+    """The forward and reflected methods of a binary operator on terms."""
+    op = op()
+
+    def forward(self, other):
+        return _Term(ast.BinOp(self.node, op, _term(other).node))
+
+    def reflected(self, other):
+        return _Term(ast.BinOp(_term(other).node, op, self.node))
+
+    return forward, reflected
+
+
+class _Term:
+    """A value of a generated loop: arithmetic on terms builds the syntax
+    tree of the same expression, with its operands in their order."""
+
+    __slots__ = ("node",)
+
+    def __init__(self, node: ast.expr):
+        self.node = node
+
+    __add__, __radd__ = _binop(ast.Add)
+    __sub__, __rsub__ = _binop(ast.Sub)
+    __mul__, __rmul__ = _binop(ast.Mult)
+    __truediv__, __rtruediv__ = _binop(ast.Div)
+
+    def __getitem__(self, key):
+        return _Term(ast.Subscript(self.node, _term(key).node, ast.Load()))
+
+    def __call__(self, *args):
+        return _Term(ast.Call(self.node, [_term(a).node for a in args], []))
+
+
+def _term(value) -> _Term:
+    """``value`` as a term: a term itself, a tuple of terms, or a constant."""
+    if isinstance(value, _Term):
+        return value
+    if isinstance(value, tuple):
+        return _Term(ast.Tuple([_term(v).node for v in value], ast.Load()))
+    return _Term(ast.Constant(value))
+
+
+def _name(name: str) -> _Term:
+    return _Term(ast.Name(name, ast.Load()))
+
+
+class _Fields:
+    """Stands in for the owner of a rates method being traced: every field
+    the method reads is the local ``_<field>``, bound once per solve."""
+
+    def __init__(self):
+        self._read: dict[str, _Term] = {}
+
+    def __getattr__(self, field: str) -> _Term:
+        if field not in self._read:
+            self._read[field] = _name(f"_{field}")
+        return self._read[field]
 
 
 @functools.cache
-def _step(width: int):
-    """The RK4 step for states of ``width`` components, written out per
-    component.  Every component keeps the operand order ``x + half * k``
-    and ``x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``: a reordered sum
-    would round differently in the last bit.
+def _loop(width: int, rates: Callable | None = None):
+    """The RK4 loop for states of ``width`` components, written out per
+    component: ``loop(owner, rhs, s, out, n, node, direction, half, h,
+    sixth)`` takes n steps from ``node`` and writes every node's state to
+    ``out``.  Every component keeps the operand order ``x + half * k`` and
+    ``x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``: a reordered sum would
+    round differently in the last bit.  Without ``rates`` each stage calls
+    ``rhs(j, state)``.  With them, ``rhs`` holds the forcing rows and each
+    stage is ``rates(owner, *state, rhs[j])``, inlined as traced.  Only the
+    skeleton is parsed; the rest of the syntax tree is built here.
     """
-    xs = [f"x{i}" for i in range(width)]
-
-    def stage(coef: str, k: str) -> str:
-        return "".join(f"{x} + {coef} * {k}[{i}], " for i, x in enumerate(xs))
-
-    final = "".join(
-        f"{x} + sixth * (k1[{i}] + 2.0 * k2[{i}] + 2.0 * k3[{i}] + k4[{i}]), "
-        for i, x in enumerate(xs)
+    module = ast.parse(
+        "def loop(owner, rhs, s, out, n, node, direction, half, h, sixth):\n"
+        "    for _ in range(n):\n"
+        "        pass\n"
     )
-    source = (
-        "def step(rhs, j, direction, s, half, h, sixth):\n"
-        f"    {', '.join(xs)}, = s\n"
-        "    k1 = rhs(j, s)\n"
-        f"    k2 = rhs(j + direction, ({stage('half', 'k1')}))\n"
-        f"    k3 = rhs(j + direction, ({stage('half', 'k2')}))\n"
-        f"    k4 = rhs(j + 2 * direction, ({stage('h', 'k3')}))\n"
-        f"    return ({final})\n"
-    )
+    (function,) = module.body
+    (loop,) = function.body
+    prologue: list[ast.stmt] = []
+    body: list[ast.stmt] = []
+
+    def let(name: str, value, where: list = body) -> _Term:
+        where.append(ast.Assign([ast.Name(name, ast.Store())], _term(value).node))
+        return _name(name)
+
+    fields = _Fields()
+    rhs, s, node = _name("rhs"), _name("s"), _name("node")
+    direction, half, h, sixth = map(_name, ("direction", "half", "h", "sixth"))
+
+    def slopes(stage: int, state: list, j) -> list:
+        if rates is None:
+            k = let(f"k{stage}", rhs(j, tuple(state)))
+            return [k[i] for i in range(width)]
+        if stage > 1:
+            # the rates read each stage value more than once
+            state = [let(f"y{stage}_{i}", value) for i, value in enumerate(state)]
+        rate_terms = rates(fields, *state, let(f"f{stage}", rhs[j]))
+        return [let(f"k{stage}_{i}", rate) for i, rate in enumerate(rate_terms)]
+
+    def shifted(coef: _Term, k: list) -> list:
+        return [x[i] + coef * k[i] for i in range(width)]
+
+    x = [let(f"x{i}", s[i], prologue) for i in range(width)]
+    j = let("j", 2 * node)
+    k1 = slopes(1, x, j)
+    k2 = slopes(2, shifted(half, k1), j + direction)
+    k3 = slopes(3, shifted(half, k2), j + direction)
+    k4 = slopes(4, shifted(h, k3), j + 2 * direction)
+    for i in range(width):
+        let(f"x{i}", x[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]))
+    let("node", node + direction)
+    out = ast.Subscript(ast.Name("out", ast.Load()), node.node, ast.Store())
+    body.append(ast.Assign([out], _term(tuple(x)).node))
+    owner = ast.Name("owner", ast.Load())
+    for field in fields._read:
+        let(f"_{field}", _Term(ast.Attribute(owner, field, ast.Load())), prologue)
+    loop.body = body
+    function.body = [*prologue, loop]
+    # compile needs only where each node starts; two attributes rather than
+    # ast.fix_missing_locations' four keep each node's dict, and the peak
+    # memory of building the loop, smaller
+    for part in ast.walk(function):
+        if "lineno" in part._attributes and not hasattr(part, "lineno"):
+            part.lineno, part.col_offset = 1, 0
     namespace: dict = {}
-    exec(source, namespace)
-    return namespace["step"]
+    exec(compile(module, "<rk4 loop>", "exec"), namespace)
+    return namespace["loop"]
 
 
 def _require_finite(out: np.ndarray, grid: GridConfig, direction: int) -> np.ndarray:
@@ -115,17 +228,18 @@ def _rk4(rhs: Rhs, state, grid: GridConfig, direction: int) -> np.ndarray:
     sixth = h / 6.0
     start = np.asarray(state, dtype=float)
     s = tuple(start.tolist()) if start.ndim == 1 else tuple(start)
-    step = _step(len(s))
     node = 0 if direction > 0 else n
     # each node's state goes straight into the output, so only the stage
-    # tuples of the current step are alive as Python objects
+    # values of the current step are alive as Python objects
     out = np.empty((n + 1, *start.shape))
     out[node] = s
+    if isinstance(rhs, tuple):
+        rates, rhs = rhs
+        owner, loop = rates.__self__, _loop(len(s), rates.__func__)
+    else:
+        owner, loop = None, _loop(len(s))
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n):
-            s = step(rhs, 2 * node, direction, s, half, h, sixth)
-            node += direction
-            out[node] = s
+        loop(owner, rhs, s, out, n, node, direction, half, h, sixth)
     return _require_finite(out, grid, direction)
 
 

@@ -99,8 +99,14 @@ class OptimizationReport:
 
 
 def anchor_values(config: RedConfig, grid: GridConfig) -> np.ndarray:
+    """The anchor's node values.  The logarithmic penalty needs them
+    positive only where it is read, at lambda_reg > 0."""
     anchor = sample_on_grid(config.f_c_initial, grid)
-    if config.penalty_kind == PENALTY_LOGARITHMIC and np.any(anchor <= 0.0):
+    if (
+        config.penalty_kind == PENALTY_LOGARITHMIC
+        and config.lambda_reg > 0.0
+        and np.any(anchor <= 0.0)
+    ):
         raise NonPositiveFcError("logarithmic penalty needs a positive anchor")
     return anchor
 
@@ -139,7 +145,8 @@ def closed_form_update(
     terms for the sweep); their 1/sigma_w^2 prefactor cancels against the
     penalty scaling lambda_reg / sigma_w^2 and is omitted from both.
     Quadratic penalty: f = (2 lambda_reg anchor - b) / (a + 2 lambda_reg).
-    Logarithmic: positive root of a f^2 + b f - lambda_reg anchor = 0.
+    Logarithmic: positive root of a f^2 + b f - lambda_reg anchor = 0,
+    which needs a positive anchor only at lambda_reg > 0.
     A non-finite update raises NonFiniteStateError.
     """
     lreg = config.lambda_reg
@@ -153,14 +160,15 @@ def closed_form_update(
                 )
             f = (2.0 * lreg * anchor - b) / den
         else:
-            if np.any(anchor <= 0.0):
+            if lreg > 0.0 and np.any(anchor <= 0.0):
                 raise NonPositiveFcError("logarithmic penalty needs a positive anchor")
             if np.any(a <= 0.0):
                 raise DegenerateDenominatorError(
                     "logarithmic update needs a positive leading coefficient "
                     "(requires lam > r_beta sigma_w^2 / 2)"
                 )
-            # a > 0, anchor > 0 and lreg >= 0 make the discriminant >= 0 (or nan)
+            # a > 0 and lreg * anchor >= 0 (a signed zero at lreg = 0) make
+            # the discriminant >= 0 (or nan)
             disc = b * b + 4.0 * a * (lreg * anchor)
             root = (-b + np.sqrt(disc)) / (2.0 * a)
             # the exact root is >= 0; the clamp binds only when b * b

@@ -10,6 +10,7 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -54,3 +55,23 @@ def test_readme_config_is_the_readme_example(bench):
 
     _, workloads = bench
     assert workloads.README_CONFIG == README_DOC
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_solve_stack_steps_f_in_one_odeint_span(bench, batch):
+    # odeint.calls, odeint.steps and odeint.us_per_step count F's solves:
+    # solve_stack steps F through integrate_backward, whose grid the
+    # harness reads, once per call, for one pattern and for a batch
+    tracing, _ = bench
+    from conftest import make_params
+    from redblue import GridConfig, moments
+
+    grid = GridConfig(50, 0.1)
+    nodes = np.ones((*batch, grid.n_steps + 1))
+    tracer = tracing.Tracer()
+    _, spans, _ = tracer.record(
+        lambda: moments.solve_stack(make_params(), nodes, grid)
+    )
+    assert tracer.absent_hooks == []
+    odeint = [span for span in spans if span.name == "odeint"]
+    assert [span.info for span in odeint] == [{"steps": grid.n_steps}]

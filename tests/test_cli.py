@@ -318,6 +318,17 @@ def test_readme_stackelberg_example_runs(tmp_path, solver):
     assert [r["round_index"] for r in rounds] == [1, 2, 3]
 
 
+def test_readme_fpi_stackelberg_runs_without_a_penalty(tmp_path):
+    # with lambda_reg 0 the logarithmic penalty is never read, so a round
+    # may anchor at a pattern that fpi drove to 0 at a node
+    cfg = write_config(tmp_path, dict(README_DOC, **{"red.lambda_reg": 0.0}))
+    out = tmp_path / "o"
+    assert main(["stackelberg", "--config", cfg, "--out", str(out)]) == 0
+    rounds = json.loads((out / "rounds.json").read_text())["rounds"]
+    assert [r["round_index"] for r in rounds] == [1, 2, 3]
+    assert min(rounds[1]["f_c"]) == 0.0
+
+
 _SMALL = {"grid.n_steps": 20, "mc.n_paths": 100}
 
 

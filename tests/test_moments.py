@@ -302,3 +302,50 @@ def test_solve_stack_matches_the_per_stage_reference(seed, mode, n_steps, size, 
     x, _ = solve_stack(params, rows, grid)
     for b, want in enumerate(wants):
         assert_within_column_max(x[:, :, b], want, STATE_BOUND)
+
+
+def rk4_or_message(solve, rhs, start, grid):
+    """``solve``'s nodes, or its NonFiniteStateError's reason."""
+    try:
+        return solve(rhs, start, grid)
+    except NonFiniteStateError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["any", "zero", "full", "upper"]),
+    # the grid has at least two steps
+    n_steps=st.integers(2, 300),
+    size=st.integers(1, 6),
+    # a zero scale keeps the sign of every zero node; 1e160 overflows f^2
+    scale=st.sampled_from([0.0, 1e-3, 1.0, 40.0, 200.0, 1e160]),
+    direction=st.sampled_from([-1, 1]),
+)
+def test_generated_coeff_loop_matches_the_callback_loop(
+    seed, mode, n_steps, size, scale, direction
+):
+    # F's loop, generated from coeff_rhs's expressions, steps every node as
+    # the per-stage callback does, bit for bit and in the sign of every
+    # zero, for one pattern and for a batch, and fails with the same reason
+    rng = np.random.default_rng(seed)
+    dyn = Dynamics.of(random_params(rng, mode))
+    grid = GridConfig(n_steps, rng.uniform(0.2, 1.2))
+    nodes = scale * rng.standard_normal((size, n_steps + 1))
+    f = np.column_stack(
+        [sample_on_half_grid(grid_function(row, grid), grid) for row in nodes]
+    )
+    solve = integrate_backward if direction < 0 else integrate_forward
+    cases = [(list(f), np.multiply.outer(dyn.coeff_terminal(), np.ones(size)))]
+    cases += [(column.tolist(), dyn.coeff_terminal()) for column in f.T]
+    for rows, start in cases:
+        got = rk4_or_message(solve, (dyn.coeff_rhs, rows), start, grid)
+        want = rk4_or_message(
+            solve, lambda j, s: dyn.coeff_rhs(*s, rows[j]), start, grid
+        )
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
