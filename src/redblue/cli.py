@@ -515,10 +515,18 @@ def _coeff_residual(coeffs) -> float:
     )
 
 
-def _check_zero_pattern(cfg: RunConfig):
-    coeffs = solve_value_coeffs(cfg.params, ZERO_PATTERN, cfg.grid)
-    resid = _coeff_residual(coeffs)
-    policy = FeedbackPolicy(cfg.params, ZERO_PATTERN, cfg.grid, coeffs)
+def _policy(cfg: RunConfig, solved: dict, pattern: Pattern) -> FeedbackPolicy:
+    """``FeedbackPolicy.solve`` on cfg's params and grid, kept in ``solved``
+    for every later check that reads the same pattern.  A solve that raises
+    keeps nothing, so each check that reads it fails with the same reason."""
+    if id(pattern) not in solved:
+        solved[id(pattern)] = FeedbackPolicy.solve(cfg.params, pattern, cfg.grid)
+    return solved[id(pattern)]
+
+
+def _check_zero_pattern(cfg: RunConfig, solved: dict):
+    policy = _policy(cfg, solved, ZERO_PATTERN)
+    resid = _coeff_residual(policy.coeffs)
     worst = 0.0
     for t in np.linspace(0.0, cfg.grid.horizon, 7):
         for v in (-1.0, 0.0, 2.0):
@@ -528,15 +536,15 @@ def _check_zero_pattern(cfg: RunConfig):
     return ok, f"coefficient residual {resid:.2e}, max |beta| {worst:.2e}"
 
 
-def _check_full_intensity(cfg: RunConfig):
+def _check_full_intensity(cfg: RunConfig, solved: dict):
     params = replace(cfg.params, lam=cfg.params.lam_upper)
     coeffs = solve_value_coeffs(params, cfg.pattern, cfg.grid)
     resid = _coeff_residual(coeffs)
     return resid <= 1e-8, f"coefficient residual {resid:.2e}"
 
 
-def _check_martingale(cfg: RunConfig):
-    policy = FeedbackPolicy.solve(cfg.params, ZERO_PATTERN, cfg.grid)
+def _check_martingale(cfg: RunConfig, solved: dict):
+    policy = _policy(cfg, solved, ZERO_PATTERN)
     fc = sample_on_grid(cfg.pattern.f_c, cfg.grid)
     fd = sample_on_grid(cfg.pattern.f_d, cfg.grid)
     if not (np.any(fc != 0.0) or np.any(fd != 0.0)):
@@ -568,8 +576,8 @@ def _check_martingale(cfg: RunConfig):
     return ok, f"mean exp(log L) {mean:.6f}, se {se:.2e}, scale {scale:.3g}"
 
 
-def _check_cross_oracle(cfg: RunConfig):
-    policy = FeedbackPolicy.solve(cfg.params, cfg.pattern, cfg.grid)
+def _check_cross_oracle(cfg: RunConfig, solved: dict):
+    policy = _policy(cfg, solved, cfg.pattern)
     mc = monte_carlo(
         policy,
         cfg.pattern,
@@ -585,7 +593,7 @@ def _check_cross_oracle(cfg: RunConfig):
     return ok, f"MC {mc.mean_log_lr:.6f} vs ODE {elr:.6f}, 3 se {3 * mc.se_log_lr:.2e}"
 
 
-def _check_gradient(cfg: RunConfig):
+def _check_gradient(cfg: RunConfig, solved: dict):
     # stationarity of the payoff at a zero pattern, checked in the upper
     # half of the admissible misdirection range where it must be a minimum
     params = cfg.params
@@ -617,9 +625,9 @@ def _check_gradient(cfg: RunConfig):
     return ok, f"max |dJ/df| {grad:.2e}, ascent in sampled directions {ascent_ok}"
 
 
-def _check_refinement(cfg: RunConfig):
+def _check_refinement(cfg: RunConfig, solved: dict):
     fine_grid = GridConfig(2 * cfg.grid.n_steps, cfg.grid.horizon)
-    coarse = solve_value_coeffs(cfg.params, cfg.pattern, cfg.grid)
+    coarse = _policy(cfg, solved, cfg.pattern).coeffs
     fine = solve_value_coeffs(cfg.params, cfg.pattern, fine_grid)
     err = 0.0
     for name in ("mu", "eta", "rho", "gamma", "theta", "xi"):
@@ -640,10 +648,10 @@ _VALIDATE_CHECKS = [
 
 
 def cmd_validate(cfg: RunConfig, plots: bool = False) -> int:
-    failures = 0
+    failures, solved = 0, {}
     for name, fn in _VALIDATE_CHECKS:
         try:
-            ok, detail = fn(cfg)
+            ok, detail = fn(cfg, solved)
         except (RedBlueError, ValueError, ArithmeticError) as exc:
             ok, detail = False, f"error: {exc}"
         if not ok:

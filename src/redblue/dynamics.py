@@ -23,8 +23,8 @@ s(T) = (t_v, 0, 0):
 
 The value function's linear terms follow the transposed loop,
 (gamma, theta)' = -A^T (gamma, theta) + (r_v vbar - u eta f_d,
--u rho f_d + c2 f_c f_d), and xi collects the constant terms; the three
-lines are ``value_rhs``.
+-u rho f_d + c2 f_c f_d), and xi collects the constant terms; ``value_rhs``
+states the three lines, after F's.
 
 Under a pattern f = f_c(t) (zero offset, zero velocity targets) the
 second-moment block m = (h20, h11, h02), solved forward from
@@ -49,7 +49,7 @@ G is stepped by RK4, and the payoff integrated, only in ``redblue.moments``:
 its ``solve_stack`` steps F and then G for the pattern optimizers and the
 Stackelberg loop, one pattern or a batch, and its public ``solve_moments``
 steps G through the same function, from the curves of
-``riccati.solve_value_coeffs``, which steps F and ``value_rhs`` together.
+``riccati.solve_value_coeffs``, which steps ``value_rhs``.
 The Euler recursions of the network objective and their reverse sweeps, and
 the forward-backward sweep's costates, evaluate the same functions and their
 transposed-Jacobian products; nothing else restates them.  Each product, and
@@ -69,10 +69,11 @@ through ``moment_rhs`` (K m + sigma), ``moment_vjp_m`` (K^T p) and
 state, is evaluated per RK4 stage; the costates read its Jacobian from
 ``coeff_vjp_s`` at unit covectors.  F's three rates are stated only in
 ``coeff_rhs``, with ``+``, ``-``, ``*`` and ``/`` on (mu, eta, rho, f) and
-the ``Dynamics`` fields.  The Euler recursions and riccati's six-line solve
-call it; ``moments.solve_stack`` hands it to ``odeint.integrate_backward``
-paired with the pattern as its forcing, and odeint traces its expressions
-into a written-out RK4 loop.  Likewise ``payoff_coeffs`` states L's
+the ``Dynamics`` fields.  The Euler recursions call it;
+``moments.solve_stack`` hands it to ``odeint.integrate_backward`` paired
+with the pattern as its forcing, and riccati hands ``value_rhs`` paired with
+(f_c, f_d, vbar); odeint traces their expressions, inlining the methods they
+call, into written-out RK4 loops.  Likewise ``payoff_coeffs`` states L's
 coefficients (a, b) once, and ``payoff_from`` and ``payoff_grad_f`` take
 them.  Every function works elementwise on floats and on numpy arrays.
 """
@@ -154,7 +155,7 @@ class Dynamics:
     def coeff_rhs(self, mu, eta, rho, f):
         """F: time derivatives of (mu, eta, rho).  The only statement of F:
         ``odeint`` traces these expressions, operands in their order, into
-        the generated loop that steps F for ``moments.solve_stack``."""
+        the generated loops that step F, alone or in ``value_rhs``."""
         ra, rb, u = self.r_alpha, self.r_beta, self.u
         d_mu = mu * mu / ra + eta * eta / rb - 2.0 * eta - self.r_v
         d_eta = mu * eta / ra + rho * eta / rb - rho - u * eta * f
@@ -171,10 +172,12 @@ class Dynamics:
         """(a_0, b_0): the state-free terms of alpha and beta."""
         return -(gamma / self.r_alpha), self.u * f_d - theta / self.r_beta
 
-    def value_rhs(self, mu, eta, rho, gamma, theta, f_c, f_d, vbar):
-        """Time derivatives of (gamma, theta, xi), the value function's
-        linear and constant terms: (gamma, theta)' = -A^T (gamma, theta)
-        plus the forcing of the velocity target and the pattern offset."""
+    def value_rhs(self, mu, eta, rho, gamma, theta, xi, forcing):
+        """Time derivatives of the six value-function coefficients under
+        the forcing (f_c, f_d, vbar): F, then the linear and constant terms,
+        (gamma, theta)' = -A^T (gamma, theta) plus the forcing of the
+        velocity target and the pattern offset."""
+        f_c, f_d, vbar = forcing
         a_v, a_y, b_v, b_y = self.state_gains(mu, eta, rho, f_c)
         ra, rb, r_v, u, c2 = self.r_alpha, self.r_beta, self.r_v, self.u, self.c2
         d_gamma = -(a_v * gamma + (1.0 + b_v) * theta) + r_v * vbar - u * eta * f_d
@@ -188,7 +191,7 @@ class Dynamics:
             - 0.5 * r_v * vbar * vbar
             + 0.5 * c2 * f_d * f_d
         )
-        return d_gamma, d_theta, d_xi
+        return (*self.coeff_rhs(mu, eta, rho, f_c), d_gamma, d_theta, d_xi)
 
     def moment_gains(self, mu, eta, rho, f):
         """The seven nonzero entries of K, row by row, with G = K m + sigma:

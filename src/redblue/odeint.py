@@ -3,31 +3,36 @@
 The solvers in this package keep every curve aligned with the grid that the
 pattern optimizers use for their control vectors, so the integrator takes
 fixed steps of size h = T / n_steps and evaluates right-hand sides only at
-nodes and midpoints.  A right-hand side is called as ``rhs(j, state)``, where
-j is the half-grid index of the stage time t = j h / 2, so curves sampled on
-the half grid are read by index.  A backward solve runs the same loop from
-t = T with the signed step -h.
+nodes and midpoints, the half grid t = j h / 2.  A backward solve runs the
+same loop from t = T with the signed step -h.
 
-States are tuples of C Python floats, and a right-hand side returns an
-indexable sequence (a tuple or a list) of C values: the same IEEE arithmetic
-as numpy scalars, at a fraction of the per-operation cost on systems of a
-few components.  For the same reason the RK4 loop is written out per
-component, ``x_i + half * k1[i]`` and so on, with no loop over the
-components or call per step; it is built as a syntax tree the first time a
-state width C is solved, and reused for every later solve of that width.
-Float ``*``, ``+`` and ``-`` overflow to inf or nan without raising, so the
-loop runs to the end and finiteness is checked once per solve, on the
-output array.
+A right-hand side is a pair ``(rates, forcing)``: a method bound to an
+object of float fields, called as ``rates(*state, forcing[j])`` at the
+stage of half-grid index j, and its forcing at every half-grid point, a
+float, a ``(B,)`` row or a tuple of them.  The method is stated with ``+``,
+``-``, ``*``, ``/`` and unary minus, and may call other methods of its
+class.  The loop traces it once with symbolic terms, inlining each method
+it calls, and compiles itself with every stage of every component written
+out, ``x_i + half * k1_i`` and so on, cached per method and state width.
+Each expression keeps its operands in their order, so every node equals,
+bit for bit, the float computation of calling the method at each stage,
+without a call per stage.  ``moments.solve_stack`` steps F this way, and
+``riccati`` all six value-function lines.
+
+States are tuples of C Python floats: the same IEEE arithmetic as numpy
+scalars, at a fraction of the per-operation cost on systems of a few
+components.  Float ``*``, ``+`` and ``-`` overflow to inf or nan without
+raising, so the loop runs to the end and finiteness is checked once per
+solve, on the output array.
 
 A batch of B systems steps through the same loop: given a ``(C, B)`` start
-state, each component is a ``(B,)`` row, the right-hand side receives and
-returns tuples of such rows, and row b of every stage is exactly the float
-computation of member b, because numpy's elementwise ``*``, ``+``, ``-`` and
-``/`` round as Python's do.  The output is then ``(n_steps + 1, C, B)``.
-numpy warns where floats overflow silently, so the loop runs under
-``np.errstate(over="ignore", invalid="ignore")``; the single finiteness
-check still names the first node, in stepping order, at which any member is
-non-finite.
+state, each component is a ``(B,)`` row, and row b of every stage is
+exactly the float computation of member b, because numpy's elementwise
+``*``, ``+``, ``-`` and ``/`` round as Python's do.  The output is then
+``(n_steps + 1, C, B)``.  numpy warns where floats overflow silently, so
+the loop runs under ``np.errstate(over="ignore", invalid="ignore")``; the
+single finiteness check still names the first node, in stepping order, at
+which any member is non-finite.
 
 A linear system x' = A(t) x + b(t) whose factors are known before the
 solve does not need the loop: ``integrate_linear`` takes the augmented
@@ -36,24 +41,13 @@ one affine map with batched matrix products, and composes the maps with a
 prefix scan.  It is the same scheme, rounded differently, and ends with the
 same finiteness check.  The package steps the moment block and the fbs
 costates this way.
-
-A right-hand side may instead be a pair ``(rates, forcing)``: a method
-bound to an object of float fields, called as ``rates(*state, forcing[j])``
-and stated with ``+``, ``-``, ``*`` and ``/`` alone, and the forcing at
-every half-grid point.  The loop then traces the method once with symbolic
-terms and compiles itself with every stage of every component written out,
-cached per method and state width.  Each expression keeps its operands in
-their order, so the nodes equal those of the callback
-``lambda j, s: rates(*s, forcing[j])`` bit for bit, without a call per
-stage.  ``moments.solve_stack`` steps F, ``Dynamics.coeff_rhs`` under the
-pattern, this way; ``riccati.solve_value_coeffs`` steps F with its linear
-lines gamma, theta and xi through the callback.
 """
 
 from __future__ import annotations
 
 import ast
 import functools
+import inspect
 import sys
 from collections.abc import Callable, Sequence
 
@@ -62,10 +56,9 @@ import numpy as np
 from .errors import NonFiniteStateError
 from .model import GridConfig
 
-# the state tuple holds floats, or (B,) arrays for a batch of B members; a
-# pair holds a rates method and its forcing, one float or (B,) row per
-# half-grid point
-Rhs = Callable[[int, tuple], Sequence] | tuple[Callable, Sequence]
+# a rates method and its forcing: one float or (B,) row, or a tuple of
+# them, per half-grid point
+Rhs = tuple[Callable, Sequence]
 
 
 def _binop(op):
@@ -95,11 +88,11 @@ class _Term:
     __mul__, __rmul__ = _binop(ast.Mult)
     __truediv__, __rtruediv__ = _binop(ast.Div)
 
+    def __neg__(self):
+        return _Term(ast.UnaryOp(ast.USub(), self.node))
+
     def __getitem__(self, key):
         return _Term(ast.Subscript(self.node, _term(key).node, ast.Load()))
-
-    def __call__(self, *args):
-        return _Term(ast.Call(self.node, [_term(a).node for a in args], []))
 
 
 def _term(value) -> _Term:
@@ -117,28 +110,32 @@ def _name(name: str) -> _Term:
 
 class _Fields:
     """Stands in for the owner of a rates method being traced: every field
-    the method reads is the local ``_<field>``, bound once per solve."""
+    the method reads is the local ``_<field>``, bound once per solve, and
+    every other method of the owner's class it calls is traced in place,
+    with this stand-in as its ``self``."""
 
-    def __init__(self):
+    def __init__(self, owner: type):
+        self._owner = owner
         self._read: dict[str, _Term] = {}
 
-    def __getattr__(self, field: str) -> _Term:
-        if field not in self._read:
-            self._read[field] = _name(f"_{field}")
-        return self._read[field]
+    def __getattr__(self, name: str):
+        method = inspect.getattr_static(self._owner, name, None)
+        if inspect.isfunction(method):
+            return functools.partial(method, self)
+        return self._read.setdefault(name, _name(f"_{name}"))
 
 
 @functools.cache
-def _loop(width: int, rates: Callable | None = None):
+def _loop(width: int, owner: type, rates: Callable, forcing_width: int | None):
     """The RK4 loop for states of ``width`` components, written out per
     component: ``loop(owner, rhs, s, out, n, node, direction, half, h,
     sixth)`` takes n steps from ``node`` and writes every node's state to
     ``out``.  Every component keeps the operand order ``x + half * k`` and
     ``x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``: a reordered sum would
-    round differently in the last bit.  Without ``rates`` each stage calls
-    ``rhs(j, state)``.  With them, ``rhs`` holds the forcing rows and each
-    stage is ``rates(owner, *state, rhs[j])``, inlined as traced.  Only the
-    skeleton is parsed; the rest of the syntax tree is built here.
+    round differently in the last bit.  ``rhs`` holds the forcing, and each
+    stage is ``rates(owner, *state, rhs[j])``, inlined as traced; a forcing
+    of ``forcing_width`` values per point is read into that many locals.
+    Only the skeleton is parsed; the rest of the syntax tree is built here.
     """
     module = ast.parse(
         "def loop(owner, rhs, s, out, n, node, direction, half, h, sixth):\n"
@@ -154,18 +151,18 @@ def _loop(width: int, rates: Callable | None = None):
         where.append(ast.Assign([ast.Name(name, ast.Store())], _term(value).node))
         return _name(name)
 
-    fields = _Fields()
+    fields = _Fields(owner)
     rhs, s, node = _name("rhs"), _name("s"), _name("node")
     direction, half, h, sixth = map(_name, ("direction", "half", "h", "sixth"))
 
     def slopes(stage: int, state: list, j) -> list:
-        if rates is None:
-            k = let(f"k{stage}", rhs(j, tuple(state)))
-            return [k[i] for i in range(width)]
         if stage > 1:
             # the rates read each stage value more than once
             state = [let(f"y{stage}_{i}", value) for i, value in enumerate(state)]
-        rate_terms = rates(fields, *state, let(f"f{stage}", rhs[j]))
+        forcing = let(f"f{stage}", rhs[j])
+        if forcing_width is not None:
+            forcing = [let(f"f{stage}_{i}", forcing[i]) for i in range(forcing_width)]
+        rate_terms = rates(fields, *state, forcing)
         return [let(f"k{stage}_{i}", rate) for i, rate in enumerate(rate_terms)]
 
     def shifted(coef: _Term, k: list) -> list:
@@ -233,13 +230,11 @@ def _rk4(rhs: Rhs, state, grid: GridConfig, direction: int) -> np.ndarray:
     # values of the current step are alive as Python objects
     out = np.empty((n + 1, *start.shape))
     out[node] = s
-    if isinstance(rhs, tuple):
-        rates, rhs = rhs
-        owner, loop = rates.__self__, _loop(len(s), rates.__func__)
-    else:
-        owner, loop = None, _loop(len(s))
+    rates, forcing = rhs
+    width = len(forcing[0]) if isinstance(forcing[0], tuple) else None
+    loop = _loop(len(s), type(rates.__self__), rates.__func__, width)
     with np.errstate(over="ignore", invalid="ignore"):
-        loop(owner, rhs, s, out, n, node, direction, half, h, sixth)
+        loop(rates.__self__, forcing, s, out, n, node, direction, half, h, sixth)
     return _require_finite(out, grid, direction)
 
 

@@ -7,12 +7,13 @@ The blue team's value function is quadratic in (v, y):
 so dynamic programming reduces to six coupled scalar ODEs integrated backward
 from the terminal cost.  Their right-hand sides are stated in
 ``redblue.dynamics``: ``coeff_rhs`` for the autonomous (mu, eta, rho) block
-F, and ``value_rhs`` for the gamma and theta lines, which pick up the
-running target vbar and the pattern offset f_d, and the xi line, which
-collects the constant terms.  This module samples the inputs and runs the
-one backward solve, for one pattern; the pattern optimizers and the
-Stackelberg loop, which read only (mu, eta, rho), integrate F alone for one
-pattern or a batch in ``redblue.moments.solve_stack``.
+F, and ``value_rhs`` for all six, adding the gamma and theta lines, which
+pick up the running target vbar and the pattern offset f_d, and the xi line,
+which collects the constant terms.  This module samples the forcing
+(f_c, f_d, vbar) and runs the one backward solve of ``value_rhs``, for one
+pattern; the pattern optimizers and the Stackelberg loop, which read only
+(mu, eta, rho), integrate F alone for one pattern or a batch in
+``redblue.moments.solve_stack``.
 """
 
 from __future__ import annotations
@@ -77,26 +78,16 @@ def solve_value_coeffs(
     target curves are pre-sampled at nodes and midpoints, the only times the
     integrator touches.
     """
-    fc = sample_on_half_grid(pattern.f_c, grid).tolist()
-    fd = sample_on_half_grid(pattern.f_d, grid).tolist()
-    vb = sample_on_half_grid(params.vbar, grid).tolist()
-    dyn = Dynamics.of(params)
-    coeff_rhs, value_rhs = dyn.coeff_rhs, dyn.value_rhs
-
-    def rhs(j: int, state: tuple) -> tuple:
-        mu, eta, rho, gamma, theta, _ = state
-        return (
-            *coeff_rhs(mu, eta, rho, fc[j]),
-            *value_rhs(mu, eta, rho, gamma, theta, fc[j], fd[j], vb[j]),
-        )
-
-    states = integrate_backward(rhs, terminal_conditions(params), grid)
-    return ValueCoeffs(
-        grid=grid,
-        mu=states[:, 0].copy(),
-        eta=states[:, 1].copy(),
-        rho=states[:, 2].copy(),
-        gamma=states[:, 3].copy(),
-        theta=states[:, 4].copy(),
-        xi=states[:, 5].copy(),
+    # the forcing (f_c, f_d, vbar) at every half-grid point
+    forcing = zip(
+        sample_on_half_grid(pattern.f_c, grid).tolist(),
+        sample_on_half_grid(pattern.f_d, grid).tolist(),
+        sample_on_half_grid(params.vbar, grid).tolist(),
     )
+    states = integrate_backward(
+        (Dynamics.of(params).value_rhs, list(forcing)),
+        terminal_conditions(params),
+        grid,
+    )
+    # one contiguous row per curve
+    return ValueCoeffs(grid, *states.T.copy())

@@ -75,3 +75,21 @@ def test_solve_stack_steps_f_in_one_odeint_span(bench, batch):
     assert tracer.absent_hooks == []
     odeint = [span for span in spans if span.name == "odeint"]
     assert [span.info for span in odeint] == [{"steps": grid.n_steps}]
+
+
+def test_solve_value_coeffs_steps_in_one_odeint_span(bench):
+    # odeint.* counts riccati's solves too: solve_value_coeffs steps its six
+    # lines through integrate_backward once per call
+    tracing, _ = bench
+    from conftest import make_params
+    from redblue import GridConfig, Pattern, Sinusoid, riccati
+
+    grid = GridConfig(50, 0.1)
+    pattern = Pattern(Sinusoid(1.0, 20.0), Sinusoid(0.5, 10.0))
+    tracer = tracing.Tracer()
+    _, spans, _ = tracer.record(
+        lambda: riccati.solve_value_coeffs(make_params(), pattern, grid)
+    )
+    assert tracer.absent_hooks == []
+    odeint = [span for span in spans if span.name == "odeint"]
+    assert [span.info for span in odeint] == [{"steps": grid.n_steps}]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redblue import LambdaOutOfRangeError, RedConfig
+from redblue import LambdaOutOfRangeError, RedConfig, riccati
 from redblue.cli import (
     ConfigError,
     build_run_config,
@@ -20,6 +20,7 @@ from redblue.cli import (
     write_json,
 )
 from redblue.moments import NOT_SIMPLIFIED
+from redblue.odeint import integrate_backward
 from redblue.red import nn
 from redblue.red.euler import euler_objective_and_gradient
 
@@ -503,6 +504,43 @@ def test_noise_scales_with_unusable_squares_are_config_errors(
     assert err.startswith("config error: ") and "**2 must be" in err
     assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+def count_riccati_solves(monkeypatch) -> list:
+    """The grid sizes of every riccati solve from here on."""
+    solves = []
+
+    def counting(rhs, terminal, grid):
+        solves.append(grid.n_steps)
+        return integrate_backward(rhs, terminal, grid)
+
+    monkeypatch.setattr(riccati, "integrate_backward", counting)
+    return solves
+
+
+def test_readme_validate_solves_each_blue_policy_once(tmp_path, capsys, monkeypatch):
+    # the zero-pattern and martingale rows share the zero pattern's policy,
+    # and the cross-oracle row and grid-refinement's coarse solve share the
+    # configured pattern's; the full-intensity and fine-grid solves are
+    # their own
+    solves = count_riccati_solves(monkeypatch)
+    cfg = write_config(tmp_path, README_DOC)
+    assert main(["validate", "--config", cfg]) == 0
+    n = README_DOC["grid.n_steps"]
+    assert solves == [n, n, n, 2 * n]
+    assert "validate: all checks passed" in capsys.readouterr().out
+
+
+def test_a_failed_shared_solve_fails_every_row_that_reads_it(tmp_path, capsys):
+    # the configured pattern's solve overflows; the cross-oracle and
+    # grid-refinement rows each fail with its reason
+    doc = dict(README_DOC, **{"pattern.f_c": "constant:1e160"})
+    assert main(["validate", "--config", write_config(tmp_path, doc)]) == 2
+    rows = dict(line.split(maxsplit=1) for line in capsys.readouterr().out.splitlines())
+    reason = rows["moment-cross-oracle"]
+    assert reason.startswith("FAIL  error: non-finite state at t=")
+    assert rows["grid-refinement"] == reason
+    assert rows["validate:"] == "3 check(s) failed"
 
 
 def test_validate_passes_on_sound_config(tmp_path, capsys):

@@ -27,6 +27,7 @@ from redblue.odeint import integrate_backward, integrate_forward
 from redblue.red.objective import solve_stack
 from redblue.riccati import ValueCoeffs
 import moment_reference as reference
+from rk4_reference import reference_rk4
 from conftest import (
     assert_within_column_max,
     make_params,
@@ -255,19 +256,21 @@ STATE_BOUND = 1e-12
 
 
 def reference_stack(params, row, grid):
-    """solve_stack's x for one row, with G stepped by the per-stage
-    reference right-hand side, which restates K at every stage."""
+    """solve_stack's x for one row, stepped by the reference loop, with G's
+    per-stage reference right-hand side, which restates K at every stage."""
     dyn = Dynamics.of(params)
     f = sample_on_half_grid(grid_function(row, grid), grid).tolist()
-    coeffs = integrate_backward(
-        lambda j, s: dyn.coeff_rhs(*s, f[j]), dyn.coeff_terminal(), grid
-    )
-    s = nodes_to_half_grid(coeffs).tolist()
-    moments = integrate_forward(
-        lambda j, m: reference.moment_rhs(dyn, *m, *s[j], f[j]),
-        dyn.moment_initial(),
-        grid,
-    )
+    with np.errstate(all="ignore"):
+        coeffs = reference_rk4(
+            lambda j, s: dyn.coeff_rhs(*s, f[j]), dyn.coeff_terminal(), grid, -1
+        )
+        s = nodes_to_half_grid(coeffs).tolist()
+        moments = reference_rk4(
+            lambda j, m: reference.moment_rhs(dyn, *m, *s[j], f[j]),
+            dyn.moment_initial(),
+            grid,
+            1,
+        )
     return np.concatenate((coeffs, moments), axis=1)
 
 
@@ -304,10 +307,10 @@ def test_solve_stack_matches_the_per_stage_reference(seed, mode, n_steps, size, 
         assert_within_column_max(x[:, :, b], want, STATE_BOUND)
 
 
-def rk4_or_message(solve, rhs, start, grid):
+def rk4_or_message(solve, *args):
     """``solve``'s nodes, or its NonFiniteStateError's reason."""
     try:
-        return solve(rhs, start, grid)
+        return solve(*args)
     except NonFiniteStateError as exc:
         return str(exc)
 
@@ -327,8 +330,10 @@ def test_generated_coeff_loop_matches_the_callback_loop(
     seed, mode, n_steps, size, scale, direction
 ):
     # F's loop, generated from coeff_rhs's expressions, steps every node as
-    # the per-stage callback does, bit for bit and in the sign of every
-    # zero, for one pattern and for a batch, and fails with the same reason
+    # the reference loop calling coeff_rhs at every stage does, bit for bit
+    # and in the sign of every zero, for one pattern and for each member of
+    # a batch, and fails with the same reason as the member that goes
+    # non-finite first in stepping order
     rng = np.random.default_rng(seed)
     dyn = Dynamics.of(random_params(rng, mode))
     grid = GridConfig(n_steps, rng.uniform(0.2, 1.2))
@@ -337,15 +342,29 @@ def test_generated_coeff_loop_matches_the_callback_loop(
         [sample_on_half_grid(grid_function(row, grid), grid) for row in nodes]
     )
     solve = integrate_backward if direction < 0 else integrate_forward
-    cases = [(list(f), np.multiply.outer(dyn.coeff_terminal(), np.ones(size)))]
-    cases += [(column.tolist(), dyn.coeff_terminal()) for column in f.T]
-    for rows, start in cases:
-        got = rk4_or_message(solve, (dyn.coeff_rhs, rows), start, grid)
-        want = rk4_or_message(
-            solve, lambda j, s: dyn.coeff_rhs(*s, rows[j]), start, grid
-        )
+    singles = []
+    for column in f.T:
+        rows = column.tolist()
+        got = rk4_or_message(solve, (dyn.coeff_rhs, rows), dyn.coeff_terminal(), grid)
+        with np.errstate(all="ignore"):
+            want = rk4_or_message(
+                reference_rk4,
+                lambda j, s: dyn.coeff_rhs(*s, rows[j]),
+                dyn.coeff_terminal(),
+                grid,
+                direction,
+            )
         if isinstance(want, str):
             assert got == want
         else:
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+        singles.append(got)
+    start = np.multiply.outer(dyn.coeff_terminal(), np.ones(size))
+    got = rk4_or_message(solve, (dyn.coeff_rhs, list(f)), start, grid)
+    failed = [single for single in singles if isinstance(single, str)]
+    if failed:
+        times = [float(single.split("t=")[1].split(":")[0]) for single in failed]
+        assert got == failed[times.index(max(times) if direction < 0 else min(times))]
+    else:
+        assert got.tobytes() == np.stack(singles, -1).tobytes()

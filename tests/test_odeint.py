@@ -1,5 +1,4 @@
 import math
-import sys
 import warnings
 
 import numpy as np
@@ -8,43 +7,39 @@ from hypothesis import given, strategies as st
 
 from redblue import GridConfig, NonFiniteStateError
 from redblue.odeint import integrate_backward, integrate_forward, integrate_linear
+from rk4_reference import reference_rk4
 
 
-def reference_rk4(rhs, state, grid, direction):
-    """The array-based RK4 loop the tuple loop replaced, kept as the
-    reference: numpy arrays per stage and a finiteness check per node."""
-    n = grid.n_steps
-    h = direction * grid.h
-    node = 0 if direction > 0 else n
-    state = np.array(state, dtype=float)
+class Systems:
+    """Rates methods of small test systems, each called as
+    ``rates(*state, forcing[j])``."""
 
-    def check_finite(state, t):
-        if not np.all(np.isfinite(state)):
-            row = np.array2string(state, max_line_width=sys.maxsize)
-            raise NonFiniteStateError(f"non-finite state at t={t}: {row}")
+    def exp(self, x, f):
+        return (x,)
 
-    check_finite(state, node * grid.h)
-    out = np.empty((n + 1, state.size))
-    out[node] = state
-    for _ in range(n):
-        j = 2 * node
-        k1 = rhs(j, state)
-        k2 = rhs(j + direction, state + 0.5 * h * k1)
-        k3 = rhs(j + direction, state + 0.5 * h * k2)
-        k4 = rhs(j + 2 * direction, state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        node += direction
-        check_finite(state, node * grid.h)
-        out[node] = state
-    return out
+    def forcing(self, x, f):
+        return (2.0 * f,)
+
+    def riccati(self, x, f):
+        return (x * x - 1.0,)
+
+    def decay(self, x, v, f):
+        return (-x, -v)
+
+    def oscillator(self, x, v, f):
+        return (v, -x + f)
 
 
-def exp_rhs(j, x):
-    return x
+SYSTEMS = Systems()
+
+
+def unforced(grid: GridConfig) -> list:
+    return [0.0] * (2 * grid.n_steps + 1)
 
 
 def test_forward_exponential():
-    states = integrate_forward(exp_rhs, np.array([1.0]), GridConfig(50, 1.0))
+    grid = GridConfig(50, 1.0)
+    states = integrate_forward((SYSTEMS.exp, unforced(grid)), np.array([1.0]), grid)
     assert states.shape == (51, 1)
     assert states[0, 0] == 1.0
     assert states[-1, 0] == pytest.approx(math.e, abs=1e-8)
@@ -52,7 +47,8 @@ def test_forward_exponential():
 
 def test_forward_fourth_order_convergence():
     def err(n):
-        states = integrate_forward(exp_rhs, np.array([1.0]), GridConfig(n, 1.0))
+        grid = GridConfig(n, 1.0)
+        states = integrate_forward((SYSTEMS.exp, unforced(grid)), [1.0], grid)
         return abs(states[-1, 0] - math.e)
 
     ratio = err(20) / err(40)
@@ -63,19 +59,15 @@ def test_forward_fourth_order_convergence():
 def test_forward_time_dependent_rhs():
     # x' = 2t, x(0)=0 -> x(T)=T^2; polynomial quadrature is exact for RK4
     grid = GridConfig(10, 2.0)
-    half_times = grid.half_times()
-    states = integrate_forward(
-        lambda j, x: np.array([2.0 * half_times[j]]), np.array([0.0]), grid
-    )
+    half_times = grid.half_times().tolist()
+    states = integrate_forward((SYSTEMS.forcing, half_times), np.array([0.0]), grid)
     assert states[-1, 0] == pytest.approx(4.0, abs=1e-13)
 
 
 def test_backward_riccati_closed_form():
     # mu' = mu^2 - 1 with mu(T) = 1/2 has solution tanh(atanh(1/2) + T - t)
     grid = GridConfig(400, 1.0)
-    states = integrate_backward(
-        lambda j, x: (x[0] * x[0] - 1.0,), np.array([0.5]), grid
-    )
+    states = integrate_backward((SYSTEMS.riccati, unforced(grid)), [0.5], grid)
     c = math.atanh(0.5)
     expected = np.tanh(c + 1.0 - grid.times())
     np.testing.assert_allclose(states[:, 0], expected, atol=1e-9)
@@ -84,37 +76,37 @@ def test_backward_riccati_closed_form():
 
 def test_backward_terminal_row_exact():
     terminal = np.array([3.0, -1.5])
-    states = integrate_backward(
-        lambda j, x: (-x[0], -x[1]), terminal, GridConfig(10, 1.0)
-    )
+    grid = GridConfig(10, 1.0)
+    states = integrate_backward((SYSTEMS.decay, unforced(grid)), terminal, grid)
     np.testing.assert_array_equal(states[-1], terminal)
+
+
+class Probe:
+    """A forcing value that records its half-grid index whenever a stage
+    reads it into a rate."""
+
+    def __init__(self, j: int, seen: list):
+        self.j, self.seen = j, seen
+
+    def __rmul__(self, other):
+        self.seen.append(self.j)
+        return 0.0
 
 
 def test_stage_indices_walk_the_half_grid():
     n = 6
+    grid = GridConfig(n, 1.0)
     seen = {"forward": [], "backward": []}
-
-    def recorder(direction):
-        def rhs(j, x):
-            seen[direction].append(j)
-            return np.zeros(1)
-
-        return rhs
-
-    integrate_forward(recorder("forward"), [0.0], GridConfig(n, 1.0))
-    integrate_backward(recorder("backward"), [0.0], GridConfig(n, 1.0))
+    for name, solve in (("forward", integrate_forward), ("backward", integrate_backward)):
+        probes = [Probe(j, seen[name]) for j in range(2 * n + 1)]
+        solve((SYSTEMS.forcing, probes), [0.0], grid)
     forward = [j for k in range(n) for j in (2 * k, 2 * k + 1, 2 * k + 1, 2 * k + 2)]
     assert seen["forward"] == forward
     assert seen["backward"] == [2 * n - j for j in forward]
 
 
 def oscillator(grid: GridConfig):
-    half_times = grid.half_times()
-
-    def rhs(j, x):
-        return np.array([x[1], -x[0] + math.sin(half_times[j])])
-
-    return rhs
+    return (SYSTEMS.oscillator, np.sin(grid.half_times()).tolist())
 
 
 def test_backward_forward_round_trip():
@@ -144,17 +136,16 @@ def test_round_trip_property(x_end, v_end, horizon, n):
 
 def test_non_finite_detection():
     # x' = x^2 escapes in finite time from x(0)=10 on [0, 1]
+    grid = GridConfig(20, 1.0)
     with pytest.raises(NonFiniteStateError):
-        integrate_forward(
-            lambda j, x: (x[0] * x[0],), np.array([10.0]), GridConfig(20, 1.0)
-        )
+        integrate_forward((SYSTEMS.riccati, unforced(grid)), [10.0], grid)
 
 
 @st.composite
 def polynomial_systems(draw):
-    """A random polynomial right-hand side of degree <= 2 with a
-    half-grid-indexed time term, its start state, and the sequence type the
-    right-hand side returns: tuple, as the library's do, or list."""
+    """A random polynomial right-hand side of degree <= 2 with a term in the
+    half-grid time, its start state, and the sequence type its rates
+    return: tuple, as the library's do, or list."""
     dim = draw(st.integers(1, 8))
     coef = st.floats(-2.0, 2.0)
     index = st.integers(0, dim - 1)
@@ -171,28 +162,44 @@ def polynomial_systems(draw):
 
 
 def polynomial_rhs(components, half_times, kind=list):
-    def rhs(j, x):
-        out = []
-        for const, slope, terms in components:
-            acc = const + slope * half_times[j]
-            for c, a, b in terms:
-                acc = acc + (c * x[a] if b is None else c * x[a] * x[b])
-            out.append(acc)
-        return kind(out)
+    """The pair (rates, half_times) of a polynomial system.  The loop is
+    cached per rates method, so each system gets a class of its own."""
 
-    return rhs
+    class Polynomial:
+        def rates(self, *args):
+            *x, t = args
+            out = []
+            for const, slope, terms in components:
+                acc = const + slope * t
+                for c, a, b in terms:
+                    acc = acc + (c * x[a] if b is None else c * x[a] * x[b])
+                out.append(acc)
+            return kind(out)
+
+    return Polynomial().rates, half_times
+
+
+def as_callback(rhs):
+    """The pair ``rhs`` as a right-hand side of the reference loop, which
+    calls it at every stage."""
+    rates, forcing = rhs
+    return lambda j, x: rates(*x, forcing[j])
+
+
+def solve_or_message(solve, rhs, start, grid):
+    try:
+        return solve(rhs, start, grid)
+    except NonFiniteStateError as exc:
+        return str(exc)
 
 
 def run_both(rhs, start, grid, direction):
-    """(result or error message) of the tuple loop and of the reference."""
+    """(result or error message) of the generated loop and of the reference."""
     new = integrate_forward if direction > 0 else integrate_backward
-    try:
-        got = new(rhs, start, grid)
-    except NonFiniteStateError as exc:
-        got = str(exc)
+    got = solve_or_message(new, rhs, start, grid)
     with np.errstate(all="ignore"):
         try:
-            want = reference_rk4(lambda j, x: np.array(rhs(j, x)), start, grid, direction)
+            want = reference_rk4(as_callback(rhs), start, grid, direction)
         except NonFiniteStateError as exc:
             want = str(exc)
     return got, want
@@ -237,13 +244,6 @@ def polynomial_batches(draw):
     dim = len(start)
     member = st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)
     return components, [start, *draw(st.lists(member, max_size=7))], kind
-
-
-def solve_or_message(solve, rhs, start, grid):
-    try:
-        return solve(rhs, start, grid)
-    except NonFiniteStateError as exc:
-        return str(exc)
 
 
 @given(
@@ -308,20 +308,19 @@ def random_linear_system(rng, dim, split=0):
 
 
 def linear_rhs(abar):
-    """x' = A x + b as a right-hand side of the RK4 loop, read from the
-    half-grid table ``abar``."""
+    """x' = A x + b as a right-hand side of the reference loop, read from
+    the half-grid table ``abar``."""
     rows = abar[:, :-1, :]
     return lambda j, x: rows[j] @ np.append(x, 1.0)
 
 
 def solve_linear(abar, start, grid, direction, rk4=False):
-    """The linear stepper's solve, or the RK4 loop's; either one's reason
-    if it goes non-finite."""
+    """The linear stepper's solve, or the reference RK4 loop's; either
+    one's reason if it goes non-finite."""
     try:
         if not rk4:
             return integrate_linear(abar, start, grid, direction)
-        solve = integrate_forward if direction > 0 else integrate_backward
-        return solve(linear_rhs(abar), start, grid)
+        return reference_rk4(linear_rhs(abar), start, grid, direction)
     except NonFiniteStateError as exc:
         return str(exc)
 

@@ -9,11 +9,11 @@ from redblue import Constant, GridConfig, NonFiniteStateError, RedConfig
 from redblue.dynamics import Dynamics
 from redblue.model import GridSampled, grid_function, sample_on_half_grid
 from redblue.moments import nodes_to_half_grid
-from redblue.odeint import integrate_backward
 from redblue.red.fbs import _hamiltonian_coeffs, fbs_solve, solve_adjoint
 from redblue.red.fpi import fpi_solve
 from redblue.red.objective import anchor_values, closed_form_update, solve_stack
 import moment_reference as reference
+from rk4_reference import reference_rk4
 from conftest import (
     assert_within_column_max,
     make_params,
@@ -105,8 +105,9 @@ def test_fbs_quadratic_anchor_need_not_be_one():
 
 
 def reference_adjoint(params, f_nodes, x, grid):
-    """solve_adjoint with the per-stage reference products of G, which
-    restate K and dG/ds at every stage, and the payoff gradient per stage."""
+    """solve_adjoint stepped by the reference loop, with the per-stage
+    reference products of G, which restate K and dG/ds at every stage, and
+    the payoff gradient per stage."""
     fc_h = sample_on_half_grid(GridSampled(f_nodes, grid.horizon), grid)
     rows = np.column_stack((nodes_to_half_grid(x), fc_h)).tolist()
     dyn = Dynamics.of(params)
@@ -128,7 +129,8 @@ def reference_adjoint(params, f_nodes, x, grid):
             -(g02 + l_h02),
         )
 
-    return integrate_backward(rhs, (0.0,) * 6, grid)
+    with np.errstate(all="ignore"):
+        return reference_rk4(rhs, (0.0,) * 6, grid, -1)
 
 
 # The largest difference from the per-stage reference, relative to each

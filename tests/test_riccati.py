@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,14 +11,17 @@ from redblue import (
     Constant,
     GridConfig,
     GridMismatchError,
+    NonFiniteStateError,
     Pattern,
     Sinusoid,
     ZERO_PATTERN,
     solve_value_coeffs,
 )
-from redblue.dynamics import misdirection_gain, pattern_curvature
-from redblue.model import grid_function
+from redblue.dynamics import Dynamics, misdirection_gain, pattern_curvature
+from redblue.model import grid_function, sample_on_half_grid
+from redblue.red.objective import solve_stack
 from redblue.riccati import check_same_grid, terminal_conditions
+from rk4_reference import reference_rk4
 from conftest import (
     assert_within_column_max,
     make_params,
@@ -174,3 +178,80 @@ def test_value_lines_match_the_per_stage_reference(seed, mode, n_steps, scale):
         return
     assert np.array_equal(got[:, :3], want[:, :3])
     assert_within_column_max(got, want, VALUE_BOUND)
+
+
+def per_stage_reference(params, pattern, grid):
+    """The six lines stepped by the reference loop, calling value_rhs at
+    every stage; its nodes, or its NonFiniteStateError's reason."""
+    dyn = Dynamics.of(params)
+    forcing = list(
+        zip(
+            *(
+                sample_on_half_grid(curve, grid).tolist()
+                for curve in (pattern.f_c, pattern.f_d, params.vbar)
+            )
+        )
+    )
+    with np.errstate(all="ignore"):
+        try:
+            return reference_rk4(
+                lambda j, s: dyn.value_rhs(*s, forcing[j]),
+                terminal_conditions(params),
+                grid,
+                -1,
+            )
+        except NonFiniteStateError as exc:
+            return str(exc)
+
+
+@settings(max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["any", "zero", "full", "upper"]),
+    n_steps=st.integers(2, 300),
+    # a zero scale keeps the sign of every zero node; 1e160 overflows f^2
+    scale=st.sampled_from([0.0, 1e-3, 1.0, 40.0, 200.0, 1e160]),
+)
+def test_six_line_loop_matches_the_per_stage_callback(seed, mode, n_steps, scale):
+    # the loop traced from value_rhs, with coeff_rhs and state_gains
+    # inlined, steps every node as the reference loop calling value_rhs at
+    # every stage does, bit for bit and in the sign of every zero, under
+    # velocity targets and a pattern offset, and fails with the same reason
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, mode)
+    grid = GridConfig(n_steps, params.horizon)
+    f_c = grid_function(scale * rng.standard_normal(n_steps + 1), grid)
+    f_d = Sinusoid(*rng.uniform((-2.0, 0.0, 0.0), (2.0, 20.0, 3.0)))
+    pattern = Pattern(f_c, f_d)
+    want = per_stage_reference(params, pattern, grid)
+    try:
+        got = value_curves(params, pattern, grid)
+    except NonFiniteStateError as exc:
+        got = str(exc)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["any", "zero", "full", "upper"]),
+    n_steps=st.integers(2, 300),
+    scale=st.sampled_from([0.0, 1e-3, 1.0, 40.0]),
+)
+def test_mu_eta_rho_are_solve_stacks_f_columns(seed, mode, n_steps, scale):
+    # under a zero-offset pattern riccati's F is solve_stack's, bit for bit:
+    # the six-line loop steps F with the same operations in the same order
+    rng = np.random.default_rng(seed)
+    params = replace(random_params(rng, mode), vbar=Constant(0.0), vbar_final=0.0)
+    grid = GridConfig(n_steps, params.horizon)
+    row = scale * rng.standard_normal(n_steps + 1)
+    pattern = Pattern(grid_function(row, grid), Constant(0.0))
+    coeffs = states_or_node(value_curves, params, pattern, grid)
+    stack = states_or_node(solve_stack, params, row, grid)
+    if isinstance(coeffs, str) or isinstance(stack, str):
+        return
+    assert coeffs[:, :3].tobytes() == stack[0][:, :3].tobytes()

@@ -1,12 +1,15 @@
 """The value function's gamma, theta and xi lines as the six-wide backward
 solve wrote them before they were read off the closed loop's gains, kept as
 the reference: each stage evaluates them with every factor computed in
-place, in the operand order they were written in."""
+place, in the operand order they were written in, stepped by the
+per-stage reference loop."""
+
+import numpy as np
 
 from redblue.dynamics import Dynamics
 from redblue.model import sample_on_half_grid
-from redblue.odeint import integrate_backward
 from redblue.riccati import terminal_conditions
+from rk4_reference import reference_rk4
 
 
 def solve_value_coeffs(params, pattern, grid):
@@ -42,4 +45,5 @@ def solve_value_coeffs(params, pattern, grid):
         )
         return (*dyn.coeff_rhs(mu, eta, rho, fc_t), d_gamma, d_theta, d_xi)
 
-    return integrate_backward(rhs, terminal_conditions(params), grid)
+    with np.errstate(all="ignore"):
+        return reference_rk4(rhs, terminal_conditions(params), grid, -1)
