@@ -48,41 +48,6 @@ class ConfigError(Exception):
     pass
 
 
-_REQUIRED = object()
-
-# key -> (kind, default); kind in {"float", "int", "str", "tf"}
-_KEYS = {
-    "model.T": ("float", _REQUIRED),
-    "model.sigma_B": ("float", _REQUIRED),
-    "model.sigma_W": ("float", _REQUIRED),
-    "model.r_alpha": ("float", _REQUIRED),
-    "model.r_beta": ("float", _REQUIRED),
-    "model.r_v": ("float", _REQUIRED),
-    "model.t_v": ("float", _REQUIRED),
-    "model.vbar": ("tf", "constant:0"),
-    "model.vbar_T": ("float", 0.0),
-    "model.lambda": ("float", _REQUIRED),
-    "model.v0": ("float", _REQUIRED),
-    "model.y0": ("float", _REQUIRED),
-    "grid.n_steps": ("int", _REQUIRED),
-    "pattern.f_c": ("tf", "constant:0"),
-    "pattern.f_d": ("tf", "constant:0"),
-    "red.penalty": ("str", "quadratic"),
-    "red.lambda_reg": ("float", 1.0),
-    "red.solver": ("str", "fpi"),
-    "red.f_c_initial": ("tf", "constant:1"),
-    "red.tolerance": ("float", 1e-3),
-    "red.max_iters": ("int", 200),
-    "red.relaxation": ("float", 0.5),
-    "mc.n_paths": ("int", 1000),
-    "mc.sample_trajectories": ("int", 3),
-    "stackelberg.n_rounds": ("int", 1),
-    "seed": ("int", 0),
-    "threads": ("int", 1),
-    "out_dir": ("str", "out"),
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     params: ModelParams
@@ -95,6 +60,43 @@ class RunConfig:
     seed: int
     threads: int
     out_dir: Path
+
+
+_REQUIRED = object()
+
+# key -> (kind, default, owner, field, least); kind in {"float", "int", "str",
+# "tf", "path"}.  A None default leaves the field to the owner's own default;
+# a None least means no lower bound.
+_KEYS = {
+    "model.T": ("float", _REQUIRED, ModelParams, "horizon", None),
+    "model.sigma_B": ("float", _REQUIRED, ModelParams, "sigma_b", None),
+    "model.sigma_W": ("float", _REQUIRED, ModelParams, "sigma_w", None),
+    "model.r_alpha": ("float", _REQUIRED, ModelParams, "r_alpha", None),
+    "model.r_beta": ("float", _REQUIRED, ModelParams, "r_beta", None),
+    "model.r_v": ("float", _REQUIRED, ModelParams, "r_v", None),
+    "model.t_v": ("float", _REQUIRED, ModelParams, "t_v", None),
+    "model.vbar": ("tf", "constant:0", ModelParams, "vbar", None),
+    "model.vbar_T": ("float", 0.0, ModelParams, "vbar_final", None),
+    "model.lambda": ("float", _REQUIRED, ModelParams, "lam", None),
+    "model.v0": ("float", _REQUIRED, ModelParams, "v0", None),
+    "model.y0": ("float", _REQUIRED, ModelParams, "y0", None),
+    "grid.n_steps": ("int", _REQUIRED, GridConfig, "n_steps", None),
+    "pattern.f_c": ("tf", "constant:0", Pattern, "f_c", None),
+    "pattern.f_d": ("tf", "constant:0", Pattern, "f_d", None),
+    "red.penalty": ("str", None, RedConfig, "penalty_kind", None),
+    "red.lambda_reg": ("float", 1.0, RedConfig, "lambda_reg", None),
+    "red.solver": ("str", None, RedConfig, "solver", None),
+    "red.f_c_initial": ("tf", None, RedConfig, "f_c_initial", None),
+    "red.tolerance": ("float", None, RedConfig, "tolerance", None),
+    "red.max_iters": ("int", None, RedConfig, "max_iters", None),
+    "red.relaxation": ("float", None, RedConfig, "fbs_relaxation", None),
+    "mc.n_paths": ("int", 1000, RunConfig, "n_paths", 2),
+    "mc.sample_trajectories": ("int", 3, RunConfig, "n_sample", 0),
+    "stackelberg.n_rounds": ("int", 1, RunConfig, "n_rounds", 1),
+    "seed": ("int", 0, RunConfig, "seed", 0),
+    "threads": ("int", 1, RunConfig, "threads", 1),
+    "out_dir": ("path", "out", RunConfig, "out_dir", None),
+}
 
 
 def parse_time_function(text, horizon: float, key: str) -> TimeFunction:
@@ -143,7 +145,7 @@ def _coerce(key: str, kind: str, value):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{key}: expected an integer")
         return value
-    if kind == "str":
+    if kind in ("str", "path"):
         if not isinstance(value, str):
             raise ConfigError(f"{key}: expected a string")
         return value
@@ -162,74 +164,41 @@ def build_run_config(
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(unknown))
     missing = sorted(
-        k for k, (_, dflt) in _KEYS.items() if dflt is _REQUIRED and k not in doc
+        k for k, (_, dflt, *_) in _KEYS.items() if dflt is _REQUIRED and k not in doc
     )
     if missing:
         raise ConfigError("missing required config keys: " + ", ".join(missing))
-    raw = {}
-    for key, (kind, dflt) in _KEYS.items():
-        raw[key] = _coerce(key, kind, doc.get(key, dflt))
+    raw = {
+        key: _coerce(key, kind, doc.get(key, dflt))
+        for key, (kind, dflt, *_) in _KEYS.items()
+        if key in doc or dflt is not None
+    }
+    flags = {"seed": seed, "threads": threads, "out_dir": out_dir}
+    raw.update((key, value) for key, value in flags.items() if value is not None)
 
     horizon = raw["model.T"]
     if not (isinstance(horizon, float) and horizon > 0.0):
         raise ConfigError("model.T must be a positive number")
 
-    def tf(key):
-        return parse_time_function(raw[key], horizon, key)
+    def build(owner, **fields):
+        # time functions are parsed here, object by object, so that each
+        # error is raised where the object that reads it is built
+        for key, (kind, _, cls, field, _) in _KEYS.items():
+            if cls is owner and key in raw:
+                value = raw[key]
+                if kind == "tf":
+                    value = parse_time_function(value, horizon, key)
+                fields[field] = Path(value) if kind == "path" else value
+        return owner(**fields)
 
-    params = ModelParams(
-        horizon=horizon,
-        sigma_b=raw["model.sigma_B"],
-        sigma_w=raw["model.sigma_W"],
-        r_alpha=raw["model.r_alpha"],
-        r_beta=raw["model.r_beta"],
-        r_v=raw["model.r_v"],
-        t_v=raw["model.t_v"],
-        vbar=tf("model.vbar"),
-        vbar_final=raw["model.vbar_T"],
-        lam=raw["model.lambda"],
-        v0=raw["model.v0"],
-        y0=raw["model.y0"],
-    )
-    validate_params(params)
-    grid = GridConfig(n_steps=raw["grid.n_steps"], horizon=horizon)
-    pattern = Pattern(f_c=tf("pattern.f_c"), f_d=tf("pattern.f_d"))
-    red = RedConfig(
-        lambda_reg=raw["red.lambda_reg"],
-        penalty_kind=raw["red.penalty"],
-        f_c_initial=tf("red.f_c_initial"),
-        solver=raw["red.solver"],
-        tolerance=raw["red.tolerance"],
-        max_iters=raw["red.max_iters"],
-        fbs_relaxation=raw["red.relaxation"],
-    )
-    n_paths = raw["mc.n_paths"]
-    if n_paths < 2:
-        raise ConfigError("mc.n_paths must be >= 2")
-    n_sample = raw["mc.sample_trajectories"]
-    if n_sample < 0:
-        raise ConfigError("mc.sample_trajectories must be >= 0")
-    n_rounds = raw["stackelberg.n_rounds"]
-    if n_rounds < 1:
-        raise ConfigError("stackelberg.n_rounds must be >= 1")
-    cfg_seed = raw["seed"] if seed is None else seed
-    if cfg_seed < 0:
-        raise ConfigError("seed must be >= 0")
-    cfg_threads = raw["threads"] if threads is None else threads
-    if cfg_threads < 1:
-        raise ConfigError("threads must be >= 1")
-    return RunConfig(
-        params=params,
-        grid=grid,
-        pattern=pattern,
-        red=red,
-        n_paths=n_paths,
-        n_sample=n_sample,
-        n_rounds=n_rounds,
-        seed=cfg_seed,
-        threads=cfg_threads,
-        out_dir=Path(raw["out_dir"] if out_dir is None else out_dir),
-    )
+    params = validate_params(build(ModelParams))
+    grid = build(GridConfig, horizon=horizon)
+    pattern = build(Pattern)
+    red = build(RedConfig)
+    for key, (*_, least) in _KEYS.items():
+        if least is not None and raw[key] < least:
+            raise ConfigError(f"{key} must be >= {least}")
+    return build(RunConfig, params=params, grid=grid, pattern=pattern, red=red)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ sigma_w^2, integrated by the trapezoid rule.
 
 This module is the only place that steps G, integrates the payoff and decides
 whether the closure applies.  ``solve_stack`` steps the coefficient block F
-and then G for one pattern or a batch; the pattern optimizers and the
-Stackelberg loop call it.  F's rates, ``dynamics.Dynamics.coeff_rhs``, go
-to ``odeint.integrate_backward`` paired with the pattern as their forcing,
-and step through the RK4 loop generated from their expressions.  The public
+and then G for one pattern or a batch; the pattern optimizers call it.
+F's rates, ``dynamics.Dynamics.coeff_rhs``, go to
+``odeint.integrate_backward`` paired with the pattern as their forcing, and
+step through the RK4 loop generated from their expressions.  The public
 ``solve_moments`` and ``expected_log_lr`` take one pattern and the six
 coefficient curves of ``solve_value_coeffs``, and go through the same G
 stepper and payoff integral.  G = K m + sigma is linear in the moments, and

@@ -170,10 +170,3 @@ def euler_objective_and_gradient(
         grad[1:] += -h * dyn.coeff_vjp_f(q, eta[1:], rho[1:], f[1:])
 
     return objective, grad
-
-
-def euler_objective(
-    f: np.ndarray, params: ModelParams, config: RedConfig, grid: GridConfig
-) -> float:
-    value, _ = euler_objective_and_gradient(f, params, config, grid)
-    return value

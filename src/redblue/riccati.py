@@ -40,17 +40,6 @@ class ValueCoeffs:
     theta: np.ndarray
     xi: np.ndarray
 
-    def value(self, k: int, v: float, y: float) -> float:
-        """Quadratic value at node k (diagnostic)."""
-        return (
-            0.5 * self.mu[k] * v * v
-            + self.eta[k] * v * y
-            + 0.5 * self.rho[k] * y * y
-            + self.gamma[k] * v
-            + self.theta[k] * y
-            + self.xi[k]
-        )
-
 
 def check_same_grid(a: GridConfig, b: GridConfig) -> None:
     if a.n_steps != b.n_steps or a.horizon != b.horizon:

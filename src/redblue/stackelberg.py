@@ -5,9 +5,9 @@ solve, Monte Carlo metrics, whose first ensemble members are the sample
 paths), then the optimizer anchors its trust penalty at that pattern and
 instills a new one, which the controller adopts next round.  A round's
 expected log likelihood ratio comes from the moment closure once: round 1's
-from ``solve_stack``, every later round's from the optimizer solve that
-produced its pattern.  All randomness is derived from one master seed so a
-run is reproducible end to end.
+from the moments of its own blue solve, every later round's from the
+optimizer solve that produced its pattern.  All randomness is derived from
+one master seed so a run is reproducible end to end.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from .model import (
     grid_function,
     sample_on_grid,
 )
-from .moments import solve_stack
+from .moments import expected_log_lr, solve_moments
 from .red import RedConfig, solve_red
-from .riccati import ValueCoeffs, solve_value_coeffs
+from .riccati import ValueCoeffs
 from .sde import McSummary, Trajectory, mix_seed, monte_carlo
 
 # Stream tags for per-round seed derivation.  Tag 1 is retired; the others
@@ -80,8 +80,7 @@ def play_rounds(
     for rnd in range(1, n_rounds + 1):
         f_c = grid_function(f_nodes, grid)
         pattern = Pattern(f_c, Constant(0.0))
-        coeffs = solve_value_coeffs(params, pattern, grid)
-        policy = FeedbackPolicy(params, pattern, grid, coeffs)
+        policy = FeedbackPolicy.solve(params, pattern, grid)
         mc = monte_carlo(
             policy,
             pattern,
@@ -92,8 +91,9 @@ def play_rounds(
             n_sample=n_sample_trajectories,
         )
         if rnd == 1:
-            elr = solve_stack(params, f_nodes, grid)[1]
-        records.append(RoundRecord(rnd, f_c, coeffs, mc, elr))
+            moments = solve_moments(params, policy.coeffs, f_c, grid)
+            elr = expected_log_lr(params, policy.coeffs, f_c, moments, grid)
+        records.append(RoundRecord(rnd, f_c, policy.coeffs, mc, elr))
         if rnd == n_rounds:
             break
         config = replace(red_config, f_c_initial=f_c)

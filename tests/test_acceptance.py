@@ -33,7 +33,7 @@ from redblue import (
 )
 from redblue.cli import main as cli_main
 from redblue.controls import optimal_beta
-from redblue.red.euler import euler_objective
+from redblue.red.euler import euler_objective_and_gradient
 from redblue.red.nn import init_network, nn_forward, nn_gradient
 from redblue.red.objective import solve_stack
 from redblue.sde import log_lr_samples, sample_paths
@@ -382,7 +382,8 @@ def test_criterion_10_network_gradient_check():
         weight_grads, _ = nn_gradient(net, params, config, grid)
 
         def objective():
-            return euler_objective(nn_forward(net, grid.times()), params, config, grid)
+            f = nn_forward(net, grid.times())
+            return euler_objective_and_gradient(f, params, config, grid)[0]
 
         picked = 0
         while picked < 4:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redblue import LambdaOutOfRangeError, RedConfig, riccati
+from redblue import LambdaOutOfRangeError, RedConfig, cli, riccati
 from redblue.cli import (
     ConfigError,
     build_run_config,
@@ -54,6 +55,12 @@ def readme_example_config() -> dict:
 
 
 README_DOC = readme_example_config()
+
+
+def test_every_config_key_is_in_the_readme():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = set(re.findall(r'[`"]([\w.]+)[`"]', text))
+    assert sorted(set(cli._KEYS) - named) == []
 
 
 def write_config(tmp_path: Path, doc, name="cfg.json") -> str:
@@ -138,6 +145,31 @@ def test_build_run_config_type_checks():
         build_run_config(base_doc(**{"mc.n_paths": 10.5}))
     with pytest.raises(ConfigError, match="n_paths"):
         build_run_config(base_doc(**{"mc.n_paths": 1}))
+
+
+@pytest.mark.parametrize(
+    "key, least",
+    [
+        ("mc.n_paths", 2),
+        ("mc.sample_trajectories", 0),
+        ("stackelberg.n_rounds", 1),
+        ("seed", 0),
+        ("threads", 1),
+    ],
+)
+def test_keys_below_their_least_value_are_config_errors(key, least):
+    build_run_config(base_doc(**{key: least}))
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be >= {least}$"):
+        build_run_config(base_doc(**{key: least - 1}))
+
+
+@pytest.mark.parametrize("flag", [["--seed", "-1"], ["--threads", "0"]])
+def test_flags_below_their_least_value_exit_1(tmp_path, capsys, flag):
+    cfg = write_config(tmp_path, base_doc())
+    out = tmp_path / "o"
+    assert main(["blue-solve", "--config", cfg, "--out", str(out), *flag]) == 1
+    assert "must be >=" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_flag_overrides_beat_config_values():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from redblue import GridConfig, RedConfig
-from redblue.red.euler import euler_objective, euler_objective_and_gradient
+from redblue.red.euler import euler_objective_and_gradient
 from redblue.red.nn import (
     CONVERGENCE_WINDOW,
     HIDDEN_WIDTH,
@@ -68,9 +68,9 @@ def test_euler_gradient_matches_finite_differences():
     for k in (0, 7, 20, 33, 40):
         bumped = f.copy()
         bumped[k] += step
-        up = euler_objective(bumped, params, config, grid)
+        up = euler_objective_and_gradient(bumped, params, config, grid)[0]
         bumped[k] -= 2.0 * step
-        down = euler_objective(bumped, params, config, grid)
+        down = euler_objective_and_gradient(bumped, params, config, grid)[0]
         fd = (up - down) / (2.0 * step)
         assert grad[k] == pytest.approx(fd, rel=1e-5, abs=1e-10)
 
@@ -85,7 +85,7 @@ def test_chained_gradient_matches_finite_differences():
 
     def objective():
         f, _, _ = _forward_cache(net, times)
-        return euler_objective(f, params, config, grid)
+        return euler_objective_and_gradient(f, params, config, grid)[0]
 
     rng = np.random.default_rng(9)
     step = 1e-6

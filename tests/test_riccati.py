@@ -113,23 +113,6 @@ def test_refinement_converged():
         assert np.max(np.abs(a - b)) < 1e-10
 
 
-def test_value_evaluation():
-    params = make_params()
-    grid = GridConfig(50, 0.1)
-    coeffs = solve_value_coeffs(params, ZERO_PATTERN, grid)
-    v, y = 1.2, -0.4
-    k = 10
-    manual = (
-        0.5 * coeffs.mu[k] * v * v
-        + coeffs.eta[k] * v * y
-        + 0.5 * coeffs.rho[k] * y * y
-        + coeffs.gamma[k] * v
-        + coeffs.theta[k] * y
-        + coeffs.xi[k]
-    )
-    assert coeffs.value(k, v, y) == pytest.approx(manual, rel=1e-15)
-
-
 def test_check_same_grid():
     params = make_params()
     coeffs = solve_value_coeffs(params, ZERO_PATTERN, GridConfig(50, 0.1))

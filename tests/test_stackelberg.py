@@ -17,6 +17,7 @@ from redblue import (
     solve_value_coeffs,
 )
 from redblue import stackelberg
+from redblue.odeint import integrate_backward
 from redblue.stackelberg import red_seed
 from conftest import make_params
 
@@ -55,6 +56,23 @@ def test_rounds_are_deterministic():
         assert ra.mc.as_dict() == rb.mc.as_dict()
         np.testing.assert_array_equal(ra.f_c_used.values, rb.f_c_used.values)
         assert ra.expected_log_lr_moment == rb.expected_log_lr_moment
+
+
+def test_one_round_steps_f_once(monkeypatch):
+    # round 1's moment E[log LR] reads the curves of its own blue solve
+    from redblue import moments, riccati
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return integrate_backward(*args)
+
+    for module in (moments, riccati):
+        monkeypatch.setattr(module, "integrate_backward", counting)
+    grid = GridConfig(60, 0.1)
+    play_rounds(make_params(lam=0.08), Constant(1.0), quick_config(), 1, 100, 9, grid)
+    assert len(calls) == 1
 
 
 def test_rounds_carry_coeffs_and_skip_the_unplayed_solve(monkeypatch):
