@@ -224,49 +224,6 @@ def write_json(path: Path, obj) -> None:
         fh.write(text + "\n")
 
 
-def _coeff_rows(grid: GridConfig, coeffs):
-    times = grid.times()
-    for k in range(times.size):
-        yield (
-            times[k],
-            coeffs.mu[k],
-            coeffs.eta[k],
-            coeffs.rho[k],
-            coeffs.gamma[k],
-            coeffs.theta[k],
-            coeffs.xi[k],
-        )
-
-
-def _trajectory_rows(trajectories: list[Trajectory]):
-    for pid, traj in enumerate(trajectories):
-        n = traj.times.size - 1
-        for k in range(n + 1):
-            alpha = _fmt(traj.alpha_path[k]) if k < n else ""
-            beta = _fmt(traj.beta_path[k]) if k < n else ""
-            yield (traj.times[k], str(pid), traj.v_path[k], traj.y_path[k], alpha, beta)
-
-
-def write_coeffs_csv(path: Path, grid: GridConfig, coeffs) -> None:
-    write_csv(
-        path,
-        ["t", "mu", "eta", "rho", "gamma", "theta", "xi"],
-        _coeff_rows(grid, coeffs),
-    )
-
-
-def write_trajectories_csv(path: Path, trajectories: list[Trajectory]) -> None:
-    write_csv(
-        path,
-        ["t", "path_id", "v", "y", "alpha", "beta"],
-        _trajectory_rows(trajectories),
-    )
-
-
-def write_fc_csv(path: Path, grid: GridConfig, values: np.ndarray) -> None:
-    write_csv(path, ["t", "f_c"], zip(grid.times(), values))
-
-
 # ---------------------------------------------------------------------------
 # SVG plots (optional; line charts only, no external tooling)
 
@@ -353,7 +310,7 @@ def write_svg(path: Path, title, xlabel, ylabel, curves) -> None:
         fh.write(_svg_line_chart(title, xlabel, ylabel, curves))
 
 
-def _plot_trajectories(out: Path, trajectories: list[Trajectory]) -> None:
+def _plot_trajectories(out: Path, trajectories: tuple[Trajectory, ...]) -> None:
     if not trajectories:
         return
     states = []
@@ -367,15 +324,40 @@ def _plot_trajectories(out: Path, trajectories: list[Trajectory]) -> None:
     write_svg(out / "controls.svg", "Realized controls", "t", "control", controls)
 
 
+def _write_blue(out: Path, coeffs, summary, plots: bool) -> None:
+    """A blue solution's files in ``out``: the coefficient curves, the Monte
+    Carlo summary, its sample paths (controls are blank at the last node)
+    and, with ``plots``, the paths' charts."""
+    out.mkdir(parents=True, exist_ok=True)
+    names = ["mu", "eta", "rho", "gamma", "theta", "xi"]
+    curves = (getattr(coeffs, name) for name in names)
+    write_csv(out / "coeffs.csv", ["t", *names], zip(coeffs.grid.times(), *curves))
+    write_json(out / "mc_summary.json", summary.as_dict())
+    paths = summary.sample_trajectories
+    rows = (
+        row
+        for pid, p in enumerate(paths)
+        for row in zip(
+            p.times,
+            [str(pid)] * p.times.size,
+            p.v_path,
+            p.y_path,
+            [*p.alpha_path, ""],
+            [*p.beta_path, ""],
+        )
+    )
+    header = ["t", "path_id", "v", "y", "alpha", "beta"]
+    write_csv(out / "trajectories.csv", header, rows)
+    if plots:
+        _plot_trajectories(out, paths)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_blue_solve(cfg: RunConfig, plots: bool = False) -> int:
     policy = FeedbackPolicy.solve(cfg.params, cfg.pattern, cfg.grid)
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    write_coeffs_csv(out / "coeffs.csv", cfg.grid, policy.coeffs)
     # sample trajectories are the first paths of the Monte Carlo ensemble
     summary = monte_carlo(
         policy,
@@ -386,29 +368,21 @@ def cmd_blue_solve(cfg: RunConfig, plots: bool = False) -> int:
         threads=cfg.threads,
         n_sample=cfg.n_sample,
     )
-    write_json(out / "mc_summary.json", summary.as_dict())
-    trajectories = list(summary.sample_trajectories)
-    write_trajectories_csv(out / "trajectories.csv", trajectories)
-    if plots:
-        _plot_trajectories(out, trajectories)
+    out = cfg.out_dir
+    _write_blue(out, policy.coeffs, summary, plots)
     print(f"blue-solve: wrote {out}/coeffs.csv, trajectories.csv, mc_summary.json")
     return 0
 
 
 def cmd_red_optimize(cfg: RunConfig, plots: bool = False) -> int:
     report = solve_red(cfg.params, cfg.red, cfg.grid, cfg.seed)
-    out = cfg.out_dir
+    out, times = cfg.out_dir, cfg.grid.times()
     out.mkdir(parents=True, exist_ok=True)
-    write_fc_csv(out / "fc_optimized.csv", cfg.grid, report.f_c.values)
+    write_csv(out / "fc_optimized.csv", ["t", "f_c"], zip(times, report.f_c.values))
     write_json(out / "report.json", report.as_dict())
     if plots:
-        write_svg(
-            out / "fc_optimized.svg",
-            "Optimized pattern",
-            "t",
-            "f_c",
-            [("f_c", cfg.grid.times(), report.f_c.values)],
-        )
+        curves = [("f_c", times, report.f_c.values)]
+        write_svg(out / "fc_optimized.svg", "Optimized pattern", "t", "f_c", curves)
     status = "converged" if report.converged else "not converged"
     print(
         f"red-optimize: {status} after {report.iterations} iterations, "
@@ -432,40 +406,26 @@ def cmd_stackelberg(cfg: RunConfig, plots: bool = False) -> int:
     baseline = baseline_summary(
         cfg.params, cfg.grid, cfg.n_paths, cfg.seed, threads=cfg.threads
     )
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    rounds_payload = []
-    fc_curves = []
+    out, times = cfg.out_dir, cfg.grid.times()
     for record in records:
         rdir = out / f"round_{record.round_index:02d}"
-        rdir.mkdir(parents=True, exist_ok=True)
-        write_coeffs_csv(rdir / "coeffs.csv", cfg.grid, record.coeffs)
-        write_fc_csv(rdir / "fc_used.csv", cfg.grid, record.f_c_used.values)
-        write_json(rdir / "mc_summary.json", record.mc.as_dict())
-        write_trajectories_csv(rdir / "trajectories.csv", record.sample_trajectories)
-        if plots:
-            _plot_trajectories(rdir, record.sample_trajectories)
-        rounds_payload.append(
-            {
-                "round_index": record.round_index,
-                "f_c": record.f_c_used.values.tolist(),
-                "expected_log_lr_moment": record.expected_log_lr_moment,
-                "mc": record.mc.as_dict(),
-            }
+        _write_blue(rdir, record.coeffs, record.mc, plots)
+        write_csv(
+            rdir / "fc_used.csv", ["t", "f_c"], zip(times, record.f_c_used.values)
         )
-        fc_curves.append(
-            (
-                f"round {record.round_index}",
-                cfg.grid.times(),
-                record.f_c_used.values,
-            )
-        )
-    write_json(
-        out / "rounds.json",
-        {"baseline": baseline.as_dict(), "rounds": rounds_payload},
-    )
+    rounds = [
+        {
+            "round_index": record.round_index,
+            "f_c": record.f_c_used.values.tolist(),
+            "expected_log_lr_moment": record.expected_log_lr_moment,
+            "mc": record.mc.as_dict(),
+        }
+        for record in records
+    ]
+    write_json(out / "rounds.json", {"baseline": baseline.as_dict(), "rounds": rounds})
     if plots:
-        write_svg(out / "fc_rounds.svg", "Pattern by round", "t", "f_c", fc_curves)
+        curves = [(f"round {r.round_index}", times, r.f_c_used.values) for r in records]
+        write_svg(out / "fc_rounds.svg", "Pattern by round", "t", "f_c", curves)
     print(f"stackelberg: wrote {len(records)} round directories and rounds.json")
     return 0
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import Dynamics
 from .errors import GridMismatchError, OutOfDomainError
-from .model import GridConfig, ModelParams, Pattern, sample_on_grid
+from .model import _DOMAIN_SLACK, GridConfig, ModelParams, Pattern, sample_on_grid
 from .riccati import ValueCoeffs, check_same_grid, solve_value_coeffs
 
 
@@ -70,7 +70,8 @@ class FeedbackPolicy:
         """(a_v, a_y, b_v, b_y, a_0, b_0) at time t: the coefficient curves
         interpolated in t, the pattern evaluated exactly."""
         arr = np.asarray(t, dtype=float)
-        if np.any(arr < -1e-9) or np.any(arr > self.grid.horizon + 1e-9):
+        outside = (arr < -_DOMAIN_SLACK) | (arr > self.grid.horizon + _DOMAIN_SLACK)
+        if np.any(outside):
             raise OutOfDomainError(f"time {t} outside [0, {self.grid.horizon}]")
         c, nodes = self.coeffs, self.grid.times()
         at = np.clip(t, 0.0, self.grid.horizon)

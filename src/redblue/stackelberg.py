@@ -22,13 +22,14 @@ from .model import (
     ModelParams,
     Pattern,
     TimeFunction,
+    ZERO_PATTERN,
     grid_function,
     sample_on_grid,
 )
 from .moments import expected_log_lr, solve_moments
 from .red import RedConfig, solve_red
 from .riccati import ValueCoeffs
-from .sde import McSummary, Trajectory, mix_seed, monte_carlo
+from .sde import McSummary, mix_seed, monte_carlo
 
 # Stream tags for per-round seed derivation.  Tag 1 is retired; the others
 # keep their values so the optimizer and baseline streams do not move.
@@ -44,10 +45,6 @@ class RoundRecord:
     coeffs: ValueCoeffs
     mc: McSummary
     expected_log_lr_moment: float
-
-    @property
-    def sample_trajectories(self) -> list[Trajectory]:
-        return list(self.mc.sample_trajectories)
 
 
 def red_seed(master_seed: int, round_index: int) -> int:
@@ -111,11 +108,10 @@ def baseline_summary(
     threads: int = 1,
 ) -> McSummary:
     """Metrics under a zero pattern (the payoff is exactly zero there)."""
-    pattern = Pattern(Constant(0.0), Constant(0.0))
-    policy = FeedbackPolicy.solve(params, pattern, grid)
+    policy = FeedbackPolicy.solve(params, ZERO_PATTERN, grid)
     return monte_carlo(
         policy,
-        pattern,
+        ZERO_PATTERN,
         grid,
         mc_paths,
         mix_seed(seed, 0, _STREAM_BASELINE),

@@ -24,6 +24,7 @@ from redblue.moments import NOT_SIMPLIFIED
 from redblue.odeint import integrate_backward
 from redblue.red import nn
 from redblue.red.euler import euler_objective_and_gradient
+from redblue.sde import mix_seed
 
 
 def base_doc(**overrides):
@@ -112,8 +113,8 @@ def test_build_run_config_defaults():
 
 
 def test_red_keys_default_to_the_red_config_defaults():
-    # cli._KEYS and RedConfig each state the defaults; a config with no
-    # red.* keys must build RedConfig's own
+    # only RedConfig states the red.* defaults (cli._KEYS gives those keys
+    # none); a config with no red.* keys must build RedConfig's own
     cfg = build_run_config(base_doc())
     assert cfg.red == RedConfig(lambda_reg=cfg.red.lambda_reg)
 
@@ -258,6 +259,7 @@ def test_non_finite_monte_carlo_exits_2(tmp_path, capsys):
     assert main(["blue-solve", "--config", cfg, "--out", str(out)]) == 2
     assert "not finite" in capsys.readouterr().err
     assert not (out / "mc_summary.json").exists()
+    assert not out.exists()
 
 
 def test_blue_solve_writes_deterministic_outputs(tmp_path):
@@ -306,6 +308,25 @@ def test_stackelberg_round_directories(tmp_path):
     assert doc_out["rounds"][0]["round_index"] == 1
     assert len(doc_out["rounds"][0]["f_c"]) == 41
     assert doc_out["baseline"]["mean_log_lr"] == 0.0
+
+
+def test_a_stackelberg_round_directory_is_a_blue_solve_directory(tmp_path):
+    # round 1 plays constant:1 in its grid form, which samples to the same
+    # midpoints, under the Monte Carlo seed mix_seed(seed, 1, 0)
+    overrides = {"grid.n_steps": 50, "mc.n_paths": 300, "stackelberg.n_rounds": 1}
+    cfg = write_config(tmp_path, dict(README_DOC, **overrides))
+    rounds, blue = tmp_path / "s", tmp_path / "b"
+    assert main(["stackelberg", "--config", cfg, "--out", str(rounds), "--plots"]) == 0
+    seed = str(mix_seed(README_DOC["seed"], 1, 0))
+    argv = ["blue-solve", "--config", cfg, "--out", str(blue), "--seed", seed]
+    assert main([*argv, "--plots"]) == 0
+    round_dir = rounds / "round_01"
+    names = sorted(path.name for path in blue.iterdir())
+    assert sorted(path.name for path in round_dir.iterdir()) == sorted(
+        [*names, "fc_used.csv"]
+    )
+    for name in names:
+        assert (round_dir / name).read_bytes() == (blue / name).read_bytes(), name
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -150,7 +150,7 @@ def test_sample_trajectory_counts_and_grids():
         n_sample_trajectories=4,
     )
     assert len(records) == 1
-    trajectories = records[0].sample_trajectories
+    trajectories = records[0].mc.sample_trajectories
     assert len(trajectories) == 4
     for traj in trajectories:
         assert traj.times.size == 61
