@@ -6,8 +6,8 @@ CSV cells are printed with 17 significant digits and '\\n' line endings,
 JSON is dumped with sorted keys, so reruns are byte-identical.
 
 Exit codes: 0 success (a non-converged optimizer report is data, not an
-error), 1 usage or config problem, 2 numeric failure during a run, or an
-array too large to allocate.
+error), 1 usage or config problem, or an output path that cannot be
+written, 2 numeric failure during a run, or an array too large to allocate.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ _REQUIRED = object()
 # "tf", "path"}.  A None default leaves the field to the owner's own default;
 # a None least means no lower bound.
 _KEYS = {
-    "model.T": ("float", _REQUIRED, ModelParams, "horizon", None),
+    "model.T": ("float", _REQUIRED, GridConfig, "horizon", None),
     "model.sigma_B": ("float", _REQUIRED, ModelParams, "sigma_b", None),
     "model.sigma_W": ("float", _REQUIRED, ModelParams, "sigma_w", None),
     "model.r_alpha": ("float", _REQUIRED, ModelParams, "r_alpha", None),
@@ -192,7 +192,7 @@ def build_run_config(
         return owner(**fields)
 
     params = validate_params(build(ModelParams))
-    grid = build(GridConfig, horizon=horizon)
+    grid = build(GridConfig)
     pattern = build(Pattern)
     red = build(RedConfig)
     for key, (*_, least) in _KEYS.items():
@@ -637,6 +637,9 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](cfg, plots=args.plots)
+    except OSError as exc:  # an output path that cannot be made or written
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     except (RedBlueError, ValueError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ import numpy as np
 from .dynamics import Dynamics
 from .errors import GridMismatchError, OutOfDomainError
 from .model import _DOMAIN_SLACK, GridConfig, ModelParams, Pattern, sample_on_grid
-from .riccati import ValueCoeffs, check_same_grid, solve_value_coeffs
+from .riccati import ValueCoeffs, solve_value_coeffs
 
 
 @dataclass(eq=False)
@@ -36,7 +36,6 @@ class FeedbackPolicy:
 
     params: ModelParams
     pattern: Pattern
-    grid: GridConfig
     coeffs: ValueCoeffs
     alpha_v: np.ndarray = field(init=False)
     alpha_y: np.ndarray = field(init=False)
@@ -46,7 +45,6 @@ class FeedbackPolicy:
     beta_0: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        check_same_grid(self.grid, self.coeffs.grid)
         n = self.grid.n_steps + 1
         for name in ("mu", "eta", "rho", "gamma", "theta", "xi"):
             if getattr(self.coeffs, name).shape != (n,):
@@ -60,11 +58,16 @@ class FeedbackPolicy:
         )
         self.alpha_0, self.beta_0 = dyn.offset_gains(c.gamma, c.theta, fd)
 
+    @property
+    def grid(self) -> GridConfig:
+        """The grid of the coefficient curves, and of every node table."""
+        return self.coeffs.grid
+
     @classmethod
     def solve(
         cls, params: ModelParams, pattern: Pattern, grid: GridConfig
     ) -> "FeedbackPolicy":
-        return cls(params, pattern, grid, solve_value_coeffs(params, pattern, grid))
+        return cls(params, pattern, solve_value_coeffs(params, pattern, grid))
 
     def _gains(self, t):
         """(a_v, a_y, b_v, b_y, a_0, b_0) at time t: the coefficient curves

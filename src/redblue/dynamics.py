@@ -70,8 +70,8 @@ state, is evaluated per RK4 stage; the costates read its Jacobian from
 ``coeff_vjp_s`` at unit covectors.  F's three rates are stated only in
 ``coeff_rhs``, with ``+``, ``-``, ``*`` and ``/`` on (mu, eta, rho, f) and
 the ``Dynamics`` fields.  The Euler recursions call it;
-``moments.solve_stack`` hands it to ``odeint.integrate_backward`` paired
-with the pattern as its forcing, and riccati hands ``value_rhs`` paired with
+``moments.solve_stack`` hands it to ``odeint.integrate_backward`` with
+the pattern as its forcing, and riccati hands ``value_rhs`` with the forcing
 (f_c, f_d, vbar); odeint traces their expressions, inlining the methods they
 call, into written-out RK4 loops.  Likewise ``payoff_coeffs`` states L's
 coefficients (a, b) once, and ``payoff_from`` and ``payoff_grad_f`` take

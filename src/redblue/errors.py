@@ -18,7 +18,7 @@ class NonPositiveWeightError(RedBlueError):
 
 
 class NonPositiveHorizonError(RedBlueError):
-    """Horizon T must be positive."""
+    """Horizon T must be positive and finite."""
 
 
 class OutOfDomainError(RedBlueError):

@@ -127,9 +127,10 @@ ZERO_PATTERN = Pattern(Constant(0.0), Constant(0.0))
 class ModelParams:
     """Dynamics, cost weights, misdirection weight, and initial state.
 
+    The planning horizon T is the grid's, ``GridConfig.horizon``.
+
     Fields
     ------
-    horizon       planning horizon T
     sigma_b       velocity noise intensity
     sigma_w       observation noise intensity
     r_alpha       quadratic weight on the primary control
@@ -142,7 +143,6 @@ class ModelParams:
     v0, y0        deterministic initial velocity and position
     """
 
-    horizon: float
     sigma_b: float
     sigma_w: float
     r_alpha: float
@@ -165,8 +165,6 @@ def validate_params(params: ModelParams) -> ModelParams:
 
     Idempotent: a validated instance validates again to the same value.
     """
-    if not (params.horizon > 0.0) or not math.isfinite(params.horizon):
-        raise NonPositiveHorizonError(f"horizon must be positive, got {params.horizon}")
     positives = {
         "sigma_b": params.sigma_b,
         "sigma_w": params.sigma_w,
@@ -218,9 +216,9 @@ class GridConfig:
     def __post_init__(self):
         if self.n_steps < 2:
             raise ValueError(f"n_steps must be >= 2, got {self.n_steps}")
-        if not (self.horizon > 0.0):
+        if not (self.horizon > 0.0) or not math.isfinite(self.horizon):
             raise NonPositiveHorizonError(
-                f"horizon must be positive, got {self.horizon}"
+                f"horizon must be positive and finite, got {self.horizon}"
             )
 
     @property

@@ -11,7 +11,7 @@ This module is the only place that steps G, integrates the payoff and decides
 whether the closure applies.  ``solve_stack`` steps the coefficient block F
 and then G for one pattern or a batch; the pattern optimizers call it.
 F's rates, ``dynamics.Dynamics.coeff_rhs``, go to
-``odeint.integrate_backward`` paired with the pattern as their forcing, and
+``odeint.integrate_backward`` with the pattern as their forcing, and
 step through the RK4 loop generated from their expressions.  The public
 ``solve_moments`` and ``expected_log_lr`` take one pattern and the six
 coefficient curves of ``solve_value_coeffs``, and go through the same G
@@ -150,8 +150,9 @@ def solve_stack(params: ModelParams, f_nodes: np.ndarray, grid: GridConfig):
         f = sample_on_half_grid(grid_function(nodes, grid), grid)
     dyn = Dynamics.of(params)
     coeffs = integrate_backward(
+        dyn.coeff_rhs,
         # one float, or one (B,) row, per half-grid point
-        (dyn.coeff_rhs, list(f) if batch else f.tolist()),
+        list(f) if batch else f.tolist(),
         np.multiply.outer(dyn.coeff_terminal(), np.ones(batch)),
         grid,
     )

@@ -3,17 +3,18 @@
 The solvers in this package keep every curve aligned with the grid that the
 pattern optimizers use for their control vectors, so the integrator takes
 fixed steps of size h = T / n_steps and evaluates right-hand sides only at
-nodes and midpoints, the half grid t = j h / 2.  A backward solve runs the
-same loop from t = T with the signed step -h.
+nodes and midpoints, the half grid t = j h / 2.
 
-A right-hand side is a pair ``(rates, forcing)``: a method bound to an
-object of float fields, called as ``rates(*state, forcing[j])`` at the
-stage of half-grid index j, and its forcing at every half-grid point, a
-float, a ``(B,)`` row or a tuple of them.  The method is stated with ``+``,
-``-``, ``*``, ``/`` and unary minus, and may call other methods of its
-class.  The loop traces it once with symbolic terms, inlining each method
-it calls, and compiles itself with every stage of every component written
-out, ``x_i + half * k1_i`` and so on, cached per method and state width.
+Every nonlinear solve of the package runs backward from a terminal state at
+t = T, with the signed step -h.  ``integrate_backward`` takes its
+right-hand side as ``rates``, a method bound to an object of float fields,
+called as ``rates(*state, forcing[j])`` at the stage of half-grid index j,
+and ``forcing``, its value at every half-grid point: a float, a ``(B,)``
+row or a tuple of them.  The method is stated with ``+``, ``-``, ``*``,
+``/`` and unary minus, and may call other methods of its class.  The loop
+traces it once with symbolic terms, inlining each method it calls, and
+compiles itself with every stage of every component written out,
+``x_i + half * k1_i`` and so on, cached per method and state width.
 Each expression keeps its operands in their order, so every node equals,
 bit for bit, the float computation of calling the method at each stage,
 without a call per stage.  ``moments.solve_stack`` steps F this way, and
@@ -25,22 +26,22 @@ components.  Float ``*``, ``+`` and ``-`` overflow to inf or nan without
 raising, so the loop runs to the end and finiteness is checked once per
 solve, on the output array.
 
-A batch of B systems steps through the same loop: given a ``(C, B)`` start
-state, each component is a ``(B,)`` row, and row b of every stage is
+A batch of B systems steps through the same loop: given a ``(C, B)``
+terminal state, each component is a ``(B,)`` row, and row b of every stage is
 exactly the float computation of member b, because numpy's elementwise
 ``*``, ``+``, ``-`` and ``/`` round as Python's do.  The output is then
 ``(n_steps + 1, C, B)``.  numpy warns where floats overflow silently, so
 the loop runs under ``np.errstate(over="ignore", invalid="ignore")``; the
-single finiteness check still names the first node, in stepping order, at
-which any member is non-finite.
+single finiteness check still names the first node, in stepping order (the
+latest in time), at which any member is non-finite.
 
 A linear system x' = A(t) x + b(t) whose factors are known before the
 solve does not need the loop: ``integrate_linear`` takes the augmented
 matrix [[A, b], [0, 0]] at every half-grid point, builds every RK4 step as
 one affine map with batched matrix products, and composes the maps with a
-prefix scan.  It is the same scheme, rounded differently, and ends with the
-same finiteness check.  The package steps the moment block and the fbs
-costates this way.
+prefix scan.  It is the same scheme, rounded differently, steps forward or
+backward, and ends with the same finiteness check.  The package steps the
+moment block forward and the fbs costates backward this way.
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ import numpy as np
 
 from .errors import NonFiniteStateError
 from .model import GridConfig
-
-# a rates method and its forcing: one float or (B,) row, or a tuple of
-# them, per half-grid point
-Rhs = tuple[Callable, Sequence]
 
 
 def _binop(op):
@@ -127,9 +124,9 @@ class _Fields:
 
 @functools.cache
 def _loop(width: int, owner: type, rates: Callable, forcing_width: int | None):
-    """The RK4 loop for states of ``width`` components, written out per
-    component: ``loop(owner, rhs, s, out, n, node, direction, half, h,
-    sixth)`` takes n steps from ``node`` and writes every node's state to
+    """The backward RK4 loop for states of ``width`` components, written
+    out per component: ``loop(owner, rhs, s, out, n, half, h, sixth)``
+    steps from ``s`` at node n back to node 0, writing each node's state to
     ``out``.  Every component keeps the operand order ``x + half * k`` and
     ``x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``: a reordered sum would
     round differently in the last bit.  ``rhs`` holds the forcing, and each
@@ -138,8 +135,8 @@ def _loop(width: int, owner: type, rates: Callable, forcing_width: int | None):
     Only the skeleton is parsed; the rest of the syntax tree is built here.
     """
     module = ast.parse(
-        "def loop(owner, rhs, s, out, n, node, direction, half, h, sixth):\n"
-        "    for _ in range(n):\n"
+        "def loop(owner, rhs, s, out, n, half, h, sixth):\n"
+        "    for node in range(n - 1, -1, -1):\n"
         "        pass\n"
     )
     (function,) = module.body
@@ -153,7 +150,7 @@ def _loop(width: int, owner: type, rates: Callable, forcing_width: int | None):
 
     fields = _Fields(owner)
     rhs, s, node = _name("rhs"), _name("s"), _name("node")
-    direction, half, h, sixth = map(_name, ("direction", "half", "h", "sixth"))
+    half, h, sixth = map(_name, ("half", "h", "sixth"))
 
     def slopes(stage: int, state: list, j) -> list:
         if stage > 1:
@@ -169,14 +166,14 @@ def _loop(width: int, owner: type, rates: Callable, forcing_width: int | None):
         return [x[i] + coef * k[i] for i in range(width)]
 
     x = [let(f"x{i}", s[i], prologue) for i in range(width)]
+    # the step to node reads the half grid at t_node + h, its midpoint, t_node
     j = let("j", 2 * node)
-    k1 = slopes(1, x, j)
-    k2 = slopes(2, shifted(half, k1), j + direction)
-    k3 = slopes(3, shifted(half, k2), j + direction)
-    k4 = slopes(4, shifted(h, k3), j + 2 * direction)
+    k1 = slopes(1, x, j + 2)
+    k2 = slopes(2, shifted(half, k1), j + 1)
+    k3 = slopes(3, shifted(half, k2), j + 1)
+    k4 = slopes(4, shifted(h, k3), j)
     for i in range(width):
         let(f"x{i}", x[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]))
-    let("node", node + direction)
     out = ast.Subscript(ast.Name("out", ast.Load()), node.node, ast.Store())
     body.append(ast.Assign([out], _term(tuple(x)).node))
     owner = ast.Name("owner", ast.Load())
@@ -212,53 +209,44 @@ def _require_finite(out: np.ndarray, grid: GridConfig, direction: int) -> np.nda
     raise NonFiniteStateError(f"non-finite state at t={node * grid.h}: {row}")
 
 
-def _rk4(rhs: Rhs, state, grid: GridConfig, direction: int) -> np.ndarray:
-    """RK4 states at every node, stepping from node 0 (direction +1) or
-    from node n_steps (direction -1); row k is the state at node k.
+def integrate_backward(
+    rates: Callable, forcing: Sequence, terminal_state, grid: GridConfig
+) -> np.ndarray:
+    """RK4 solution of x' = rates(*x, forcing) backward from t = T, at every
+    node; row k is the state at node k, and row n_steps is the terminal
+    state.
 
-    ``state`` is a 1-D sequence of floats, or a ``(C, B)`` array of B
-    members whose rows become the ``(B,)`` components of the stage tuples.
+    ``terminal_state`` is a 1-D sequence of floats, or a ``(C, B)`` array of
+    B members whose rows become the ``(B,)`` components of the stage tuples.
     """
     n = grid.n_steps
-    h = direction * grid.h
+    h = -grid.h
     half = 0.5 * h
     sixth = h / 6.0
-    start = np.asarray(state, dtype=float)
+    start = np.asarray(terminal_state, dtype=float)
     s = tuple(start.tolist()) if start.ndim == 1 else tuple(start)
-    node = 0 if direction > 0 else n
     # each node's state goes straight into the output, so only the stage
     # values of the current step are alive as Python objects
     out = np.empty((n + 1, *start.shape))
-    out[node] = s
-    rates, forcing = rhs
+    out[n] = s
     width = len(forcing[0]) if isinstance(forcing[0], tuple) else None
     loop = _loop(len(s), type(rates.__self__), rates.__func__, width)
     with np.errstate(over="ignore", invalid="ignore"):
-        loop(rates.__self__, forcing, s, out, n, node, direction, half, h, sixth)
-    return _require_finite(out, grid, direction)
-
-
-def integrate_forward(rhs: Rhs, initial_state, grid: GridConfig) -> np.ndarray:
-    """RK4 solution sampled at every node; row 0 is the initial state."""
-    return _rk4(rhs, initial_state, grid, 1)
-
-
-def integrate_backward(rhs: Rhs, terminal_state, grid: GridConfig) -> np.ndarray:
-    """RK4 solution backward from t = T; row n_steps is the terminal state."""
-    return _rk4(rhs, terminal_state, grid, -1)
+        loop(rates.__self__, forcing, s, out, n, half, h, sixth)
+    return _require_finite(out, grid, -1)
 
 
 def integrate_linear(
     abar: np.ndarray, state, grid: GridConfig, direction: int
 ) -> np.ndarray:
     """RK4 states of x' = A(t) x + b(t) at every node, stepping from node 0
-    (direction +1) or from node n_steps (direction -1): ``_rk4``'s scheme,
-    equal to it up to rounding.
+    (direction +1) or from node n_steps (direction -1): the RK4 scheme of
+    ``integrate_backward``, equal to it up to rounding.
 
     ``abar`` holds the augmented matrix [[A, b], [0, 0]] at every half-grid
     point, (2 n_steps + 1, C + 1, C + 1), or (2 n_steps + 1, B, C + 1, C + 1)
     for B members; ``state`` is (C,) or (C, B), and the node states are laid
-    out as ``_rk4``'s.
+    out as ``integrate_backward``'s.
 
     One RK4 step of a linear system is the affine map
     M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) of the augmented state (x, 1), with

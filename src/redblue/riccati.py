@@ -74,9 +74,7 @@ def solve_value_coeffs(
         sample_on_half_grid(params.vbar, grid).tolist(),
     )
     states = integrate_backward(
-        (Dynamics.of(params).value_rhs, list(forcing)),
-        terminal_conditions(params),
-        grid,
+        Dynamics.of(params).value_rhs, list(forcing), terminal_conditions(params), grid
     )
     # one contiguous row per curve
     return ValueCoeffs(grid, *states.T.copy())

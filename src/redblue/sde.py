@@ -35,6 +35,7 @@ import numpy as np
 from .controls import FeedbackPolicy
 from .errors import NonFiniteStateError
 from .model import GridConfig, ModelParams, Pattern, sample_on_grid
+from .riccati import check_same_grid
 
 # Paths per simulation block, and per noise stream.  Fixed so that results
 # never depend on the parallelism degree.
@@ -371,6 +372,7 @@ def _trajectories(grid: GridConfig, keep) -> tuple[Trajectory, ...]:
 
 def simulate_path(policy: FeedbackPolicy, grid: GridConfig, seed: int) -> Trajectory:
     """Member 0 of the ensemble keyed by ``seed``."""
+    check_same_grid(policy.grid, grid)
     keep = _kept_paths(1, grid)
     _run_blocks(policy, grid, 1, seed, _Outputs(keep=keep))
     (traj,) = _trajectories(grid, keep)
@@ -384,6 +386,7 @@ def sample_paths(
 
     Row i is ensemble member i of monte_carlo with the same master seed.
     """
+    check_same_grid(policy.grid, grid)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     v_all, y_all, _, _ = _kept_paths(n_paths, grid)
@@ -402,6 +405,7 @@ def log_lr_samples(
 
     Raises NonFiniteStateError if a sample is not finite.
     """
+    check_same_grid(policy.grid, grid)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     out = _Outputs(
@@ -436,6 +440,7 @@ def monte_carlo(
     n_paths are simulated for that purpose only and left out of the
     statistics.  Raises NonFiniteStateError if a statistic is not finite.
     """
+    check_same_grid(policy.grid, grid)
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
     if n_sample < 0:

@@ -11,9 +11,9 @@ settings.load_profile("redblue")
 
 
 def make_params(**overrides) -> ModelParams:
-    """A valid mid-range parameter set; override fields per test."""
+    """A valid mid-range parameter set for a horizon of 0.1, the
+    ``short_grid`` fixture's; override fields per test."""
     base = dict(
-        horizon=0.1,
         sigma_b=0.1,
         sigma_w=0.1,
         r_alpha=1.0,
@@ -31,9 +31,9 @@ def make_params(**overrides) -> ModelParams:
 
 
 def tracking_params(lam: float) -> ModelParams:
-    """Long-horizon tracking regime with a decaying velocity target."""
+    """Long-horizon tracking regime with a decaying velocity target, for a
+    horizon of 1.0."""
     return ModelParams(
-        horizon=1.0,
         sigma_b=0.25,
         sigma_w=0.25,
         r_alpha=1.0,
@@ -53,8 +53,10 @@ def short_params(lam: float = 0.1) -> ModelParams:
     return make_params(lam=lam)
 
 
-def random_params(rng: np.random.Generator, lam_mode: str = "any") -> ModelParams:
-    """Random draw from the valid parameter region.
+def random_params(
+    rng: np.random.Generator, lam_mode: str = "any"
+) -> tuple[ModelParams, float]:
+    """Random draw from the valid parameter region, and a horizon T.
 
     lam_mode: "any" uniform on [0, bound]; "zero" forces 0;
     "full" forces the bound; "upper" uniform on (bound/2, bound].
@@ -70,8 +72,8 @@ def random_params(rng: np.random.Generator, lam_mode: str = "any") -> ModelParam
         lam = bound * rng.uniform(0.5001, 1.0)
     else:
         lam = bound * rng.uniform(0.0, 1.0)
-    return ModelParams(
-        horizon=rng.uniform(0.2, 1.2),
+    horizon = rng.uniform(0.2, 1.2)
+    params = ModelParams(
         sigma_b=rng.uniform(0.05, 0.4),
         sigma_w=sigma_w,
         r_alpha=rng.uniform(0.5, 4.0),
@@ -84,6 +86,7 @@ def random_params(rng: np.random.Generator, lam_mode: str = "any") -> ModelParam
         v0=rng.uniform(-2.0, 2.0),
         y0=rng.uniform(-2.0, 3.0),
     )
+    return params, horizon
 
 
 def states_or_node(solve, *args):

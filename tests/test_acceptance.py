@@ -147,12 +147,12 @@ def test_criterion_05_no_coupling_without_misdirection():
     worst_coeff = worst_beta = 0.0
     for draw in range(50):
         if draw < 25:
-            params = random_params(rng, "zero")
+            params, horizon = random_params(rng, "zero")
             pattern = _random_pattern(rng)
         else:
-            params = random_params(rng, "any")
+            params, horizon = random_params(rng, "any")
             pattern = ZERO
-        grid = GridConfig(120, params.horizon)
+        grid = GridConfig(120, horizon)
         coeffs = solve_value_coeffs(params, pattern, grid)
         worst_coeff = max(
             worst_coeff,
@@ -164,7 +164,7 @@ def test_criterion_05_no_coupling_without_misdirection():
         for _ in range(100):
             beta = optimal_beta(
                 policy,
-                rng.uniform(0.0, params.horizon),
+                rng.uniform(0.0, horizon),
                 rng.uniform(-3.0, 3.0),
                 rng.uniform(-3.0, 3.0),
             )
@@ -182,12 +182,12 @@ def test_criterion_06_full_intensity_decoupling():
     rng = np.random.default_rng(6601)
     worst = 0.0
     for _ in range(50):
-        params = random_params(rng, "full")
+        params, horizon = random_params(rng, "full")
         pattern = _random_pattern(rng)
-        grid = GridConfig(120, params.horizon)
+        grid = GridConfig(120, horizon)
         policy = FeedbackPolicy.solve(params, pattern, grid)
         for _ in range(100):
-            t = rng.uniform(0.0, params.horizon)
+            t = rng.uniform(0.0, horizon)
             v = rng.uniform(-3.0, 3.0)
             y = rng.uniform(-3.0, 3.0)
             gap = optimal_beta(policy, t, v, y) - (pattern.f_c(t) * y + pattern.f_d(t))
@@ -211,12 +211,12 @@ _POINTS = st.lists(
 )
 
 
-def _decoupled_policy(params, pattern, n_steps):
+def _decoupled_policy(params, horizon, pattern, n_steps):
     """The solved policy, after checking that eta, rho and theta are
     identically zero, which the arithmetic keeps exactly: every term of
     their equations carries one of the three or c2 f, and c2 f is zero at
     lam = 0, for the zero pattern and at the upper bound."""
-    grid = GridConfig(n_steps, params.horizon)
+    grid = GridConfig(n_steps, horizon)
     policy = FeedbackPolicy.solve(params, pattern, grid)
     for curve in (policy.coeffs.eta, policy.coeffs.rho, policy.coeffs.theta):
         assert np.all(curve == 0.0)
@@ -236,12 +236,12 @@ def test_no_coupling_without_misdirection(seed, zero_lam, pattern, n_steps, poin
     # lam with the zero pattern, beta vanishes exactly
     rng = np.random.default_rng(seed)
     if zero_lam:
-        params = random_params(rng, "zero")
+        params, horizon = random_params(rng, "zero")
     else:
-        params, pattern = random_params(rng, "any"), ZERO
-    policy = _decoupled_policy(params, pattern, n_steps)
+        (params, horizon), pattern = random_params(rng, "any"), ZERO
+    policy = _decoupled_policy(params, horizon, pattern, n_steps)
     for frac, v, y in points:
-        assert optimal_beta(policy, frac * params.horizon, v, y) == 0.0
+        assert optimal_beta(policy, frac * horizon, v, y) == 0.0
 
 
 @settings(max_examples=40)
@@ -254,10 +254,10 @@ def test_no_coupling_without_misdirection(seed, zero_lam, pattern, n_steps, poin
 def test_full_intensity_beta_is_the_pattern_drift(seed, pattern, n_steps, points):
     # criterion 06 as a property: at lam = r_beta sigma_w^2 the gain u is
     # exactly 1 and c2 exactly 0, so beta is f_c(t) y + f_d(t) exactly
-    params = random_params(np.random.default_rng(seed), "full")
-    policy = _decoupled_policy(params, pattern, n_steps)
+    params, horizon = random_params(np.random.default_rng(seed), "full")
+    policy = _decoupled_policy(params, horizon, pattern, n_steps)
     for frac, v, y in points:
-        t = frac * params.horizon
+        t = frac * horizon
         assert optimal_beta(policy, t, v, y) == pattern.f_c(t) * y + pattern.f_d(t)
 
 
@@ -294,10 +294,9 @@ def test_criterion_07_zero_pattern_local_minimum():
     worst_grad = 0.0
     min_rise = math.inf
     for _ in range(10):
-        params = replace(
-            random_params(rng, "upper"), vbar=Constant(0.0), vbar_final=0.0
-        )
-        grid = GridConfig(100, params.horizon)
+        params, horizon = random_params(rng, "upper")
+        params = replace(params, vbar=Constant(0.0), vbar_final=0.0)
+        grid = GridConfig(100, horizon)
         directions = unit_directions(rng, 10, grid.n_steps + 1)
         grad, rise = zero_pattern_probe(params, grid, directions)
         worst_grad = max(worst_grad, grad)
@@ -317,8 +316,9 @@ def test_zero_pattern_is_a_local_minimum_in_the_upper_range(seed, n_steps):
     # criterion 07 as a property: stationary at every node, and the payoff
     # rises along random directions
     rng = np.random.default_rng(seed)
-    params = replace(random_params(rng, "upper"), vbar=Constant(0.0), vbar_final=0.0)
-    grid = GridConfig(n_steps, params.horizon)
+    params, horizon = random_params(rng, "upper")
+    params = replace(params, vbar=Constant(0.0), vbar_final=0.0)
+    grid = GridConfig(n_steps, horizon)
     grad, rise = zero_pattern_probe(params, grid, unit_directions(rng, 5, n_steps + 1))
     assert grad <= 1e-4
     assert rise > 0.0
@@ -329,9 +329,10 @@ def test_criterion_08_monte_carlo_cross_oracle():
     ok = True
     worst = 0.0
     for draw in range(10):
-        params = replace(random_params(rng, "any"), vbar=Constant(0.0), vbar_final=0.0)
+        params, horizon = random_params(rng, "any")
+        params = replace(params, vbar=Constant(0.0), vbar_final=0.0)
         f_c = Sinusoid(rng.uniform(0.2, 0.8), rng.uniform(2.0, 8.0))
-        grid = GridConfig(800, params.horizon)
+        grid = GridConfig(800, horizon)
         pattern = Pattern(f_c, Constant(0.0))
         policy = FeedbackPolicy.solve(params, pattern, grid)
         coeffs = solve_value_coeffs(params, pattern, grid)
@@ -372,12 +373,12 @@ def test_criterion_10_network_gradient_check():
     rng = np.random.default_rng(1001)
     worst = 0.0
     for case in range(5):
-        params = random_params(rng, "any")
+        params, horizon = random_params(rng, "any")
         penalty = "logarithmic" if case % 2 else "quadratic"
         config = RedConfig(
             lambda_reg=rng.uniform(0.2, 2.0), penalty_kind=penalty, solver="nn"
         )
-        grid = GridConfig(30, params.horizon)
+        grid = GridConfig(30, horizon)
         net = init_network(seed=1000 + case, positive_output=penalty == "logarithmic")
         weight_grads, _ = nn_gradient(net, params, config, grid)
 

@@ -20,7 +20,8 @@ from redblue.cli import (
     write_csv,
     write_json,
 )
-from redblue.moments import NOT_SIMPLIFIED
+from redblue.model import sample_on_grid
+from redblue.moments import NOT_SIMPLIFIED, solve_stack
 from redblue.odeint import integrate_backward
 from redblue.red import nn
 from redblue.red.euler import euler_objective_and_gradient
@@ -97,7 +98,7 @@ def test_parse_time_function_rejects(text):
 
 def test_build_run_config_defaults():
     cfg = build_run_config(base_doc())
-    assert cfg.params.horizon == 0.5
+    assert cfg.grid.horizon == 0.5
     assert cfg.params.lam == 0.1
     assert cfg.grid.n_steps == 40
     assert cfg.pattern.f_c(0.2) == 0.0
@@ -219,11 +220,40 @@ def test_main_usage_errors_exit_1(tmp_path):
     assert main(["blue-solve", "--config", str(bad)]) == 1
 
 
-def test_main_config_errors_exit_1(tmp_path):
+def test_main_config_errors_exit_1(tmp_path, capsys):
     unknown = write_config(tmp_path, base_doc(**{"model.bogus": 1.0}), "u.json")
     assert main(["blue-solve", "--config", unknown]) == 1
     out_of_range = write_config(tmp_path, base_doc(**{"model.lambda": 5.0}), "l.json")
     assert main(["blue-solve", "--config", out_of_range]) == 1
+    capsys.readouterr()
+    # a document that is not an object, a key of the wrong type, and an
+    # integer beyond the float range: one line each
+    cases = [
+        ([base_doc()], "config must be a JSON object"),
+        (base_doc(**{"red.solver": 1}), "red.solver: expected a string"),
+        (base_doc(**{"model.v0": 10**400}), "model.v0: expected a finite number"),
+    ]
+    for doc, reason in cases:
+        cfg = write_config(tmp_path, doc)
+        assert main(["blue-solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {reason}") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["blue-solve", "red-optimize", "stackelberg"])
+@pytest.mark.parametrize("below", [False, True])
+def test_an_output_path_that_cannot_be_made_exits_1(tmp_path, capsys, command, below):
+    # --out names a plain file, or a path below one: the run ends where it
+    # makes the directory, with one line and no traceback
+    cfg = write_config(tmp_path, base_doc())
+    plain = tmp_path / "plain"
+    plain.write_text("kept")
+    out = plain / "o" if below else plain
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert plain.read_text() == "kept"
 
 
 @pytest.mark.parametrize(
@@ -281,6 +311,13 @@ def test_blue_solve_plots(tmp_path):
     assert main(["blue-solve", "--config", cfg, "--out", str(out), "--plots"]) == 0
     for name in ("trajectories.svg", "controls.svg"):
         assert (out / name).read_text().startswith("<svg")
+
+
+def test_red_optimize_plots(tmp_path):
+    cfg = write_config(tmp_path, base_doc())
+    out = tmp_path / "o"
+    assert main(["red-optimize", "--config", cfg, "--out", str(out), "--plots"]) == 0
+    assert (out / "fc_optimized.svg").read_text().startswith("<svg")
 
 
 def test_red_optimize_reports_non_convergence(tmp_path, capsys):
@@ -343,6 +380,22 @@ def test_numeric_failure_exits_2(tmp_path):
     )
     cfg = write_config(tmp_path, doc)
     assert main(["blue-solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("doc", [README_DOC, base_doc()], ids=["readme", "base"])
+def test_a_long_horizon_keeps_the_coefficient_solves_finite(doc):
+    # T = 600 over 12000 steps: F stays finite through both of its solves.
+    # Stepping F as the linear Hamiltonian system whose solution is
+    # P = Y X^-1 loses X's conditioning on this input and fails part way,
+    # so any other scheme for F must keep this input running.
+    long = {"model.T": 600.0, "grid.n_steps": 12000, "pattern.f_c": "sinusoid:0.5,3"}
+    cfg = build_run_config({**doc, **long})
+    coeffs = riccati.solve_value_coeffs(cfg.params, cfg.pattern, cfg.grid)
+    for name in ("mu", "eta", "rho", "gamma", "theta", "xi"):
+        assert np.isfinite(getattr(coeffs, name)).all()
+    nodes = sample_on_grid(cfg.pattern.f_c, cfg.grid)
+    states, elr = solve_stack(cfg.params, nodes, cfg.grid)
+    assert np.isfinite(states).all() and math.isfinite(elr)
 
 
 @pytest.mark.parametrize("command", ["blue-solve", "red-optimize", "validate"])
@@ -563,9 +616,9 @@ def count_riccati_solves(monkeypatch) -> list:
     """The grid sizes of every riccati solve from here on."""
     solves = []
 
-    def counting(rhs, terminal, grid):
+    def counting(rates, forcing, terminal, grid):
         solves.append(grid.n_steps)
-        return integrate_backward(rhs, terminal, grid)
+        return integrate_backward(rates, forcing, terminal, grid)
 
     monkeypatch.setattr(riccati, "integrate_backward", counting)
     return solves

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from redblue.model import sample_on_grid
 from conftest import make_params, random_params
 
 
-def solve_policy(params, pattern, n=200):
-    grid = GridConfig(n, params.horizon)
+def solve_policy(params, pattern, n=200, horizon=0.1):
+    grid = GridConfig(n, horizon)
     return FeedbackPolicy.solve(params, pattern, grid)
 
 
@@ -58,14 +59,14 @@ def test_beta_tracks_pattern_at_full_intensity():
     # control reproduces the pattern exactly: beta = f_c(t) y + f_d(t)
     rng = np.random.default_rng(7)
     for _ in range(5):
-        params = random_params(rng, lam_mode="full")
+        params, horizon = random_params(rng, lam_mode="full")
         pattern = Pattern(
             Sinusoid(rng.uniform(0.2, 1.0), rng.uniform(2.0, 30.0)),
             Affine(rng.uniform(-0.5, 0.5), rng.uniform(-1.0, 1.0)),
         )
-        policy = solve_policy(params, pattern)
+        policy = solve_policy(params, pattern, horizon=horizon)
         for _ in range(20):
-            t = float(rng.uniform(0.0, params.horizon))
+            t = float(rng.uniform(0.0, horizon))
             v = float(rng.uniform(-2.0, 2.0))
             y = float(rng.uniform(-3.0, 3.0))
             expected = pattern.f_c(t) * y + pattern.f_d(t)
@@ -95,12 +96,14 @@ def test_out_of_domain_query_rejected():
 
 
 def test_policy_rejects_mismatched_grid():
+    # a policy's grid is its curves' grid: curves of 51 nodes labelled
+    # with a 60-step grid are refused
     params = make_params()
-    grid = GridConfig(50, params.horizon)
-    other = GridConfig(60, params.horizon)
+    grid = GridConfig(50, 0.1)
+    other = GridConfig(60, 0.1)
     coeffs = FeedbackPolicy.solve(params, ZERO_PATTERN, grid).coeffs
     with pytest.raises(GridMismatchError):
-        FeedbackPolicy(params, ZERO_PATTERN, other, coeffs)
+        FeedbackPolicy(params, ZERO_PATTERN, replace(coeffs, grid=other))
 
 
 def bits(arrays) -> bytes:
@@ -119,12 +122,12 @@ def test_paths_controls_and_moments_share_one_closed_loop(seed, mode, n_steps):
     # nodes and the moment matrix K are the same gains, bit for bit, under
     # velocity targets and a pattern with an offset
     rng = np.random.default_rng(seed)
-    params = random_params(rng, mode)
+    params, horizon = random_params(rng, mode)
     pattern = Pattern(
         Sinusoid(rng.uniform(0.2, 2.0), rng.uniform(1.0, 30.0), rng.uniform(0.0, 3.0)),
         Affine(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
     )
-    p = solve_policy(params, pattern, n_steps)
+    p = solve_policy(params, pattern, n_steps, horizon)
     c = p.coeffs
     f_c = sample_on_grid(pattern.f_c, p.grid)
     assert bits(Dynamics.of(params).moment_gains(c.mu, c.eta, c.rho, f_c)) == bits(

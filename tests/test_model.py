@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from redblue import (
     GridConfig,
     GridSampled,
     LambdaOutOfRangeError,
+    ModelParams,
     NonPositiveHorizonError,
     NonPositiveWeightError,
     OutOfDomainError,
@@ -66,8 +68,6 @@ def test_validate_params_accepts_boundary_lambda():
 
 
 def test_validate_params_rejects_bad_values():
-    with pytest.raises(NonPositiveHorizonError):
-        validate_params(make_params(horizon=0.0))
     with pytest.raises(NonPositiveWeightError):
         validate_params(make_params(sigma_w=0.0))
     with pytest.raises(NonPositiveWeightError):
@@ -106,8 +106,11 @@ def test_grid_config_nodes():
 def test_grid_config_rejects_tiny():
     with pytest.raises(ValueError):
         GridConfig(1, 1.0)
-    with pytest.raises(NonPositiveHorizonError):
-        GridConfig(10, 0.0)
+    # the grid is T's one home: ModelParams has no horizon to disagree with it
+    assert "horizon" not in {f.name for f in dataclasses.fields(ModelParams)}
+    for horizon in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(NonPositiveHorizonError):
+            GridConfig(10, horizon)
 
 
 def test_sampling_affine_exact():

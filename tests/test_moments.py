@@ -23,7 +23,7 @@ from redblue import (
 from redblue.dynamics import Dynamics
 from redblue.model import grid_function, sample_on_half_grid
 from redblue.moments import NOT_SIMPLIFIED, nodes_to_half_grid
-from redblue.odeint import integrate_backward, integrate_forward
+from redblue.odeint import integrate_backward
 from redblue.red.objective import solve_stack
 from redblue.riccati import ValueCoeffs
 import moment_reference as reference
@@ -58,7 +58,6 @@ def test_moment_cascade_closed_form():
     #   E[Y^2]  = (1 - e^(-t))^2
     # (noise intensities are negligible, initial state (1, 0))
     params = ModelParams(
-        horizon=1.0,
         sigma_b=0.0,
         sigma_w=1e-9,
         r_alpha=1.0,
@@ -210,8 +209,9 @@ def test_batched_solve_stack_matches_single_solves(seed, mode, n_steps, kinds):
     # member b of a batch is bit for bit the single solve of row b, and both
     # are the public solves of row b: every state curve and the payoff
     rng = np.random.default_rng(seed)
-    params = replace(random_params(rng, mode), vbar=Constant(0.0), vbar_final=0.0)
-    grid = GridConfig(n_steps, params.horizon)
+    params, horizon = random_params(rng, mode)
+    params = replace(params, vbar=Constant(0.0), vbar_final=0.0)
+    grid = GridConfig(n_steps, horizon)
     n1 = n_steps + 1
     rows = np.zeros((len(kinds), n1))
     for row, kind in zip(rows, kinds):
@@ -288,8 +288,9 @@ def test_solve_stack_matches_the_per_stage_reference(seed, mode, n_steps, size, 
     # side did, up to rounding, for one pattern and for each member of a
     # batch; a solve that goes non-finite does so at the same node
     rng = np.random.default_rng(seed)
-    params = replace(random_params(rng, mode), vbar=Constant(0.0), vbar_final=0.0)
-    grid = GridConfig(n_steps, params.horizon)
+    params, horizon = random_params(rng, mode)
+    params = replace(params, vbar=Constant(0.0), vbar_final=0.0)
+    grid = GridConfig(n_steps, horizon)
     rows = scale * rng.standard_normal((size, n_steps + 1))
     wants = [states_or_node(reference_stack, params, row, grid) for row in rows]
     for row, want in zip(rows, wants):
@@ -324,35 +325,33 @@ def rk4_or_message(solve, *args):
     size=st.integers(1, 6),
     # a zero scale keeps the sign of every zero node; 1e160 overflows f^2
     scale=st.sampled_from([0.0, 1e-3, 1.0, 40.0, 200.0, 1e160]),
-    direction=st.sampled_from([-1, 1]),
 )
-def test_generated_coeff_loop_matches_the_callback_loop(
-    seed, mode, n_steps, size, scale, direction
-):
+def test_generated_coeff_loop_matches_the_callback_loop(seed, mode, n_steps, size, scale):
     # F's loop, generated from coeff_rhs's expressions, steps every node as
     # the reference loop calling coeff_rhs at every stage does, bit for bit
     # and in the sign of every zero, for one pattern and for each member of
     # a batch, and fails with the same reason as the member that goes
     # non-finite first in stepping order
     rng = np.random.default_rng(seed)
-    dyn = Dynamics.of(random_params(rng, mode))
+    dyn = Dynamics.of(random_params(rng, mode)[0])
     grid = GridConfig(n_steps, rng.uniform(0.2, 1.2))
     nodes = scale * rng.standard_normal((size, n_steps + 1))
     f = np.column_stack(
         [sample_on_half_grid(grid_function(row, grid), grid) for row in nodes]
     )
-    solve = integrate_backward if direction < 0 else integrate_forward
     singles = []
     for column in f.T:
         rows = column.tolist()
-        got = rk4_or_message(solve, (dyn.coeff_rhs, rows), dyn.coeff_terminal(), grid)
+        got = rk4_or_message(
+            integrate_backward, dyn.coeff_rhs, rows, dyn.coeff_terminal(), grid
+        )
         with np.errstate(all="ignore"):
             want = rk4_or_message(
                 reference_rk4,
                 lambda j, s: dyn.coeff_rhs(*s, rows[j]),
                 dyn.coeff_terminal(),
                 grid,
-                direction,
+                -1,
             )
         if isinstance(want, str):
             assert got == want
@@ -361,10 +360,10 @@ def test_generated_coeff_loop_matches_the_callback_loop(
             assert got.tobytes() == want.tobytes()
         singles.append(got)
     start = np.multiply.outer(dyn.coeff_terminal(), np.ones(size))
-    got = rk4_or_message(solve, (dyn.coeff_rhs, list(f)), start, grid)
+    got = rk4_or_message(integrate_backward, dyn.coeff_rhs, list(f), start, grid)
     failed = [single for single in singles if isinstance(single, str)]
     if failed:
         times = [float(single.split("t=")[1].split(":")[0]) for single in failed]
-        assert got == failed[times.index(max(times) if direction < 0 else min(times))]
+        assert got == failed[times.index(max(times))]
     else:
         assert got.tobytes() == np.stack(singles, -1).tobytes()

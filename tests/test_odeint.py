@@ -6,16 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from redblue import GridConfig, NonFiniteStateError
-from redblue.odeint import integrate_backward, integrate_forward, integrate_linear
+from redblue.odeint import integrate_backward, integrate_linear
 from rk4_reference import reference_rk4
 
 
 class Systems:
     """Rates methods of small test systems, each called as
     ``rates(*state, forcing[j])``."""
-
-    def exp(self, x, f):
-        return (x,)
 
     def forcing(self, x, f):
         return (2.0 * f,)
@@ -37,9 +34,21 @@ def unforced(grid: GridConfig) -> list:
     return [0.0] * (2 * grid.n_steps + 1)
 
 
+def linear_system(grid: GridConfig, a=0.0, b=np.zeros_like) -> np.ndarray:
+    """The augmented matrices [[a, b(t)], [0, 0]] of x' = a x + b(t) at
+    every half-grid point, as ``integrate_linear`` takes them."""
+    t = grid.half_times()
+    abar = np.zeros((t.size, 2, 2))
+    abar[:, 0, 0], abar[:, 0, 1] = a, b(t)
+    return abar
+
+
+# forward solves step linear systems only, through integrate_linear
+
+
 def test_forward_exponential():
     grid = GridConfig(50, 1.0)
-    states = integrate_forward((SYSTEMS.exp, unforced(grid)), np.array([1.0]), grid)
+    states = integrate_linear(linear_system(grid, a=1.0), np.array([1.0]), grid, 1)
     assert states.shape == (51, 1)
     assert states[0, 0] == 1.0
     assert states[-1, 0] == pytest.approx(math.e, abs=1e-8)
@@ -48,7 +57,7 @@ def test_forward_exponential():
 def test_forward_fourth_order_convergence():
     def err(n):
         grid = GridConfig(n, 1.0)
-        states = integrate_forward((SYSTEMS.exp, unforced(grid)), [1.0], grid)
+        states = integrate_linear(linear_system(grid, a=1.0), [1.0], grid, 1)
         return abs(states[-1, 0] - math.e)
 
     ratio = err(20) / err(40)
@@ -59,15 +68,15 @@ def test_forward_fourth_order_convergence():
 def test_forward_time_dependent_rhs():
     # x' = 2t, x(0)=0 -> x(T)=T^2; polynomial quadrature is exact for RK4
     grid = GridConfig(10, 2.0)
-    half_times = grid.half_times().tolist()
-    states = integrate_forward((SYSTEMS.forcing, half_times), np.array([0.0]), grid)
+    abar = linear_system(grid, b=lambda t: 2.0 * t)
+    states = integrate_linear(abar, np.array([0.0]), grid, 1)
     assert states[-1, 0] == pytest.approx(4.0, abs=1e-13)
 
 
 def test_backward_riccati_closed_form():
     # mu' = mu^2 - 1 with mu(T) = 1/2 has solution tanh(atanh(1/2) + T - t)
     grid = GridConfig(400, 1.0)
-    states = integrate_backward((SYSTEMS.riccati, unforced(grid)), [0.5], grid)
+    states = integrate_backward(SYSTEMS.riccati, unforced(grid), [0.5], grid)
     c = math.atanh(0.5)
     expected = np.tanh(c + 1.0 - grid.times())
     np.testing.assert_allclose(states[:, 0], expected, atol=1e-9)
@@ -77,7 +86,7 @@ def test_backward_riccati_closed_form():
 def test_backward_terminal_row_exact():
     terminal = np.array([3.0, -1.5])
     grid = GridConfig(10, 1.0)
-    states = integrate_backward((SYSTEMS.decay, unforced(grid)), terminal, grid)
+    states = integrate_backward(SYSTEMS.decay, unforced(grid), terminal, grid)
     np.testing.assert_array_equal(states[-1], terminal)
 
 
@@ -94,26 +103,31 @@ class Probe:
 
 
 def test_stage_indices_walk_the_half_grid():
+    # the step back from node k reads t_k, t_k - h/2 twice and t_k - h
     n = 6
     grid = GridConfig(n, 1.0)
-    seen = {"forward": [], "backward": []}
-    for name, solve in (("forward", integrate_forward), ("backward", integrate_backward)):
-        probes = [Probe(j, seen[name]) for j in range(2 * n + 1)]
-        solve((SYSTEMS.forcing, probes), [0.0], grid)
-    forward = [j for k in range(n) for j in (2 * k, 2 * k + 1, 2 * k + 1, 2 * k + 2)]
-    assert seen["forward"] == forward
-    assert seen["backward"] == [2 * n - j for j in forward]
+    seen = []
+    probes = [Probe(j, seen) for j in range(2 * n + 1)]
+    integrate_backward(SYSTEMS.forcing, probes, [0.0], grid)
+    steps = [(2 * k, 2 * k - 1, 2 * k - 1, 2 * k - 2) for k in range(n, 0, -1)]
+    assert seen == [j for step in steps for j in step]
 
 
-def oscillator(grid: GridConfig):
-    return (SYSTEMS.oscillator, np.sin(grid.half_times()).tolist())
+def oscillator(grid: GridConfig) -> tuple:
+    """x' = v, v' = sin(t) - x: its rates and forcing for the backward loop,
+    and its augmented matrices for ``integrate_linear``."""
+    forcing = np.sin(grid.half_times())
+    abar = np.zeros((forcing.size, 3, 3))
+    abar[:, 0, 1], abar[:, 1, 0], abar[:, 1, 2] = 1.0, -1.0, forcing
+    return SYSTEMS.oscillator, forcing.tolist(), abar
 
 
 def test_backward_forward_round_trip():
+    # the backward loop and the forward linear stepper share RK4's scheme
     grid = GridConfig(200, 1.0)
-    rhs = oscillator(grid)
-    back = integrate_backward(rhs, np.array([1.0, 0.25]), grid)
-    forward = integrate_forward(rhs, back[0].copy(), grid)
+    rates, forcing, abar = oscillator(grid)
+    back = integrate_backward(rates, forcing, np.array([1.0, 0.25]), grid)
+    forward = integrate_linear(abar, back[0].copy(), grid, 1)
     np.testing.assert_allclose(forward[-1], [1.0, 0.25], atol=1e-10)
 
 
@@ -127,18 +141,18 @@ def test_round_trip_property(x_end, v_end, horizon, n):
     # the local error is O(h^5) per step on a smooth system, so solving
     # back from (x_end, v_end) and forward again returns to it
     grid = GridConfig(n, horizon)
-    rhs = oscillator(grid)
-    back = integrate_backward(rhs, np.array([x_end, v_end]), grid)
-    forward = integrate_forward(rhs, back[0], grid)
+    rates, forcing, abar = oscillator(grid)
+    back = integrate_backward(rates, forcing, np.array([x_end, v_end]), grid)
+    forward = integrate_linear(abar, back[0], grid, 1)
     np.testing.assert_allclose(forward[-1], [x_end, v_end], atol=1e-8)
     np.testing.assert_allclose(forward, back, atol=1e-8)
 
 
 def test_non_finite_detection():
-    # x' = x^2 escapes in finite time from x(0)=10 on [0, 1]
+    # x' = x^2 - 1 escapes in finite time backward from x(1) = -10 on [0, 1]
     grid = GridConfig(20, 1.0)
     with pytest.raises(NonFiniteStateError):
-        integrate_forward((SYSTEMS.riccati, unforced(grid)), [10.0], grid)
+        integrate_backward(SYSTEMS.riccati, unforced(grid), [-10.0], grid)
 
 
 @st.composite
@@ -186,20 +200,21 @@ def as_callback(rhs):
     return lambda j, x: rates(*x, forcing[j])
 
 
-def solve_or_message(solve, rhs, start, grid):
+def solve_or_message(rhs, start, grid):
+    """The backward loop's solve of the pair ``rhs``, or its reason if it
+    goes non-finite."""
     try:
-        return solve(rhs, start, grid)
+        return integrate_backward(*rhs, start, grid)
     except NonFiniteStateError as exc:
         return str(exc)
 
 
-def run_both(rhs, start, grid, direction):
+def run_both(rhs, start, grid):
     """(result or error message) of the generated loop and of the reference."""
-    new = integrate_forward if direction > 0 else integrate_backward
-    got = solve_or_message(new, rhs, start, grid)
+    got = solve_or_message(rhs, start, grid)
     with np.errstate(all="ignore"):
         try:
-            want = reference_rk4(as_callback(rhs), start, grid, direction)
+            want = reference_rk4(as_callback(rhs), start, grid, -1)
         except NonFiniteStateError as exc:
             want = str(exc)
     return got, want
@@ -207,15 +222,14 @@ def run_both(rhs, start, grid, direction):
 
 @given(
     system=polynomial_systems(),
-    direction=st.sampled_from([1, -1]),
     n=st.integers(2, 300),
     horizon=st.floats(0.05, 1.0),
 )
-def test_tuple_loop_matches_array_reference(system, direction, n, horizon):
+def test_tuple_loop_matches_array_reference(system, n, horizon):
     components, start, kind = system
     grid = GridConfig(n, horizon)
     rhs = polynomial_rhs(components, grid.half_times().tolist(), kind)
-    got, want = run_both(rhs, start, grid, direction)
+    got, want = run_both(rhs, start, grid)
     if isinstance(want, str):
         assert got == want
     else:
@@ -223,18 +237,15 @@ def test_tuple_loop_matches_array_reference(system, direction, n, horizon):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("direction, start", [(1, 10.0), (-1, -10.0)])
-def test_blow_up_names_first_non_finite_node_in_stepping_order(direction, start):
-    # x' = x^2 from x(0) = 10 escapes at node 7 of 40; backward from
-    # x(1) = -10 is its mirror image and escapes at node 33.  Every node past
-    # the escape stays inf, so the error must name the one nearest the start
-    # of the solve, not the lowest index.
+def test_blow_up_names_first_non_finite_node_in_stepping_order():
+    # x' = x^2 backward from x(1) = -10 escapes at node 33 of 40.  Every
+    # node past the escape stays inf, so the error must name the one nearest
+    # the start of the solve, not the lowest index.
     grid = GridConfig(40, 1.0)
     rhs = polynomial_rhs([(0.0, 0.0, [(1.0, 0, 0)])], grid.half_times().tolist())
-    got, want = run_both(rhs, [start], grid, direction)
+    got, want = run_both(rhs, [-10.0], grid)
     assert isinstance(want, str) and got == want
-    node = 7 if direction > 0 else 33
-    assert got.startswith(f"non-finite state at t={node * grid.h}: ")
+    assert got.startswith(f"non-finite state at t={33 * grid.h}: ")
 
 
 @st.composite
@@ -248,27 +259,24 @@ def polynomial_batches(draw):
 
 @given(
     batch=polynomial_batches(),
-    direction=st.sampled_from([1, -1]),
     n=st.integers(2, 120),
     horizon=st.floats(0.05, 1.0),
 )
-def test_batch_loop_matches_single_solves(batch, direction, n, horizon):
+def test_batch_loop_matches_single_solves(batch, n, horizon):
     # a (C, B) start steps B members through the same loop: member b is bit
     # for bit its own float solve, and a blow-up names the member and node
     # that go non-finite first in stepping order, with no numpy warning
     components, starts, kind = batch
     grid = GridConfig(n, horizon)
     rhs = polynomial_rhs(components, grid.half_times().tolist(), kind)
-    solve = integrate_forward if direction > 0 else integrate_backward
-    singles = [solve_or_message(solve, rhs, start, grid) for start in starts]
+    singles = [solve_or_message(rhs, start, grid) for start in starts]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = solve_or_message(solve, rhs, np.array(starts).T, grid)
+        got = solve_or_message(rhs, np.array(starts).T, grid)
     failed = [s for s in singles if isinstance(s, str)]
     if failed:
         times = [float(s.split("t=")[1].split(":")[0]) for s in failed]
-        first = times.index(min(times) if direction > 0 else max(times))
-        assert got == failed[first]
+        assert got == failed[times.index(max(times))]
     else:
         assert got.shape == (n + 1, len(starts[0]), len(starts))
         for b, single in enumerate(singles):
@@ -276,17 +284,17 @@ def test_batch_loop_matches_single_solves(batch, direction, n, horizon):
 
 
 def test_batch_with_one_overflowing_member_raises_without_warnings():
-    # x' = x^2: the member from 0.5 stays finite on [0, 1], the one from 10
-    # escapes at node 7 of 40
+    # x' = x^2 backward from x(1): the member from -0.5 stays finite on
+    # [0, 1], the one from -10 escapes at node 33 of 40
     grid = GridConfig(40, 1.0)
     rhs = polynomial_rhs([(0.0, 0.0, [(1.0, 0, 0)])], grid.half_times().tolist())
-    single = solve_or_message(integrate_forward, rhs, [10.0], grid)
+    single = solve_or_message(rhs, [-10.0], grid)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteStateError) as info:
-            integrate_forward(rhs, np.array([[0.5, 10.0]]), grid)
+            integrate_backward(*rhs, np.array([[-0.5, -10.0]]), grid)
     assert str(info.value) == single
-    assert single.startswith(f"non-finite state at t={7 * grid.h}: ")
+    assert single.startswith(f"non-finite state at t={33 * grid.h}: ")
 
 
 def random_linear_system(rng, dim, split=0):

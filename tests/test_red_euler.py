@@ -165,8 +165,8 @@ def test_euler_matches_the_per_node_reference_bit_for_bit(
     seed, mode, penalty_kind, lambda_reg, n_steps, scale, anchor
 ):
     rng = np.random.default_rng(seed)
-    params = random_params(rng, mode)
-    grid = GridConfig(n_steps, params.horizon)
+    params, horizon = random_params(rng, mode)
+    grid = GridConfig(n_steps, horizon)
     config = RedConfig(
         lambda_reg=lambda_reg, penalty_kind=penalty_kind, f_c_initial=Constant(anchor)
     )

@@ -152,8 +152,9 @@ def test_adjoint_matches_the_per_stage_reference(seed, mode, n_steps, scale):
     # the composed RK4 maps step the costates as the per-stage products did,
     # up to rounding; a solve that goes non-finite does so at the same node
     rng = np.random.default_rng(seed)
-    params = replace(random_params(rng, mode), vbar=Constant(0.0), vbar_final=0.0)
-    grid = GridConfig(n_steps, params.horizon)
+    params, horizon = random_params(rng, mode)
+    params = replace(params, vbar=Constant(0.0), vbar_final=0.0)
+    grid = GridConfig(n_steps, horizon)
     f_nodes = scale * rng.standard_normal(n_steps + 1)
     try:
         x, _ = solve_stack(params, f_nodes, grid)
@@ -182,7 +183,7 @@ def test_fbs_is_unconverged_when_halving_shrank_its_step():
     # and the relaxed step falls below the tolerance at iteration 11, while
     # the step at the configured weight is still about 49 times it.  The
     # stop rule is unchanged: the same iterations, history and pattern.
-    params = make_params(horizon=1.0, sigma_b=0.25, sigma_w=0.25, lam=0.5)
+    params = make_params(sigma_b=0.25, sigma_w=0.25, lam=0.5)
     grid = GridConfig(300, 1.0)
     config = RedConfig(lambda_reg=1.0, penalty_kind="quadratic", solver="fbs")
     report = fbs_solve(params, config, grid)
@@ -227,8 +228,9 @@ def test_fbs_converged_means_the_configured_step_is_small(
     # a converged report is a true statement at the returned pattern: the
     # step at the configured relaxation weight is below the tolerance there
     rng = np.random.default_rng(seed)
-    params = replace(random_params(rng, "upper"), vbar=Constant(0.0), vbar_final=0.0)
-    grid = GridConfig(n_steps, params.horizon)
+    params, horizon = random_params(rng, "upper")
+    params = replace(params, vbar=Constant(0.0), vbar_final=0.0)
+    grid = GridConfig(n_steps, horizon)
     config = RedConfig(lambda_reg=lambda_reg, penalty_kind=kind, solver="fbs")
     try:
         report = fbs_solve(params, config, grid)

@@ -48,8 +48,9 @@ def test_sweep_matches_the_per_solver_loops_bit_for_bit(
     # fpi and fbs as update rules of one loop give the reports their own
     # loops gave, or fail with the same error
     rng = np.random.default_rng(seed)
-    params = replace(random_params(rng, mode), vbar=Constant(0.0), vbar_final=0.0)
-    grid = GridConfig(n_steps, params.horizon)
+    params, horizon = random_params(rng, mode)
+    params = replace(params, vbar=Constant(0.0), vbar_final=0.0)
+    grid = GridConfig(n_steps, horizon)
     for solver, solve, reference_solve in (
         ("fpi", fpi_solve, reference.fpi_solve),
         ("fbs", fbs_solve, reference.fbs_solve),

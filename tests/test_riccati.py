@@ -48,7 +48,6 @@ def test_solution_matches_scalar_closed_form():
     # with a zero pattern and lam=0 the quadratic coefficient satisfies
     # mu' = mu^2 - 1, mu(T) = 1/2, solved by tanh(atanh(1/2) + T - t)
     params = make_params(
-        horizon=1.0,
         r_alpha=1.0,
         r_v=1.0,
         t_v=0.5,
@@ -72,8 +71,8 @@ def test_solution_matches_scalar_closed_form():
 def test_zero_pattern_decouples_exactly():
     rng = np.random.default_rng(42)
     for _ in range(5):
-        params = random_params(rng)
-        grid = GridConfig(100, params.horizon)
+        params, horizon = random_params(rng)
+        grid = GridConfig(100, horizon)
         coeffs = solve_value_coeffs(params, ZERO_PATTERN, grid)
         assert np.all(coeffs.eta == 0.0)
         assert np.all(coeffs.rho == 0.0)
@@ -149,8 +148,8 @@ def test_value_lines_match_the_per_stage_reference(seed, mode, n_steps, scale):
     # offset; F is the same function on both sides, so (mu, eta, rho) agree
     # bit for bit, and a solve that goes non-finite does so at the same node
     rng = np.random.default_rng(seed)
-    params = random_params(rng, mode)
-    grid = GridConfig(n_steps, params.horizon)
+    params, horizon = random_params(rng, mode)
+    grid = GridConfig(n_steps, horizon)
     f_c = grid_function(scale * rng.standard_normal(n_steps + 1), grid)
     f_d = Sinusoid(*rng.uniform((-2.0, 0.0, 0.0), (2.0, 20.0, 3.0)))
     args = (params, Pattern(f_c, f_d), grid)
@@ -201,8 +200,8 @@ def test_six_line_loop_matches_the_per_stage_callback(seed, mode, n_steps, scale
     # every stage does, bit for bit and in the sign of every zero, under
     # velocity targets and a pattern offset, and fails with the same reason
     rng = np.random.default_rng(seed)
-    params = random_params(rng, mode)
-    grid = GridConfig(n_steps, params.horizon)
+    params, horizon = random_params(rng, mode)
+    grid = GridConfig(n_steps, horizon)
     f_c = grid_function(scale * rng.standard_normal(n_steps + 1), grid)
     f_d = Sinusoid(*rng.uniform((-2.0, 0.0, 0.0), (2.0, 20.0, 3.0)))
     pattern = Pattern(f_c, f_d)
@@ -229,8 +228,9 @@ def test_mu_eta_rho_are_solve_stacks_f_columns(seed, mode, n_steps, scale):
     # under a zero-offset pattern riccati's F is solve_stack's, bit for bit:
     # the six-line loop steps F with the same operations in the same order
     rng = np.random.default_rng(seed)
-    params = replace(random_params(rng, mode), vbar=Constant(0.0), vbar_final=0.0)
-    grid = GridConfig(n_steps, params.horizon)
+    params, horizon = random_params(rng, mode)
+    params = replace(params, vbar=Constant(0.0), vbar_final=0.0)
+    grid = GridConfig(n_steps, horizon)
     row = scale * rng.standard_normal(n_steps + 1)
     pattern = Pattern(grid_function(row, grid), Constant(0.0))
     coeffs = states_or_node(value_curves, params, pattern, grid)

@@ -11,6 +11,7 @@ from redblue import (
     Constant,
     FeedbackPolicy,
     GridConfig,
+    GridMismatchError,
     ModelParams,
     NonFiniteStateError,
     Pattern,
@@ -48,7 +49,6 @@ def test_degenerate_noise_paths_are_deterministic():
     # a straight line; sigma=0 skips validation on purpose, so the params
     # are constructed directly
     params = ModelParams(
-        horizon=1.0,
         sigma_b=0.0,
         sigma_w=0.0,
         r_alpha=1.0,
@@ -92,7 +92,6 @@ def synthetic_window(traj):
 
 def test_primary_cost_hand_computed():
     params = make_params(
-        horizon=1.0,
         r_alpha=2.0,
         r_beta=4.0,
         r_v=1.0,
@@ -117,7 +116,7 @@ def test_primary_cost_hand_computed():
 
 
 def test_log_likelihood_ratio_hand_computed():
-    params = make_params(horizon=1.0, sigma_w=0.5)
+    params = make_params(sigma_w=0.5)
     traj = synthetic_trajectory()
     pattern = Pattern(Constant(1.0), Constant(0.25))
     # g = (y + 0.25) at nodes 0,1 -> (0.25, 1.25); dy = (1, 2)
@@ -250,6 +249,23 @@ def test_non_finite_statistics_raise():
     policy = FeedbackPolicy.solve(params, ZERO_PATTERN, grid)
     with pytest.raises(NonFiniteStateError, match="mean_primary_cost"):
         monte_carlo(policy, ZERO_PATTERN, grid, 10, 1)
+
+
+@pytest.mark.parametrize("other", [GridConfig(100, 0.1), GridConfig(50, 0.2)])
+def test_ensembles_run_only_on_the_policys_grid(other):
+    # the policy's node tables fix its grid: on another one its gains would
+    # be read at the wrong times, with no error
+    policy, grid, pattern = _policy(50)
+    ensembles = [
+        lambda g: monte_carlo(policy, pattern, g, 10, 1),
+        lambda g: log_lr_samples(policy, pattern, g, 10, 1),
+        lambda g: sample_paths(policy, g, 10, 1),
+        lambda g: simulate_path(policy, g, 1),
+    ]
+    for ensemble in ensembles:
+        ensemble(grid)
+        with pytest.raises(GridMismatchError):
+            ensemble(other)
 
 
 def test_blue_cost_identity():
