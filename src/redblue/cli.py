@@ -329,9 +329,8 @@ def _write_blue(out: Path, coeffs, summary, plots: bool) -> None:
     Carlo summary, its sample paths (controls are blank at the last node)
     and, with ``plots``, the paths' charts."""
     out.mkdir(parents=True, exist_ok=True)
-    names = ["mu", "eta", "rho", "gamma", "theta", "xi"]
-    curves = (getattr(coeffs, name) for name in names)
-    write_csv(out / "coeffs.csv", ["t", *names], zip(coeffs.grid.times(), *curves))
+    times = coeffs.grid.times()
+    write_csv(out / "coeffs.csv", ["t", *coeffs.names()], zip(times, *coeffs.curves()))
     write_json(out / "mc_summary.json", summary.as_dict())
     paths = summary.sample_trajectories
     rows = (
@@ -559,9 +558,8 @@ def _check_refinement(cfg: RunConfig, solved: dict):
     coarse = _policy(cfg, solved, cfg.pattern).coeffs
     fine = solve_value_coeffs(cfg.params, cfg.pattern, fine_grid)
     err = 0.0
-    for name in ("mu", "eta", "rho", "gamma", "theta", "xi"):
-        a = getattr(coarse, name)
-        b = getattr(fine, name)[::2]
+    for a, b in zip(coarse.curves(), fine.curves()):
+        b = b[::2]
         err = max(err, float(np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(b)))))
     return err <= 1e-6, f"step-halving residual {err:.2e}"
 
@@ -636,6 +634,12 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
+        # an --out that is, or lies below, a plain file is refused before any
+        # solve runs, and nothing is made; validate writes nothing
+        if args.command != "validate":
+            first = next(p for p in (cfg.out_dir, *cfg.out_dir.parents) if p.exists())
+            if not first.is_dir():
+                raise NotADirectoryError(f"{first} is not a directory")
         return _COMMANDS[args.command](cfg, plots=args.plots)
     except OSError as exc:  # an output path that cannot be made or written
         print(f"output error: {exc}", file=sys.stderr)

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import Dynamics
-from .errors import GridMismatchError, OutOfDomainError
-from .model import _DOMAIN_SLACK, GridConfig, ModelParams, Pattern, sample_on_grid
+from .errors import OutOfDomainError
+from .model import _DOMAIN_SLACK, GridConfig, ModelParams, Pattern
 from .riccati import ValueCoeffs, solve_value_coeffs
 
 
@@ -30,37 +30,24 @@ from .riccati import ValueCoeffs, solve_value_coeffs
 class FeedbackPolicy:
     """Immutable-by-convention bundle of everything beta/alpha evaluation needs.
 
-    Node tables for both controls are precomputed so the path simulator can
-    stay vectorized; off-node queries interpolate the coefficient curves.
+    ``gains`` holds the feedback law at every node, one row
+    (a_v, a_y, b_v, b_y, a_0, b_0) per node, so the path simulator can stay
+    vectorized; off-node queries interpolate the coefficient curves.
     """
 
     params: ModelParams
     pattern: Pattern
     coeffs: ValueCoeffs
-    alpha_v: np.ndarray = field(init=False)
-    alpha_y: np.ndarray = field(init=False)
-    alpha_0: np.ndarray = field(init=False)
-    beta_v: np.ndarray = field(init=False)
-    beta_y: np.ndarray = field(init=False)
-    beta_0: np.ndarray = field(init=False)
+    gains: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        n = self.grid.n_steps + 1
-        for name in ("mu", "eta", "rho", "gamma", "theta", "xi"):
-            if getattr(self.coeffs, name).shape != (n,):
-                raise GridMismatchError(f"coefficient curve {name} has wrong length")
-        dyn = Dynamics.of(self.params)
-        c = self.coeffs
-        fc = sample_on_grid(self.pattern.f_c, self.grid)
-        fd = sample_on_grid(self.pattern.f_d, self.grid)
-        self.alpha_v, self.alpha_y, self.beta_v, self.beta_y = dyn.state_gains(
-            c.mu, c.eta, c.rho, fc
-        )
-        self.alpha_0, self.beta_0 = dyn.offset_gains(c.gamma, c.theta, fd)
+        # np.interp returns a node's own value at the node, so these rows
+        # are the gains of the node curves and the pattern's node values
+        self.gains = np.stack(self._gains(self.grid.times()), -1)
 
     @property
     def grid(self) -> GridConfig:
-        """The grid of the coefficient curves, and of every node table."""
+        """The grid of the coefficient curves, and of the gains table."""
         return self.coeffs.grid
 
     @classmethod

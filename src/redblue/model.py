@@ -10,11 +10,12 @@ steering the observer's likelihood-ratio statistic, and is well posed only for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import (
+    GridMismatchError,
     LambdaOutOfRangeError,
     NonPositiveHorizonError,
     NonPositiveWeightError,
@@ -231,6 +232,33 @@ class GridConfig:
     def half_times(self) -> np.ndarray:
         """Nodes plus midpoints: 2*n_steps + 1 points, spacing h/2."""
         return np.linspace(0.0, self.horizon, 2 * self.n_steps + 1)
+
+
+def check_same_grid(a: GridConfig, b: GridConfig) -> None:
+    if a != b:
+        raise GridMismatchError(f"grids differ: {a} vs {b}")
+
+
+@dataclass(frozen=True, eq=False)
+class GridCurves:
+    """Curves on a grid's nodes: every field after ``grid`` is one curve of
+    n_steps + 1 values, checked when the record is built."""
+
+    grid: GridConfig
+
+    def __post_init__(self):
+        n = self.grid.n_steps + 1
+        for name in self.names():
+            if np.shape(getattr(self, name)) != (n,):
+                raise GridMismatchError(f"curve {name} does not hold {n} values")
+
+    @classmethod
+    def names(cls) -> tuple[str, ...]:
+        """The curves' names, in field order."""
+        return tuple(f.name for f in fields(cls)[1:])
+
+    def curves(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in self.names())
 
 
 def sample_on_grid(f: TimeFunction, grid: GridConfig) -> np.ndarray:

@@ -29,16 +29,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import GAIN_COLS, GAIN_ROWS, Dynamics
-from .errors import GridMismatchError
 from .model import (
     GridConfig,
+    GridCurves,
     ModelParams,
     TimeFunction,
+    check_same_grid,
     grid_function,
     sample_on_half_grid,
 )
 from .odeint import integrate_backward, integrate_linear
-from .riccati import ValueCoeffs, check_same_grid
+from .riccati import ValueCoeffs
 
 NOT_SIMPLIFIED = (
     "moment closure requires the simplified model: "
@@ -47,10 +48,9 @@ NOT_SIMPLIFIED = (
 
 
 @dataclass(frozen=True, eq=False)
-class MomentCurves:
-    """Grid-sampled h20, h11, h02 curves of length n_steps + 1."""
+class MomentCurves(GridCurves):
+    """The second-moment curves h20, h11, h02 on the grid's nodes."""
 
-    grid: GridConfig
     h20: np.ndarray
     h11: np.ndarray
     h02: np.ndarray
@@ -175,12 +175,8 @@ def solve_moments(
     curves = np.column_stack((coeffs.mu, coeffs.eta, coeffs.rho))
     f = sample_on_half_grid(f_c, grid)
     states = _step_moments(Dynamics.of(params), curves, f, grid)
-    return MomentCurves(
-        grid=grid,
-        h20=states[:, 0].copy(),
-        h11=states[:, 1].copy(),
-        h02=states[:, 2].copy(),
-    )
+    # one contiguous row per curve
+    return MomentCurves(grid, *states.T.copy())
 
 
 def expected_log_lr(
@@ -196,9 +192,6 @@ def expected_log_lr(
     check_same_grid(coeffs.grid, grid)
     check_same_grid(moments.grid, grid)
     fc = np.asarray(f_c(grid.times()), dtype=float)
-    for curve in (coeffs.eta, coeffs.rho, moments.h11, moments.h02):
-        if curve.shape != fc.shape:
-            raise GridMismatchError("curve length does not match the grid")
     dyn = Dynamics.of(params)
     return float(
         _payoff_integral(dyn, coeffs.eta, coeffs.rho, moments.h11, moments.h02, fc, grid)

@@ -23,27 +23,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Dynamics
-from .errors import GridMismatchError
-from .model import GridConfig, ModelParams, Pattern, sample_on_half_grid
+from .model import GridConfig, GridCurves, ModelParams, Pattern, sample_on_half_grid
 from .odeint import integrate_backward
 
 
 @dataclass(frozen=True, eq=False)
-class ValueCoeffs:
-    """Grid-sampled coefficient curves, each of length n_steps + 1."""
+class ValueCoeffs(GridCurves):
+    """The six coefficient curves on the grid's nodes."""
 
-    grid: GridConfig
     mu: np.ndarray
     eta: np.ndarray
     rho: np.ndarray
     gamma: np.ndarray
     theta: np.ndarray
     xi: np.ndarray
-
-
-def check_same_grid(a: GridConfig, b: GridConfig) -> None:
-    if a.n_steps != b.n_steps or a.horizon != b.horizon:
-        raise GridMismatchError(f"grids differ: {a} vs {b}")
 
 
 def terminal_conditions(params: ModelParams) -> np.ndarray:

@@ -34,8 +34,7 @@ import numpy as np
 
 from .controls import FeedbackPolicy
 from .errors import NonFiniteStateError
-from .model import GridConfig, ModelParams, Pattern, sample_on_grid
-from .riccati import check_same_grid
+from .model import GridConfig, ModelParams, Pattern, check_same_grid, sample_on_grid
 
 # Paths per simulation block, and per noise stream.  Fixed so that results
 # never depend on the parallelism degree.
@@ -103,20 +102,12 @@ def _step_paths(policy: FeedbackPolicy, grid: GridConfig, k0: int, window, dw):
     v, y, alpha, beta = window
     h = grid.h
     r = alpha.shape[0]
-    tables = (
-        policy.alpha_v,
-        policy.alpha_y,
-        policy.alpha_0,
-        policy.beta_v,
-        policy.beta_y,
-        policy.beta_0,
-    )
-    # the window's gains as Python floats, which make cheaper ufunc operands
-    # than numpy scalars and the same products
-    gains = zip(*(t[k0 : k0 + r].tolist() for t in tables))
+    # the window's rows of the gains table as Python floats, which make
+    # cheaper ufunc operands than numpy scalars and the same products
+    gains = policy.gains[k0 : k0 + r].tolist()
     dwb, dww = dw
     tmp = np.empty(v.shape[1])
-    for j, (av, ay, a0, bv, by, b0) in enumerate(gains):
+    for j, (av, ay, bv, by, a0, b0) in enumerate(gains):
         vk = v[j]
         yk = y[j]
         # alpha_k = av vk + ay yk + a0 and v_{k+1} = vk + alpha_k h + dW_B,

@@ -65,6 +65,13 @@ def test_every_config_key_is_in_the_readme():
     assert sorted(set(cli._KEYS) - named) == []
 
 
+def file_bytes(root: Path) -> dict:
+    """Every file below ``root``: relative path -> contents."""
+    return {
+        str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()
+    }
+
+
 def write_config(tmp_path: Path, doc, name="cfg.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -243,9 +250,17 @@ def test_main_config_errors_exit_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["blue-solve", "red-optimize", "stackelberg"])
 @pytest.mark.parametrize("below", [False, True])
-def test_an_output_path_that_cannot_be_made_exits_1(tmp_path, capsys, command, below):
-    # --out names a plain file, or a path below one: the run ends where it
-    # makes the directory, with one line and no traceback
+def test_an_output_path_that_cannot_be_made_exits_1(
+    tmp_path, capsys, monkeypatch, command, below
+):
+    # --out names a plain file, or a path below one: the run ends before
+    # any solve, with one line and no traceback
+    def solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the output path was checked")
+
+    monkeypatch.setattr(cli.FeedbackPolicy, "solve", solve)
+    monkeypatch.setattr(cli, "solve_red", solve)
+    monkeypatch.setattr(cli, "play_rounds", solve)
     cfg = write_config(tmp_path, base_doc())
     plain = tmp_path / "plain"
     plain.write_text("kept")
@@ -685,7 +700,7 @@ _FUZZ_TIME_FUNCTIONS = st.sampled_from(
 
 @settings(max_examples=100)
 @given(
-    command=st.sampled_from(["blue-solve", "red-optimize", "validate"]),
+    command=st.sampled_from(["blue-solve", "red-optimize", "stackelberg", "validate"]),
     floats=st.dictionaries(
         st.sampled_from(_FUZZ_FLOAT_KEYS), _FUZZ_FLOATS, max_size=3
     ),
@@ -701,11 +716,12 @@ def test_any_readme_variant_exits_cleanly(
     command, floats, time_functions, solver, penalty
 ):
     # every input runs, or exits 1 (config) or 2 (numeric) with a reason;
-    # no traceback, no JSON output carries NaN or Infinity, and validate
-    # passes only when every check does
+    # no traceback, no JSON output carries NaN or Infinity, validate passes
+    # only when every check does, and a run that exits 0 writes the same
+    # bytes on two threads as on one (1100 paths are two blocks)
     doc = dict(
         README_DOC,
-        **{"grid.n_steps": 12, "mc.n_paths": 64, "red.max_iters": 5},
+        **{"grid.n_steps": 12, "mc.n_paths": 1100, "red.max_iters": 5},
         **{"red.solver": solver, "red.penalty": penalty},
         **floats,
         **time_functions,
@@ -722,3 +738,11 @@ def test_any_readme_variant_exits_cleanly(
         for path in out.rglob("*.json"):
             text = path.read_text()
             assert "NaN" not in text and "Infinity" not in text, path.name
+        if code == 0:
+            out2 = Path(tmp) / "out2"
+            stdout2 = io.StringIO()
+            with contextlib.redirect_stdout(stdout2):
+                args = ["--config", cfg, "--out", str(out2), "--threads", "2"]
+                assert main([command, *args]) == 0
+            assert stdout2.getvalue().replace(str(out2), str(out)) == stdout.getvalue()
+            assert file_bytes(out2) == file_bytes(out)

@@ -118,7 +118,7 @@ def bits(arrays) -> bytes:
     n_steps=st.integers(2, 200),
 )
 def test_paths_controls_and_moments_share_one_closed_loop(seed, mode, n_steps):
-    # the node tables the paths step with, the pointwise controls at the
+    # the gains table the paths step with, the pointwise controls at the
     # nodes and the moment matrix K are the same gains, bit for bit, under
     # velocity targets and a pattern with an offset
     rng = np.random.default_rng(seed)
@@ -129,23 +129,31 @@ def test_paths_controls_and_moments_share_one_closed_loop(seed, mode, n_steps):
     )
     p = solve_policy(params, pattern, n_steps, horizon)
     c = p.coeffs
+    dyn = Dynamics.of(params)
     f_c = sample_on_grid(pattern.f_c, p.grid)
-    assert bits(Dynamics.of(params).moment_gains(c.mu, c.eta, c.rho, f_c)) == bits(
+    f_d = sample_on_grid(pattern.f_d, p.grid)
+    # the table is the gains of the node curves and the grid-sampled pattern
+    assert p.gains.shape == (n_steps + 1, 6)
+    assert bits(p.gains.T) == bits(
         (
-            2.0 * p.alpha_v,
-            2.0 * p.alpha_y,
-            1.0 + p.beta_v,
-            p.beta_y + p.alpha_v,
-            p.alpha_y,
-            2.0 * (1.0 + p.beta_v),
-            2.0 * p.beta_y,
+            *dyn.state_gains(c.mu, c.eta, c.rho, f_c),
+            *dyn.offset_gains(c.gamma, c.theta, f_d),
+        )
+    )
+    a_v, a_y, b_v, b_y, a_0, b_0 = p.gains.T
+    assert bits(dyn.moment_gains(c.mu, c.eta, c.rho, f_c)) == bits(
+        (
+            2.0 * a_v,
+            2.0 * a_y,
+            1.0 + b_v,
+            b_y + a_v,
+            a_y,
+            2.0 * (1.0 + b_v),
+            2.0 * b_y,
         )
     )
     t = p.grid.times()
     v, y = rng.uniform(-2.0, 2.0, t.size), rng.uniform(-3.0, 3.0, t.size)
     assert bits((optimal_alpha(p, t, v, y), optimal_beta(p, t, v, y))) == bits(
-        (
-            p.alpha_v * v + p.alpha_y * y + p.alpha_0,
-            p.beta_v * v + p.beta_y * y + p.beta_0,
-        )
+        (a_v * v + a_y * y + a_0, b_v * v + b_y * y + b_0)
     )

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from redblue import (
     Affine,
     Constant,
     GridConfig,
+    GridMismatchError,
     GridSampled,
     LambdaOutOfRangeError,
     ModelParams,
@@ -17,7 +20,14 @@ from redblue import (
     Sinusoid,
     validate_params,
 )
-from redblue.model import grid_function, sample_on_grid, sample_on_half_grid
+from redblue.model import (
+    check_same_grid,
+    grid_function,
+    sample_on_grid,
+    sample_on_half_grid,
+)
+from redblue.moments import MomentCurves
+from redblue.riccati import ValueCoeffs
 from conftest import make_params
 
 
@@ -127,3 +137,44 @@ def test_grid_function_round_trip():
     values = np.linspace(-1.0, 2.0, 6)
     f = grid_function(values, grid)
     np.testing.assert_array_equal(sample_on_grid(f, grid), values)
+
+
+@given(
+    n_steps=st.integers(2, 10_000),
+    horizon=st.floats(1e-6, 1e6),
+    dn=st.sampled_from([-1, 0, 1]),
+    ulps=st.sampled_from([-1, 0, 1]),
+)
+def test_check_same_grid_is_grid_equality(n_steps, horizon, dn, ulps):
+    # distinct objects with equal values are one grid; n_steps one apart or
+    # a horizon one ulp away is another
+    a = GridConfig(n_steps, horizon)
+    other_horizon = horizon
+    if ulps:
+        other_horizon = math.nextafter(horizon, ulps * math.inf)
+    b = GridConfig(max(2, n_steps + dn), other_horizon)
+    same = b.n_steps == n_steps and other_horizon == horizon
+    assert (a == b) is same
+    if same:
+        check_same_grid(a, b)
+        check_same_grid(b, a)
+    else:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(GridMismatchError):
+                check_same_grid(x, y)
+
+
+@pytest.mark.parametrize("record, count", [(ValueCoeffs, 6), (MomentCurves, 3)])
+def test_curve_records_refuse_a_curve_of_the_wrong_length(record, count):
+    grid = GridConfig(10, 0.5)
+    assert len(record.names()) == count
+    curves = [np.zeros(11) for _ in range(count)]
+    built = record(grid, *curves)
+    assert all(a is b for a, b in zip(built.curves(), curves))
+    for i, name in enumerate(record.names()):
+        for bad in (np.zeros(10), np.zeros(12), np.zeros((11, 1))):
+            wrong = curves[:i] + [bad] + curves[i + 1 :]
+            with pytest.raises(GridMismatchError, match=name):
+                record(grid, *wrong)
+    with pytest.raises(GridMismatchError):
+        dataclasses.replace(built, grid=GridConfig(11, 0.5))

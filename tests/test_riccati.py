@@ -18,9 +18,9 @@ from redblue import (
     solve_value_coeffs,
 )
 from redblue.dynamics import Dynamics, misdirection_gain, pattern_curvature
-from redblue.model import grid_function, sample_on_half_grid
+from redblue.model import check_same_grid, grid_function, sample_on_half_grid
 from redblue.red.objective import solve_stack
-from redblue.riccati import check_same_grid, terminal_conditions
+from redblue.riccati import terminal_conditions
 from rk4_reference import reference_rk4
 from conftest import (
     assert_within_column_max,

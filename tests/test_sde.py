@@ -253,7 +253,7 @@ def test_non_finite_statistics_raise():
 
 @pytest.mark.parametrize("other", [GridConfig(100, 0.1), GridConfig(50, 0.2)])
 def test_ensembles_run_only_on_the_policys_grid(other):
-    # the policy's node tables fix its grid: on another one its gains would
+    # the policy's gains table fixes its grid: on another one its gains would
     # be read at the wrong times, with no error
     policy, grid, pattern = _policy(50)
     ensembles = [
@@ -306,8 +306,7 @@ def _reference_step_paths(policy, grid, dw):
     beta = np.empty((n, m))
     v[0] = p.v0
     y[0] = p.y0
-    av, ay, a0 = policy.alpha_v, policy.alpha_y, policy.alpha_0
-    bv, by, b0 = policy.beta_v, policy.beta_y, policy.beta_0
+    av, ay, bv, by, a0, b0 = policy.gains.T
     dwb, dww = dw
     tmp = np.empty(m)
     for k in range(n):
