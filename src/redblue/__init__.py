@@ -1,17 +1,7 @@
 """Misdirection-aware linear-quadratic control and pattern optimization."""
 
 from .controls import FeedbackPolicy
-from .errors import (
-    DegenerateDenominatorError,
-    GridMismatchError,
-    LambdaOutOfRangeError,
-    NonFiniteStateError,
-    NonPositiveFcError,
-    NonPositiveHorizonError,
-    NonPositiveWeightError,
-    OutOfDomainError,
-    RedBlueError,
-)
+from .errors import InputError, NumericError, RedBlueError
 from .model import (
     Affine,
     Constant,
@@ -35,18 +25,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Affine",
     "Constant",
-    "DegenerateDenominatorError",
     "FeedbackPolicy",
     "GridConfig",
-    "GridMismatchError",
     "GridSampled",
-    "LambdaOutOfRangeError",
+    "InputError",
     "ModelParams",
-    "NonFiniteStateError",
-    "NonPositiveFcError",
-    "NonPositiveHorizonError",
-    "NonPositiveWeightError",
-    "OutOfDomainError",
+    "NumericError",
     "Pattern",
     "RedBlueError",
     "RedConfig",

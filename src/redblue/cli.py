@@ -6,8 +6,11 @@ CSV cells are printed with 17 significant digits and '\\n' line endings,
 JSON is dumped with sorted keys, so reruns are byte-identical.
 
 Exit codes: 0 success (a non-converged optimizer report is data, not an
-error), 1 usage or config problem, or an output path that cannot be
-written, 2 numeric failure during a run, or an array too large to allocate.
+error); 1 a usage error, an ``InputError`` (the config, or an input that the
+config alone decides, is refused), or an output path that cannot be
+written; 2 a ``NumericError`` or any other ValueError or ArithmeticError, a
+failed validate check, or an array too large to allocate.  The error's
+class alone picks the code, not the step that raised it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .controls import FeedbackPolicy, optimal_beta
-from .errors import NonFiniteStateError, RedBlueError
+from .errors import InputError, NumericError
 from .model import (
     Affine,
     Constant,
@@ -42,10 +45,6 @@ from .red import RedConfig, solve_red
 from .riccati import solve_value_coeffs
 from .sde import Trajectory, log_lr_samples, mix_seed, monte_carlo
 from .stackelberg import baseline_summary, play_rounds
-
-
-class ConfigError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -105,15 +104,15 @@ def parse_time_function(text, horizon: float, key: str) -> TimeFunction:
     if isinstance(text, (int, float)) and not isinstance(text, bool):
         return Constant(_finite(key, text))
     if not isinstance(text, str):
-        raise ConfigError(f"{key}: expected a string or number")
+        raise InputError(f"{key}: expected a string or number")
     kind, _, rest = text.partition(":")
     kind = kind.strip()
     try:
         args = [float(p) for p in rest.split(",")] if rest.strip() else []
     except ValueError:
-        raise ConfigError(f"{key}: non-numeric argument in {text!r}") from None
+        raise InputError(f"{key}: non-numeric argument in {text!r}") from None
     if not all(map(math.isfinite, args)):
-        raise ConfigError(f"{key}: non-finite argument in {text!r}")
+        raise InputError(f"{key}: non-finite argument in {text!r}")
     if kind == "constant" and len(args) == 1:
         return Constant(args[0])
     if kind == "affine" and len(args) == 2:
@@ -123,7 +122,7 @@ def parse_time_function(text, horizon: float, key: str) -> TimeFunction:
         return Sinusoid(args[0], args[1], phase)
     if kind == "grid" and len(args) >= 2:
         return GridSampled(np.asarray(args), horizon)
-    raise ConfigError(f"{key}: cannot parse time function {text!r}")
+    raise InputError(f"{key}: cannot parse time function {text!r}")
 
 
 def _finite(key: str, value) -> float:
@@ -132,22 +131,22 @@ def _finite(key: str, value) -> float:
     except OverflowError:  # an integer beyond the float range
         x = math.inf
     if not math.isfinite(x):
-        raise ConfigError(f"{key}: expected a finite number, got {value}")
+        raise InputError(f"{key}: expected a finite number, got {value}")
     return x
 
 
 def _coerce(key: str, kind: str, value):
     if kind == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{key}: expected a number")
+            raise InputError(f"{key}: expected a number")
         return _finite(key, value)
     if kind == "int":
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{key}: expected an integer")
+            raise InputError(f"{key}: expected an integer")
         return value
     if kind in ("str", "path"):
         if not isinstance(value, str):
-            raise ConfigError(f"{key}: expected a string")
+            raise InputError(f"{key}: expected a string")
         return value
     return value  # "tf": parsed later, once the horizon is known
 
@@ -159,15 +158,15 @@ def build_run_config(
     out_dir: str | None = None,
 ) -> RunConfig:
     if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
+        raise InputError("config must be a JSON object")
     unknown = sorted(set(doc) - set(_KEYS))
     if unknown:
-        raise ConfigError("unknown config keys: " + ", ".join(unknown))
+        raise InputError("unknown config keys: " + ", ".join(unknown))
     missing = sorted(
         k for k, (_, dflt, *_) in _KEYS.items() if dflt is _REQUIRED and k not in doc
     )
     if missing:
-        raise ConfigError("missing required config keys: " + ", ".join(missing))
+        raise InputError("missing required config keys: " + ", ".join(missing))
     raw = {
         key: _coerce(key, kind, doc.get(key, dflt))
         for key, (kind, dflt, *_) in _KEYS.items()
@@ -178,7 +177,7 @@ def build_run_config(
 
     horizon = raw["model.T"]
     if not (isinstance(horizon, float) and horizon > 0.0):
-        raise ConfigError("model.T must be a positive number")
+        raise InputError("model.T must be a positive number")
 
     def build(owner, **fields):
         # time functions are parsed here, object by object, so that each
@@ -197,7 +196,7 @@ def build_run_config(
     red = build(RedConfig)
     for key, (*_, least) in _KEYS.items():
         if least is not None and raw[key] < least:
-            raise ConfigError(f"{key} must be >= {least}")
+            raise InputError(f"{key} must be >= {least}")
     return build(RunConfig, params=params, grid=grid, pattern=pattern, red=red)
 
 
@@ -485,7 +484,7 @@ def _check_martingale(cfg: RunConfig, solved: dict):
     with np.errstate(over="ignore", invalid="ignore"):
         quad_var = -2.0 * float(np.mean(pilot))
     if not math.isfinite(quad_var):
-        raise NonFiniteStateError("the pilot's mean log likelihood ratio is not finite")
+        raise NumericError("the pilot's mean log likelihood ratio is not finite")
     quad_var = max(quad_var, 1e-12)
     scale = min(1.0, 0.5 / math.sqrt(quad_var))
     pattern = Pattern(
@@ -499,7 +498,7 @@ def _check_martingale(cfg: RunConfig, solved: dict):
         mean = float(np.mean(samples))
         se = float(np.std(samples, ddof=1) / math.sqrt(n))
     if not (math.isfinite(mean) and math.isfinite(se)):
-        raise NonFiniteStateError("the mean of exp(log L) or its se is not finite")
+        raise NumericError("the mean of exp(log L) or its se is not finite")
     ok = abs(mean - 1.0) <= 3.0 * se
     return ok, f"mean exp(log L) {mean:.6f}, se {se:.2e}, scale {scale:.3g}"
 
@@ -579,7 +578,7 @@ def cmd_validate(cfg: RunConfig, plots: bool = False) -> int:
     for name, fn in _VALIDATE_CHECKS:
         try:
             ok, detail = fn(cfg, solved)
-        except (RedBlueError, ValueError, ArithmeticError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             ok, detail = False, f"error: {exc}"
         if not ok:
             failures += 1
@@ -618,6 +617,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, or not JSON
+        raise InputError(str(exc)) from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -625,15 +632,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        with open(args.config) as fh:
-            doc = json.load(fh)
+        doc = _read_json(args.config)
         cfg = build_run_config(
             doc, seed=args.seed, threads=args.threads, out_dir=args.out
         )
-    except (ConfigError, OSError, ValueError, RedBlueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
         # an --out that is, or lies below, a plain file is refused before any
         # solve runs, and nothing is made; validate writes nothing
         if args.command != "validate":
@@ -641,10 +643,13 @@ def main(argv=None) -> int:
             if not first.is_dir():
                 raise NotADirectoryError(f"{first} is not a directory")
         return _COMMANDS[args.command](cfg, plots=args.plots)
+    except InputError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:  # an output path that cannot be made or written
         print(f"output error: {exc}", file=sys.stderr)
         return 1
-    except (RedBlueError, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

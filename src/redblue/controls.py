@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import Dynamics
-from .errors import OutOfDomainError
+from .errors import InputError
 from .model import _DOMAIN_SLACK, GridConfig, ModelParams, Pattern
 from .riccati import ValueCoeffs, solve_value_coeffs
 
@@ -62,7 +62,7 @@ class FeedbackPolicy:
         arr = np.asarray(t, dtype=float)
         outside = (arr < -_DOMAIN_SLACK) | (arr > self.grid.horizon + _DOMAIN_SLACK)
         if np.any(outside):
-            raise OutOfDomainError(f"time {t} outside [0, {self.grid.horizon}]")
+            raise InputError(f"time {t} outside [0, {self.grid.horizon}]")
         c, nodes = self.coeffs, self.grid.times()
         at = np.clip(t, 0.0, self.grid.horizon)
         mu, eta, rho, gamma, theta = (

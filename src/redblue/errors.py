@@ -1,7 +1,15 @@
 """Exception types shared across the package.
 
-Every error raised on purpose by this package derives from RedBlueError so
-callers can catch the whole family with one clause.
+Every error raised on purpose by this package is one of two classes, and
+the class alone decides the command line's exit code:
+
+- ``InputError``: the input alone is refused (exit 1).  It is a
+  ValueError.
+- ``NumericError``: a run on an accepted input failed, for example a state
+  that became NaN or infinite (exit 2).  It is an ArithmeticError.
+
+Both derive from RedBlueError, so callers can catch the family with one
+clause.
 """
 
 
@@ -9,33 +17,11 @@ class RedBlueError(Exception):
     """Base class for all package errors."""
 
 
-class LambdaOutOfRangeError(RedBlueError):
-    """Misdirection weight is negative or exceeds r_beta * sigma_W**2."""
+class InputError(RedBlueError, ValueError):
+    """The input alone is refused: a parameter, grid, pattern or setting
+    out of its domain."""
 
 
-class NonPositiveWeightError(RedBlueError):
-    """A cost weight or noise intensity that must be positive is not."""
-
-
-class NonPositiveHorizonError(RedBlueError):
-    """Horizon T must be positive and finite."""
-
-
-class OutOfDomainError(RedBlueError):
-    """Time argument outside [0, T]."""
-
-
-class NonFiniteStateError(RedBlueError):
-    """An integrator state became NaN or infinite."""
-
-
-class GridMismatchError(RedBlueError):
-    """Two objects that must share a time grid do not."""
-
-
-class NonPositiveFcError(RedBlueError):
-    """Logarithmic penalty needs a strictly positive pattern."""
-
-
-class DegenerateDenominatorError(RedBlueError):
-    """Closed-form minimizer denominator is zero or has the wrong sign."""
+class NumericError(RedBlueError, ArithmeticError):
+    """A run on an accepted input failed: a non-finite state or a
+    degenerate update."""

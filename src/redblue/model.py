@@ -10,21 +10,19 @@ steering the observer's likelihood-ratio statistic, and is well posed only for
 from __future__ import annotations
 
 import math
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (
-    GridMismatchError,
-    LambdaOutOfRangeError,
-    NonPositiveHorizonError,
-    NonPositiveWeightError,
-    OutOfDomainError,
-)
+from .errors import InputError
 
 # Absolute slack when checking 0 <= t <= T, sized for float round-off at
 # half-step times near the endpoints.
 _DOMAIN_SLACK = 1e-9
+
+# The most steps whose half grid, 2 n_steps + 1 points, numpy can index.
+MAX_STEPS = (np.iinfo(np.intp).max - 1) // 2
 
 
 def _as_float_array(t):
@@ -37,7 +35,7 @@ def _scalar_or_array(t, values: np.ndarray):
     return values
 
 
-class TimeFunction:
+class TimeFunction(ABC):
     """A deterministic function of time on [0, T].
 
     Subclasses are immutable and evaluable on scalars or numpy arrays.  A
@@ -45,8 +43,9 @@ class TimeFunction:
     solves that read it fail their finiteness checks.
     """
 
+    @abstractmethod
     def __call__(self, t):
-        raise NotImplementedError
+        """The value at t, a float for a scalar t, else an array."""
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,7 @@ class GridSampled(TimeFunction):
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size < 2:
-            raise ValueError("GridSampled needs a 1-d array of >= 2 node values")
+            raise InputError("GridSampled needs a 1-d array of >= 2 node values")
         object.__setattr__(self, "values", vals)
 
     def nodes(self) -> np.ndarray:
@@ -106,7 +105,7 @@ class GridSampled(TimeFunction):
     def __call__(self, t):
         arr = _as_float_array(t)
         if np.any(arr < -_DOMAIN_SLACK) or np.any(arr > self.horizon + _DOMAIN_SLACK):
-            raise OutOfDomainError(
+            raise InputError(
                 f"time {t} outside [0, {self.horizon}] for grid-sampled function"
             )
         arr = np.clip(arr, 0.0, self.horizon)
@@ -176,34 +175,32 @@ def validate_params(params: ModelParams) -> ModelParams:
     }
     for name, value in positives.items():
         if not (value > 0.0) or not math.isfinite(value):
-            raise NonPositiveWeightError(f"{name} must be positive, got {value}")
+            raise InputError(f"{name} must be positive, got {value}")
     # sigma_w^2 divides the payoff and sets lam's upper bound, so it must be a
     # positive finite float; sigma_b^2 is only added, so 0.0 is harmless there
     if params.sigma_w * params.sigma_w in (0.0, math.inf):
-        raise NonPositiveWeightError(
+        raise InputError(
             f"sigma_w**2 must be a positive finite float, got sigma_w={params.sigma_w}"
         )
     if params.sigma_b * params.sigma_b == math.inf:
-        raise NonPositiveWeightError(
-            f"sigma_b**2 must be finite, got sigma_b={params.sigma_b}"
-        )
+        raise InputError(f"sigma_b**2 must be finite, got sigma_b={params.sigma_b}")
     if not math.isfinite(params.lam) or params.lam < 0.0:
-        raise LambdaOutOfRangeError(f"lam must be >= 0, got {params.lam}")
+        raise InputError(f"lam must be >= 0, got {params.lam}")
     if params.lam > params.lam_upper:
-        raise LambdaOutOfRangeError(
+        raise InputError(
             f"lam={params.lam} exceeds r_beta*sigma_w**2={params.lam_upper}"
         )
     for name in ("vbar_final", "v0", "y0"):
         if not math.isfinite(getattr(params, name)):
-            raise NonPositiveWeightError(f"{name} must be finite")
+            raise InputError(f"{name} must be finite")
     # the moment solve starts from v0**2, v0*y0 and y0**2; |v0*y0| is at most
-    # the larger square, so finite squares keep all three finite
-    for name in ("v0", "y0"):
+    # the larger square, so finite squares keep all three finite.  The value
+    # function ends at t_v vbar_final**2 / 2, whose float power raises
+    # OverflowError, not inf, on a square beyond the float range
+    for name in ("vbar_final", "v0", "y0"):
         value = getattr(params, name)
         if value * value == math.inf:
-            raise NonPositiveWeightError(
-                f"{name}**2 must be finite, got {name}={value}"
-            )
+            raise InputError(f"{name}**2 must be finite, got {name}={value}")
     return params
 
 
@@ -216,11 +213,11 @@ class GridConfig:
 
     def __post_init__(self):
         if self.n_steps < 2:
-            raise ValueError(f"n_steps must be >= 2, got {self.n_steps}")
+            raise InputError(f"n_steps must be >= 2, got {self.n_steps}")
+        if self.n_steps > MAX_STEPS:
+            raise InputError(f"n_steps must be <= {MAX_STEPS}, got {self.n_steps}")
         if not (self.horizon > 0.0) or not math.isfinite(self.horizon):
-            raise NonPositiveHorizonError(
-                f"horizon must be positive and finite, got {self.horizon}"
-            )
+            raise InputError(f"horizon must be positive and finite, got {self.horizon}")
 
     @property
     def h(self) -> float:
@@ -236,7 +233,7 @@ class GridConfig:
 
 def check_same_grid(a: GridConfig, b: GridConfig) -> None:
     if a != b:
-        raise GridMismatchError(f"grids differ: {a} vs {b}")
+        raise InputError(f"grids differ: {a} vs {b}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +247,7 @@ class GridCurves:
         n = self.grid.n_steps + 1
         for name in self.names():
             if np.shape(getattr(self, name)) != (n,):
-                raise GridMismatchError(f"curve {name} does not hold {n} values")
+                raise InputError(f"curve {name} does not hold {n} values")
 
     @classmethod
     def names(cls) -> tuple[str, ...]:
@@ -275,7 +272,7 @@ def grid_function(values: np.ndarray, grid: GridConfig) -> GridSampled:
     """Wrap node values as a GridSampled function on the grid's span."""
     vals = np.asarray(values, dtype=float)
     if vals.shape != (grid.n_steps + 1,):
-        raise ValueError(
+        raise InputError(
             f"expected {grid.n_steps + 1} node values, got shape {vals.shape}"
         )
     return GridSampled(vals, grid.horizon)

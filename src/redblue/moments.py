@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import GAIN_COLS, GAIN_ROWS, Dynamics
+from .errors import InputError
 from .model import (
     GridConfig,
     GridCurves,
@@ -69,7 +70,7 @@ def nodes_to_half_grid(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_closure(params: ModelParams, grid: GridConfig, *offset_lines) -> None:
+def require_closure(params: ModelParams, grid: GridConfig, *offset_lines) -> None:
     """The one rule under which the closure applies: the velocity targets
     are exactly zero at every stage time and at T, and so is every gamma
     or theta curve given (a caller that cannot see f_d passes them, since
@@ -78,7 +79,7 @@ def _require_closure(params: ModelParams, grid: GridConfig, *offset_lines) -> No
     if params.vbar_final != 0.0 or any(
         np.any(line != 0.0) for line in (vbar, *offset_lines)
     ):
-        raise ValueError(NOT_SIMPLIFIED)
+        raise InputError(NOT_SIMPLIFIED)
 
 
 def _step_moments(
@@ -138,7 +139,7 @@ def solve_stack(params: ModelParams, f_nodes: np.ndarray, grid: GridConfig):
     along a contiguous row (numpy sums a strided axis row by row, not
     pairwise).
     """
-    _require_closure(params, grid)
+    require_closure(params, grid)
     nodes = np.asarray(f_nodes, dtype=float)
     batch = nodes.shape[:-1]
     # the pattern at the stage times, (2 n_steps + 1,) or (2 n_steps + 1, B)
@@ -171,7 +172,7 @@ def solve_moments(
     velocity targets and zero f_d: identically zero gamma and theta curves.
     """
     check_same_grid(coeffs.grid, grid)
-    _require_closure(params, grid, coeffs.gamma, coeffs.theta)
+    require_closure(params, grid, coeffs.gamma, coeffs.theta)
     curves = np.column_stack((coeffs.mu, coeffs.eta, coeffs.rho))
     f = sample_on_half_grid(f_c, grid)
     states = _step_moments(Dynamics.of(params), curves, f, grid)

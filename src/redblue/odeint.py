@@ -54,7 +54,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteStateError
+from .errors import NumericError
 from .model import GridConfig
 
 
@@ -194,7 +194,7 @@ def _loop(width: int, owner: type, rates: Callable, forcing_width: int | None):
 
 def _require_finite(out: np.ndarray, grid: GridConfig, direction: int) -> np.ndarray:
     """``out``, the node states of a solve, if every one is finite.
-    Otherwise NonFiniteStateError names the first non-finite node in
+    Otherwise NumericError names the first non-finite node in
     stepping order and, for a batch, the first member non-finite there."""
     finite = np.isfinite(out.reshape(len(out), -1)).all(axis=1)
     if finite.all():
@@ -206,7 +206,7 @@ def _require_finite(out: np.ndarray, grid: GridConfig, direction: int) -> np.nda
         row = row[:, np.flatnonzero(~np.isfinite(row).all(axis=0))[0]]
     # numpy's repr wraps a long row; the reason stays on one line
     row = np.array2string(row, max_line_width=sys.maxsize)
-    raise NonFiniteStateError(f"non-finite state at t={node * grid.h}: {row}")
+    raise NumericError(f"non-finite state at t={node * grid.h}: {row}")
 
 
 def integrate_backward(

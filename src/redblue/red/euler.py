@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dynamics import Dynamics
-from ..errors import NonFiniteStateError
+from ..errors import InputError, NumericError
 from ..model import GridConfig, ModelParams
 from .objective import PENALTY_QUADRATIC, RedConfig, anchor_values, objective_terms
 
@@ -94,7 +94,7 @@ def euler_objective_and_gradient(
     f = np.asarray(f, dtype=float)
     n = grid.n_steps
     if f.shape != (n + 1,):
-        raise ValueError(f"expected {n + 1} node values")
+        raise InputError(f"expected {n + 1} node values")
     h = grid.h
     dyn = Dynamics.of(params)
     sw2 = dyn.sw2
@@ -108,7 +108,7 @@ def euler_objective_and_gradient(
     lists, gains = _euler_states(f, f_list, dyn, grid)
     states = np.array(lists)
     if not np.all(np.isfinite(states)):
-        raise NonFiniteStateError("Euler recursion overflowed")
+        raise NumericError("Euler recursion overflowed")
     mu_l, eta_l, rho_l, _, _, _ = lists
     mu, eta, rho, h20, h11, h02 = states
 

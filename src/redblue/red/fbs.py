@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dynamics import GAIN_COLS, GAIN_ROWS, Dynamics
+from ..errors import InputError
 from ..model import GridConfig, ModelParams
 from ..moments import nodes_to_half_grid
 from ..odeint import integrate_linear
@@ -93,7 +94,7 @@ def fbs_solve(
     params: ModelParams, config: RedConfig, grid: GridConfig
 ) -> OptimizationReport:
     if config.solver != SOLVER_FBS:
-        raise ValueError(f"config selects solver {config.solver!r}, not fbs")
+        raise InputError(f"config selects solver {config.solver!r}, not fbs")
     dyn = Dynamics.of(params)
     omega = config.fbs_relaxation
 

@@ -10,6 +10,7 @@ in Euclidean norm.
 from __future__ import annotations
 
 from ..dynamics import Dynamics
+from ..errors import InputError
 from ..model import GridConfig, ModelParams
 from .objective import (
     SOLVER_FPI,
@@ -24,7 +25,7 @@ def fpi_solve(
     params: ModelParams, config: RedConfig, grid: GridConfig
 ) -> OptimizationReport:
     if config.solver != SOLVER_FPI:
-        raise ValueError(f"config selects solver {config.solver!r}, not fpi")
+        raise InputError(f"config selects solver {config.solver!r}, not fpi")
     dyn = Dynamics.of(params)
 
     def update(f, x, anchor, history):

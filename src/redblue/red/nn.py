@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NonFiniteStateError
+from ..errors import InputError, NumericError
 from ..model import GridConfig, ModelParams
-from ..moments import _require_closure
+from ..moments import require_closure
 from .euler import euler_objective_and_gradient
 from .objective import (
     PENALTY_LOGARITHMIC,
@@ -173,10 +173,10 @@ def nn_solve(
     n_epochs: int = DEFAULT_EPOCHS,
 ) -> OptimizationReport:
     if config.solver != SOLVER_NN:
-        raise ValueError(f"config selects solver {config.solver!r}, not nn")
+        raise InputError(f"config selects solver {config.solver!r}, not nn")
     # a velocity target fails here, not after training (the Euler objective
     # reads no target), and so does a log anchor that is not positive
-    _require_closure(params, grid)
+    require_closure(params, grid)
     anchor = anchor_values(config, grid)
     net = init_network(seed, config.penalty_kind == PENALTY_LOGARITHMIC)
     times = grid.times()
@@ -200,7 +200,7 @@ def nn_solve(
         and np.all(np.isfinite(adam.m))
         and np.all(np.isfinite(adam.v))
     ):
-        raise NonFiniteStateError("network training overflowed")
+        raise NumericError("network training overflowed")
     converged = (
         len(history) > CONVERGENCE_WINDOW
         and abs(history[-1] - history[-1 - CONVERGENCE_WINDOW])

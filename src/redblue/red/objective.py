@@ -19,11 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import (
-    DegenerateDenominatorError,
-    NonFiniteStateError,
-    NonPositiveFcError,
-)
+from ..errors import InputError, NumericError
 from ..model import (
     Constant,
     GridConfig,
@@ -63,17 +59,17 @@ class RedConfig:
 
     def __post_init__(self):
         if self.penalty_kind not in _PENALTIES:
-            raise ValueError(f"unknown penalty kind {self.penalty_kind!r}")
+            raise InputError(f"unknown penalty kind {self.penalty_kind!r}")
         if self.solver not in _SOLVERS:
-            raise ValueError(f"unknown solver {self.solver!r}")
+            raise InputError(f"unknown solver {self.solver!r}")
         if not self.lambda_reg >= 0.0:
-            raise ValueError("lambda_reg must be >= 0")
+            raise InputError("lambda_reg must be >= 0")
         if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+            raise InputError("tolerance must be positive")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise InputError("max_iters must be >= 1")
         if not 0.0 < self.fbs_relaxation <= 1.0:
-            raise ValueError("fbs_relaxation must be in (0, 1]")
+            raise InputError("fbs_relaxation must be in (0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +103,7 @@ def anchor_values(config: RedConfig, grid: GridConfig) -> np.ndarray:
         and config.lambda_reg > 0.0
         and np.any(anchor <= 0.0)
     ):
-        raise NonPositiveFcError("logarithmic penalty needs a positive anchor")
+        raise InputError("logarithmic penalty needs a positive anchor")
     return anchor
 
 
@@ -120,7 +116,7 @@ def anchored_penalty(
     if config.penalty_kind == PENALTY_QUADRATIC:
         return float(np.trapezoid((f - anchor) ** 2, dx=grid.h))
     if np.any(f <= 0.0):
-        raise NonPositiveFcError("logarithmic penalty needs f_c > 0 on the grid")
+        raise NumericError("logarithmic penalty needs f_c > 0 on the grid")
     return float(np.trapezoid(-anchor * np.log(f / anchor), dx=grid.h))
 
 
@@ -147,23 +143,23 @@ def closed_form_update(
     Quadratic penalty: f = (2 lambda_reg anchor - b) / (a + 2 lambda_reg).
     Logarithmic: positive root of a f^2 + b f - lambda_reg anchor = 0,
     which needs a positive anchor only at lambda_reg > 0.
-    A non-finite update raises NonFiniteStateError.
+    A non-finite update raises NumericError.
     """
     lreg = config.lambda_reg
     with np.errstate(over="ignore", invalid="ignore"):
         if config.penalty_kind == PENALTY_QUADRATIC:
             den = a + 2.0 * lreg
             if np.any(den <= 0.0):
-                raise DegenerateDenominatorError(
+                raise NumericError(
                     "quadratic update denominator not positive; "
                     "lam too small or lambda_reg too weak"
                 )
             f = (2.0 * lreg * anchor - b) / den
         else:
             if lreg > 0.0 and np.any(anchor <= 0.0):
-                raise NonPositiveFcError("logarithmic penalty needs a positive anchor")
+                raise InputError("logarithmic penalty needs a positive anchor")
             if np.any(a <= 0.0):
-                raise DegenerateDenominatorError(
+                raise NumericError(
                     "logarithmic update needs a positive leading coefficient "
                     "(requires lam > r_beta sigma_w^2 / 2)"
                 )
@@ -175,7 +171,7 @@ def closed_form_update(
             # underflows, which leaves (-b + |b|) / 2a < 0 for a tiny positive b
             f = np.maximum(root, 0.0)
     if not np.isfinite(f).all():
-        raise NonFiniteStateError("closed-form pattern update is not finite")
+        raise NumericError("closed-form pattern update is not finite")
     return f
 
 
@@ -225,7 +221,8 @@ def sweep(
         x, elr = solve_stack(params, f, grid)
         history.append(objective_terms(params, config, grid, elr, f, anchor)[1])
         f_new, factor = update(f, x, anchor, history)
-        delta = float(np.linalg.norm(f_new - f))
+        with np.errstate(over="ignore"):  # the norm of a huge finite step is inf
+            delta = float(np.linalg.norm(f_new - f))
         f = f_new
         if delta < config.tolerance:
             converged = delta * factor < config.tolerance

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controls import FeedbackPolicy
-from .errors import NonFiniteStateError
+from .errors import InputError, NumericError
 from .model import GridConfig, ModelParams, Pattern, check_same_grid, sample_on_grid
 
 # Paths per simulation block, and per noise stream.  Fixed so that results
@@ -96,7 +96,7 @@ def _step_paths(policy: FeedbackPolicy, grid: GridConfig, k0: int, window, dw):
     hold node k0 in row 0 and get nodes k0+1..k0+K; alpha and beta of shape
     (K, paths) get the realized controls at nodes k0..k0+K-1.  dw holds the
     scaled noise increments sigma sqrt(h) Z of those steps, shape
-    (2, K, paths) (V channel first).  Raises NonFiniteStateError if a new
+    (2, K, paths) (V channel first).  Raises NumericError if a new
     node is not finite.
     """
     v, y, alpha, beta = window
@@ -126,7 +126,7 @@ def _step_paths(policy: FeedbackPolicy, grid: GridConfig, k0: int, window, dw):
         yn += yk
         yn += dww[j]
     if not (np.isfinite(v[1:]).all() and np.isfinite(y[1:]).all()):
-        raise NonFiniteStateError("path simulation overflowed")
+        raise NumericError("path simulation overflowed")
 
 
 def _sums(paths: int) -> np.ndarray:
@@ -275,7 +275,7 @@ class _BlockSimulator:
         z = self.z[: min(_BLOCK_PATHS, n_paths - start)]
         np.random.default_rng(mix_seed(master_seed, block)).standard_normal(out=z)
         # numpy warns on overflow per operation; a blow-up is raised once, as
-        # NonFiniteStateError or as a non-finite statistic.  The error state
+        # NumericError or as a non-finite statistic.  The error state
         # is per thread, so each worker sets it for its own blocks.
         with np.errstate(over="ignore", invalid="ignore"):
             self.simulate(z, start)
@@ -379,7 +379,7 @@ def sample_paths(
     """
     check_same_grid(policy.grid, grid)
     if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+        raise InputError("n_paths must be >= 1")
     v_all, y_all, _, _ = _kept_paths(n_paths, grid)
     _run_blocks(policy, grid, n_paths, master_seed, _Outputs(keep=(v_all, y_all)))
     return v_all, y_all
@@ -394,11 +394,11 @@ def log_lr_samples(
 ) -> np.ndarray:
     """Per-path log likelihood ratios of the monte_carlo ensemble.
 
-    Raises NonFiniteStateError if a sample is not finite.
+    Raises NumericError if a sample is not finite.
     """
     check_same_grid(policy.grid, grid)
     if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+        raise InputError("n_paths must be >= 1")
     out = _Outputs(
         loglr=np.empty(n_paths),
         fc=sample_on_grid(pattern.f_c, grid),
@@ -407,7 +407,7 @@ def log_lr_samples(
     _run_blocks(policy, grid, n_paths, master_seed, out)
     bad = int(np.count_nonzero(~np.isfinite(out.loglr)))
     if bad:
-        raise NonFiniteStateError(
+        raise NumericError(
             f"log likelihood ratio samples are not finite on {bad} of {n_paths} paths"
         )
     return out.loglr
@@ -429,13 +429,13 @@ def monte_carlo(
     evaluate statistics on null-hypothesis paths).  The first `n_sample`
     ensemble members are returned as ``sample_trajectories``; members past
     n_paths are simulated for that purpose only and left out of the
-    statistics.  Raises NonFiniteStateError if a statistic is not finite.
+    statistics.  Raises NumericError if a statistic is not finite.
     """
     check_same_grid(policy.grid, grid)
     if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
+        raise InputError("n_paths must be >= 2")
     if n_sample < 0:
-        raise ValueError("n_sample must be >= 0")
+        raise InputError("n_sample must be >= 0")
     params = policy.params
     total = max(n_paths, n_sample)
     out = _Outputs(
@@ -461,9 +461,7 @@ def monte_carlo(
         )
     bad = sorted(k for k, x in stats.items() if not math.isfinite(x))
     if bad:
-        raise NonFiniteStateError(
-            "Monte Carlo statistics are not finite: " + ", ".join(bad)
-        )
+        raise NumericError("Monte Carlo statistics are not finite: " + ", ".join(bad))
     return McSummary(
         n_paths=n_paths,
         master_seed=master_seed,

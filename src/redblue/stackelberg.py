@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .controls import FeedbackPolicy
+from .errors import InputError
 from .model import (
     Constant,
     GridConfig,
@@ -26,8 +27,9 @@ from .model import (
     grid_function,
     sample_on_grid,
 )
-from .moments import expected_log_lr, solve_moments
+from .moments import expected_log_lr, require_closure, solve_moments
 from .red import RedConfig, solve_red
+from .red.objective import anchor_values
 from .riccati import ValueCoeffs
 from .sde import McSummary, mix_seed, monte_carlo
 
@@ -69,9 +71,17 @@ def play_rounds(
     its ``expected_log_lr_moment`` is that output's
     ``final_expected_log_lr``.  The last round runs no optimizer, since its
     output would never be played.
+
+    An input that a round would refuse is refused before round 1 solves
+    anything: a model outside the moment closure, and, when the optimizer
+    runs, an anchor that its penalty refuses.  Later anchors are optimizer
+    outputs, which the penalty has accepted.
     """
     if n_rounds < 1:
-        raise ValueError("n_rounds must be >= 1")
+        raise InputError("n_rounds must be >= 1")
+    require_closure(params, grid)
+    if n_rounds > 1:
+        anchor_values(replace(red_config, f_c_initial=initial_f_c), grid)
     f_nodes = sample_on_grid(initial_f_c, grid)
     records: list[RoundRecord] = []
     for rnd in range(1, n_rounds + 1):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from redblue import Affine, Constant, GridConfig, ModelParams, NonFiniteStateError
+from redblue import Affine, Constant, GridConfig, ModelParams, NumericError
 
 # Property tests draw the same examples on every run, so the suite stays
 # deterministic; the simulations they call are too slow for a deadline.
@@ -90,11 +90,11 @@ def random_params(
 
 
 def states_or_node(solve, *args):
-    """What ``solve`` returns, or the node its NonFiniteStateError names:
+    """What ``solve`` returns, or the node its NumericError names:
     the reason up to its first colon, "non-finite state at t=..."."""
     try:
         return solve(*args)
-    except NonFiniteStateError as exc:
+    except NumericError as exc:
         return str(exc).split(":")[0]
 
 

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from redblue import NonFiniteStateError
+from redblue import NumericError
 
 
 def reference_rk4(rhs, state, grid, direction):
@@ -23,7 +23,7 @@ def reference_rk4(rhs, state, grid, direction):
     def check_finite(state, t):
         if not np.all(np.isfinite(state)):
             row = np.array2string(state, max_line_width=sys.maxsize)
-            raise NonFiniteStateError(f"non-finite state at t={t}: {row}")
+            raise NumericError(f"non-finite state at t={t}: {row}")
 
     def slope(j, state):
         return np.array(rhs(j, state))

@@ -1,4 +1,5 @@
-"""The public API is the README's list, and no module keeps a dead import."""
+"""The public API is the README's list, no module keeps a dead import, and
+every raise names one of the two error classes."""
 
 import ast
 import re
@@ -74,4 +75,47 @@ def test_no_module_has_an_unused_import():
         for path in sorted(PACKAGE.rglob("*.py"))
         if (unused := unused_imports(path.read_text()))
     }
+    assert found == {}
+
+
+def stray_raises(source: str, also: tuple[str, ...] = ()) -> list[str]:
+    """Raise statements that name neither ``InputError`` nor ``NumericError``
+    nor a class in ``also``.  A bare re-raise passes."""
+    allowed = {"InputError", "NumericError", *also}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if not (isinstance(exc, ast.Name) and exc.id in allowed):
+            found.append(f"{ast.unparse(node.exc)} (line {node.lineno})")
+    return found
+
+
+def test_stray_raises_check_flags_other_classes():
+    source = (
+        "raise InputError('a')\n"
+        "raise NumericError\n"
+        "raise\n"
+        "raise ValueError('b')\n"
+        "raise errors.InputError('c')\n"
+    )
+    assert stray_raises(source) == [
+        "ValueError('b') (line 4)",
+        "errors.InputError('c') (line 5)",
+    ]
+    assert stray_raises(source, also=("ValueError",)) == [
+        "errors.InputError('c') (line 5)"
+    ]
+
+
+def test_every_raise_names_one_of_the_two_error_classes():
+    # the command line refuses an --out below a plain file as an OSError,
+    # an output error
+    also = {"cli.py": ("NotADirectoryError",)}
+    found = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        name = str(path.relative_to(PACKAGE))
+        if stray := stray_raises(path.read_text(), also.get(name, ())):
+            found[name] = stray
     assert found == {}

@@ -5,15 +5,15 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redblue import LambdaOutOfRangeError, RedConfig, cli, riccati
+from redblue import InputError, RedConfig, cli, moments, riccati, sde
 from redblue.cli import (
-    ConfigError,
     build_run_config,
     main,
     parse_time_function,
@@ -23,7 +23,7 @@ from redblue.cli import (
 from redblue.model import sample_on_grid
 from redblue.moments import NOT_SIMPLIFIED, solve_stack
 from redblue.odeint import integrate_backward
-from redblue.red import nn
+from redblue.red import euler, fbs, nn
 from redblue.red.euler import euler_objective_and_gradient
 from redblue.sde import mix_seed
 
@@ -78,6 +78,33 @@ def write_config(tmp_path: Path, doc, name="cfg.json") -> str:
     return str(path)
 
 
+# where a run enters a solve: the RK4 integrators at each import site, the
+# Monte Carlo block runner and the Euler recursion
+_SOLVE_ENTRIES = [
+    (moments, "integrate_backward"),
+    (riccati, "integrate_backward"),
+    (moments, "integrate_linear"),
+    (fbs, "integrate_linear"),
+    (sde, "_run_blocks"),
+    (euler, "_euler_states"),
+]
+
+
+@contextlib.contextmanager
+def counting_solve_entries():
+    """The names of the solve entries called inside the block, in order."""
+    calls = []
+    with contextlib.ExitStack() as stack:
+        for module, name in _SOLVE_ENTRIES:
+
+            def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            stack.enter_context(mock.patch.object(module, name, counting))
+        yield calls
+
+
 def test_parse_time_function_forms():
     f = parse_time_function("constant:1.5", 1.0, "k")
     assert f(0.3) == 1.5
@@ -99,7 +126,7 @@ def test_parse_time_function_forms():
     ["bogus:1", "constant:a", "affine:1", "sinusoid:1", "grid:1", "constant", True, None],
 )
 def test_parse_time_function_rejects(text):
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         parse_time_function(text, 1.0, "k")
 
 
@@ -129,7 +156,7 @@ def test_red_keys_default_to_the_red_config_defaults():
 
 def test_build_run_config_rejects_unknown_keys():
     doc = base_doc(**{"model.bogus": 1.0, "extra": 2})
-    with pytest.raises(ConfigError, match="unknown config keys: extra, model.bogus"):
+    with pytest.raises(InputError, match="unknown config keys: extra, model.bogus"):
         build_run_config(doc)
 
 
@@ -137,22 +164,22 @@ def test_build_run_config_lists_missing_keys():
     doc = base_doc()
     del doc["model.T"]
     del doc["grid.n_steps"]
-    with pytest.raises(ConfigError, match="grid.n_steps, model.T"):
+    with pytest.raises(InputError, match="grid.n_steps, model.T"):
         build_run_config(doc)
 
 
 def test_build_run_config_rejects_out_of_range_lambda():
     # bound is r_beta * sigma_W^2 = 0.2 for the base doc
-    with pytest.raises(LambdaOutOfRangeError):
+    with pytest.raises(InputError):
         build_run_config(base_doc(**{"model.lambda": 0.21}))
 
 
 def test_build_run_config_type_checks():
-    with pytest.raises(ConfigError, match="expected a number"):
+    with pytest.raises(InputError, match="expected a number"):
         build_run_config(base_doc(**{"model.T": True}))
-    with pytest.raises(ConfigError, match="expected an integer"):
+    with pytest.raises(InputError, match="expected an integer"):
         build_run_config(base_doc(**{"mc.n_paths": 10.5}))
-    with pytest.raises(ConfigError, match="n_paths"):
+    with pytest.raises(InputError, match="n_paths"):
         build_run_config(base_doc(**{"mc.n_paths": 1}))
 
 
@@ -168,7 +195,7 @@ def test_build_run_config_type_checks():
 )
 def test_keys_below_their_least_value_are_config_errors(key, least):
     build_run_config(base_doc(**{key: least}))
-    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be >= {least}$"):
+    with pytest.raises(InputError, match=f"^{re.escape(key)} must be >= {least}$"):
         build_run_config(base_doc(**{key: least - 1}))
 
 
@@ -283,7 +310,7 @@ def test_an_output_path_that_cannot_be_made_exits_1(
     ],
 )
 def test_non_finite_inputs_are_config_errors(tmp_path, key, value):
-    with pytest.raises(ConfigError, match="finite"):
+    with pytest.raises(InputError, match="finite"):
         build_run_config(base_doc(**{key: value}))
     # json writes these as Infinity / NaN, which json.load accepts
     cfg = write_config(tmp_path, base_doc(**{key: value}))
@@ -459,7 +486,6 @@ _SMALL = {"grid.n_steps": 20, "mc.n_paths": 100}
     [
         ("red-optimize", {"model.v0": 1e154}),
         ("validate", {"model.v0": 1e154, "model.y0": 1.3e154}),
-        ("red-optimize", {"red.solver": "nn", "red.f_c_initial": "constant:0"}),
         ("red-optimize", {"red.solver": "nn", "model.sigma_W": 1e154, **_SMALL}),
         ("red-optimize", {"red.solver": "nn", "red.lambda_reg": 1e154, **_SMALL}),
         (
@@ -479,11 +505,11 @@ _SMALL = {"grid.n_steps": 20, "mc.n_paths": 100}
             "red-optimize",
             {"red.solver": "fbs", "red.penalty": "quadratic", "red.lambda_reg": 1e308},
         ),
+        ("red-optimize", {"model.y0": 1e-160, "grid.n_steps": 12, "red.max_iters": 5}),
     ],
     ids=[
         "red-optimize-v0",
         "validate-v0",
-        "nn-zero-anchor",
         "nn-sigma_W",
         "nn-adam-overflow",
         "stackelberg-nn-adam-overflow",
@@ -491,6 +517,7 @@ _SMALL = {"grid.n_steps": 20, "mc.n_paths": 100}
         "validate-v0-small",
         "fpi-update-overflow",
         "fbs-update-overflow",
+        "fpi-step-norm-overflow",
     ],
 )
 def test_arithmetic_errors_exit_2(tmp_path, capsys, recwarn, command, overrides):
@@ -498,8 +525,9 @@ def test_arithmetic_errors_exit_2(tmp_path, capsys, recwarn, command, overrides)
     # while red-optimize's closed-form update is not; for validate, v0^2 and
     # y0^2 are finite while the paths are not, nor is the moment solve, whose
     # E[Y^2] starts at 1.69e308 and grows; the nn cases overflow in the
-    # Euler objective or in Adam's moment estimates, or have a zero anchor;
-    # the quadratic fpi and fbs cases overflow in the closed-form update
+    # Euler objective or in Adam's moment estimates; the quadratic fpi and
+    # fbs cases overflow in the closed-form update; at y0 1e-160 the
+    # logarithmic fpi takes a finite step whose norm overflows
     cfg = write_config(tmp_path, dict(README_DOC, **overrides))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     captured = capsys.readouterr()
@@ -513,6 +541,69 @@ def test_arithmetic_errors_exit_2(tmp_path, capsys, recwarn, command, overrides)
     else:
         assert captured.err.startswith("numeric failure: ")
         assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, overrides, reason",
+    [
+        (
+            "red-optimize",
+            {"red.solver": "nn", "red.f_c_initial": "constant:0"},
+            "logarithmic penalty needs a positive anchor",
+        ),
+        (
+            "red-optimize",
+            {"red.f_c_initial": "constant:0"},
+            "logarithmic penalty needs a positive anchor",
+        ),
+        (
+            "stackelberg",
+            {"pattern.f_c": "constant:0"},
+            "logarithmic penalty needs a positive anchor",
+        ),
+        ("red-optimize", {"model.vbar": 1.0}, NOT_SIMPLIFIED),
+        ("stackelberg", {"model.vbar": 1.0}, NOT_SIMPLIFIED),
+    ],
+    ids=[
+        "nn-zero-anchor",
+        "fpi-zero-anchor",
+        "stackelberg-zero-anchor",
+        "red-optimize-tracking",
+        "stackelberg-tracking",
+    ],
+)
+def test_input_refusals_exit_1_before_any_solve(
+    tmp_path, capsys, recwarn, command, overrides, reason
+):
+    # the config alone decides these: a logarithmic anchor that is not
+    # positive, or a velocity target outside the moment closure.  In
+    # stackelberg the zero anchor is round 1's pattern, which round 2's
+    # optimizer would anchor at
+    cfg = write_config(tmp_path, dict(README_DOC, **overrides))
+    with counting_solve_entries() as calls:
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {reason}\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("n_steps", [2**62, 2**64])
+@pytest.mark.parametrize(
+    "command", ["blue-solve", "red-optimize", "stackelberg", "validate"]
+)
+def test_a_grid_too_large_to_index_is_a_config_error(
+    tmp_path, capsys, command, n_steps
+):
+    # the half grid holds 2 n_steps + 1 points, more than numpy can index
+    cfg = write_config(tmp_path, dict(README_DOC, **{"grid.n_steps": n_steps}))
+    with counting_solve_entries() as calls:
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err == f"config error: n_steps must be <= {2**62 - 1}, got {n_steps}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_allocation_beyond_any_address_space_exits_2(tmp_path, capsys):
@@ -538,9 +629,9 @@ def test_nn_rejects_a_velocity_target_before_training(tmp_path, capsys, monkeypa
     monkeypatch.setattr(nn, "euler_objective_and_gradient", counting)
     doc = dict(README_DOC, **{"red.solver": "nn", "model.vbar": 1.0})
     cfg = write_config(tmp_path, doc)
-    assert main(["red-optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert main(["red-optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err == f"numeric failure: {NOT_SIMPLIFIED}\n"
+    assert err == f"config error: {NOT_SIMPLIFIED}\n"
     assert calls == []
 
 
@@ -604,6 +695,7 @@ def test_martingale_check_fails_on_an_overflowing_sample(
         {"model.v0": 1e300},
         {"model.v0": 1e155},
         {"model.y0": 1e155},
+        {"model.vbar_T": 1e155},
     ],
     ids=[
         "sigma_W-underflow",
@@ -612,13 +704,14 @@ def test_martingale_check_fails_on_an_overflowing_sample(
         "v0-overflow",
         "v0-square-overflow",
         "y0-square-overflow",
+        "vbar_T-square-overflow",
     ],
 )
 def test_noise_scales_with_unusable_squares_are_config_errors(
     tmp_path, capsys, overrides
 ):
-    # sigma_W^2 underflows to zero or overflows; sigma_B^2, v0^2 or y0^2
-    # overflows
+    # sigma_W^2 underflows to zero or overflows; sigma_B^2, v0^2, y0^2 or
+    # vbar_T^2 overflows
     cfg = write_config(tmp_path, dict(README_DOC, **overrides))
     assert main(["red-optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
@@ -716,6 +809,7 @@ def test_any_readme_variant_exits_cleanly(
     command, floats, time_functions, solver, penalty
 ):
     # every input runs, or exits 1 (config) or 2 (numeric) with a reason;
+    # a config error enters no solve, and a numeric failure comes from one;
     # no traceback, no JSON output carries NaN or Infinity, validate passes
     # only when every check does, and a run that exits 0 writes the same
     # bytes on two threads as on one (1100 paths are two blocks)
@@ -729,10 +823,19 @@ def test_any_readme_variant_exits_cleanly(
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_config(Path(tmp), doc)
         out = Path(tmp) / "out"
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with (
+            contextlib.redirect_stdout(stdout),
+            contextlib.redirect_stderr(stderr),
+            counting_solve_entries() as calls,
+        ):
             code = main([command, "--config", cfg, "--out", str(out)])
         assert code in (0, 1, 2)
+        if code == 1:
+            assert stderr.getvalue().startswith("config error: ")
+            assert calls == []
+        if code == 2:
+            assert calls
         if command == "validate" and code == 0:
             assert stdout.getvalue().count(" PASS ") == 6
         for path in out.rglob("*.json"):

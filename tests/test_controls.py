@@ -10,8 +10,7 @@ from redblue import (
     Affine,
     FeedbackPolicy,
     GridConfig,
-    GridMismatchError,
-    OutOfDomainError,
+    InputError,
     Pattern,
     Sinusoid,
     ZERO_PATTERN,
@@ -87,9 +86,9 @@ def test_controls_interpolate_between_nodes():
 
 def test_out_of_domain_query_rejected():
     policy = solve_policy(make_params(), ZERO_PATTERN)
-    with pytest.raises(OutOfDomainError):
+    with pytest.raises(InputError):
         optimal_alpha(policy, 0.11, 0.0, 0.0)
-    with pytest.raises(OutOfDomainError):
+    with pytest.raises(InputError):
         optimal_beta(policy, -0.01, 0.0, 0.0)
     # queries within rounding slack of the ends are fine
     optimal_alpha(policy, 0.1 + 1e-12, 0.0, 0.0)
@@ -102,7 +101,7 @@ def test_policy_rejects_mismatched_grid():
     grid = GridConfig(50, 0.1)
     other = GridConfig(60, 0.1)
     coeffs = FeedbackPolicy.solve(params, ZERO_PATTERN, grid).coeffs
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(InputError):
         FeedbackPolicy(params, ZERO_PATTERN, replace(coeffs, grid=other))
 
 

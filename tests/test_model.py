@@ -10,17 +10,14 @@ from redblue import (
     Affine,
     Constant,
     GridConfig,
-    GridMismatchError,
     GridSampled,
-    LambdaOutOfRangeError,
+    InputError,
     ModelParams,
-    NonPositiveHorizonError,
-    NonPositiveWeightError,
-    OutOfDomainError,
     Sinusoid,
     validate_params,
 )
 from redblue.model import (
+    MAX_STEPS,
     check_same_grid,
     grid_function,
     sample_on_grid,
@@ -61,9 +58,9 @@ def test_grid_sampled_domain_check():
     # slack admits queries a rounding error past the ends
     assert f(1.0 + 1e-10) == 1.0
     assert f(-1e-10) == 0.0
-    with pytest.raises(OutOfDomainError):
+    with pytest.raises(InputError):
         f(1.001)
-    with pytest.raises(OutOfDomainError):
+    with pytest.raises(InputError):
         f(-0.001)
 
 
@@ -78,17 +75,24 @@ def test_validate_params_accepts_boundary_lambda():
 
 
 def test_validate_params_rejects_bad_values():
-    with pytest.raises(NonPositiveWeightError):
+    with pytest.raises(InputError):
         validate_params(make_params(sigma_w=0.0))
-    with pytest.raises(NonPositiveWeightError):
+    with pytest.raises(InputError):
         validate_params(make_params(r_alpha=-1.0))
-    with pytest.raises(LambdaOutOfRangeError):
+    with pytest.raises(InputError):
         validate_params(make_params(lam=-0.01))
-    with pytest.raises(LambdaOutOfRangeError):
+    with pytest.raises(InputError):
         validate_params(make_params(lam=0.1001))
-    # sigma_w^2 underflows to 0.0 or overflows; sigma_b^2 overflows
-    for bad in (dict(sigma_w=1e-300, lam=0.0), dict(sigma_w=1e200), dict(sigma_b=1e200)):
-        with pytest.raises(NonPositiveWeightError, match=r"\*\*2 must be"):
+    # sigma_w^2 underflows to 0.0 or overflows; sigma_b^2 or the terminal
+    # target's square overflows
+    bads = (
+        dict(sigma_w=1e-300, lam=0.0),
+        dict(sigma_w=1e200),
+        dict(sigma_b=1e200),
+        dict(vbar_final=1e155),
+    )
+    for bad in bads:
+        with pytest.raises(InputError, match=r"\*\*2 must be"):
             validate_params(make_params(**bad))
 
 
@@ -119,8 +123,15 @@ def test_grid_config_rejects_tiny():
     # the grid is T's one home: ModelParams has no horizon to disagree with it
     assert "horizon" not in {f.name for f in dataclasses.fields(ModelParams)}
     for horizon in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(NonPositiveHorizonError):
+        with pytest.raises(InputError):
             GridConfig(10, horizon)
+
+
+def test_grid_config_rejects_a_half_grid_too_large_to_index():
+    assert GridConfig(MAX_STEPS, 1.0).n_steps == MAX_STEPS
+    for n_steps in (MAX_STEPS + 1, 2**64):
+        with pytest.raises(InputError, match="n_steps must be <="):
+            GridConfig(n_steps, 1.0)
 
 
 def test_sampling_affine_exact():
@@ -160,7 +171,7 @@ def test_check_same_grid_is_grid_equality(n_steps, horizon, dn, ulps):
         check_same_grid(b, a)
     else:
         for x, y in ((a, b), (b, a)):
-            with pytest.raises(GridMismatchError):
+            with pytest.raises(InputError):
                 check_same_grid(x, y)
 
 
@@ -174,7 +185,7 @@ def test_curve_records_refuse_a_curve_of_the_wrong_length(record, count):
     for i, name in enumerate(record.names()):
         for bad in (np.zeros(10), np.zeros(12), np.zeros((11, 1))):
             wrong = curves[:i] + [bad] + curves[i + 1 :]
-            with pytest.raises(GridMismatchError, match=name):
+            with pytest.raises(InputError, match=name):
                 record(grid, *wrong)
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(InputError):
         dataclasses.replace(built, grid=GridConfig(11, 0.5))

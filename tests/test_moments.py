@@ -10,7 +10,7 @@ from redblue import (
     FeedbackPolicy,
     GridConfig,
     ModelParams,
-    NonFiniteStateError,
+    NumericError,
     Pattern,
     RedConfig,
     ZERO_PATTERN,
@@ -188,7 +188,7 @@ def layered_solves(params, row, grid):
 def solved_or_none(solve, *args):
     try:
         return solve(*args)
-    except NonFiniteStateError:
+    except NumericError:
         return None
 
 
@@ -237,7 +237,7 @@ def test_batched_solve_stack_matches_single_solves(seed, mode, n_steps, kinds):
             assert single[1] == layered[1]
         singles.append(single)
     if None in singles:
-        with pytest.raises(NonFiniteStateError):
+        with pytest.raises(NumericError):
             solve_stack(params, rows, grid)
         return
     x, elr = solve_stack(params, rows, grid)
@@ -300,7 +300,7 @@ def test_solve_stack_matches_the_per_stage_reference(seed, mode, n_steps, size, 
         else:
             assert_within_column_max(got[0], want, STATE_BOUND)
     if any(isinstance(want, str) for want in wants):
-        with pytest.raises(NonFiniteStateError):
+        with pytest.raises(NumericError):
             solve_stack(params, rows, grid)
         return
     x, _ = solve_stack(params, rows, grid)
@@ -309,10 +309,10 @@ def test_solve_stack_matches_the_per_stage_reference(seed, mode, n_steps, size, 
 
 
 def rk4_or_message(solve, *args):
-    """``solve``'s nodes, or its NonFiniteStateError's reason."""
+    """``solve``'s nodes, or its NumericError's reason."""
     try:
         return solve(*args)
-    except NonFiniteStateError as exc:
+    except NumericError as exc:
         return str(exc)
 
 

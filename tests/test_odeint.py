@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from redblue import GridConfig, NonFiniteStateError
+from redblue import GridConfig, NumericError
 from redblue.odeint import integrate_backward, integrate_linear
 from rk4_reference import reference_rk4
 
@@ -151,7 +151,7 @@ def test_round_trip_property(x_end, v_end, horizon, n):
 def test_non_finite_detection():
     # x' = x^2 - 1 escapes in finite time backward from x(1) = -10 on [0, 1]
     grid = GridConfig(20, 1.0)
-    with pytest.raises(NonFiniteStateError):
+    with pytest.raises(NumericError):
         integrate_backward(SYSTEMS.riccati, unforced(grid), [-10.0], grid)
 
 
@@ -205,7 +205,7 @@ def solve_or_message(rhs, start, grid):
     goes non-finite."""
     try:
         return integrate_backward(*rhs, start, grid)
-    except NonFiniteStateError as exc:
+    except NumericError as exc:
         return str(exc)
 
 
@@ -215,7 +215,7 @@ def run_both(rhs, start, grid):
     with np.errstate(all="ignore"):
         try:
             want = reference_rk4(as_callback(rhs), start, grid, -1)
-        except NonFiniteStateError as exc:
+        except NumericError as exc:
             want = str(exc)
     return got, want
 
@@ -291,7 +291,7 @@ def test_batch_with_one_overflowing_member_raises_without_warnings():
     single = solve_or_message(rhs, [-10.0], grid)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteStateError) as info:
+        with pytest.raises(NumericError) as info:
             integrate_backward(*rhs, np.array([[-0.5, -10.0]]), grid)
     assert str(info.value) == single
     assert single.startswith(f"non-finite state at t={33 * grid.h}: ")
@@ -329,7 +329,7 @@ def solve_linear(abar, start, grid, direction, rk4=False):
         if not rk4:
             return integrate_linear(abar, start, grid, direction)
         return reference_rk4(linear_rhs(abar), start, grid, direction)
-    except NonFiniteStateError as exc:
+    except NumericError as exc:
         return str(exc)
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from redblue import Constant, GridConfig, RedConfig
 from redblue.dynamics import Dynamics
-from redblue.errors import NonFiniteStateError, NonPositiveFcError
+from redblue.errors import InputError, NumericError
 from redblue.model import sample_on_grid
 from redblue.red.euler import _trapezoid_weights, euler_objective_and_gradient
 from redblue.red.objective import anchored_penalty
@@ -81,7 +81,7 @@ def reference_euler_objective_and_gradient(f, params, config, grid):
         m.append((h20 + h * d20, h11 + h * d11, h02 + h * d02))
     states = np.column_stack([np.array(s, dtype=float), np.array(m, dtype=float)])
     if not np.all(np.isfinite(states)):
-        raise NonFiniteStateError("Euler recursion overflowed")
+        raise NumericError("Euler recursion overflowed")
     mu, eta, rho, h20, h11, h02 = states.T
 
     elr = float(np.sum(w * (dyn.payoff(eta, rho, h11, h02, f) / sw2)))
@@ -146,7 +146,7 @@ def _outcome(fn, *args, **kwargs):
     suite raises numpy's RuntimeWarning as an error."""
     try:
         return fn(*args, **kwargs)
-    except (NonFiniteStateError, NonPositiveFcError, RuntimeWarning) as exc:
+    except (InputError, NumericError, RuntimeWarning) as exc:
         return type(exc), str(exc)
 
 
@@ -197,5 +197,5 @@ def test_non_positive_log_anchor_raises_without_a_given_anchor():
         solver="nn",
     )
     grid = GridConfig(10, 0.1)
-    with pytest.raises(NonPositiveFcError, match="positive anchor"):
+    with pytest.raises(InputError, match="positive anchor"):
         euler_objective_and_gradient(np.ones(11), short_params(), config, grid)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redblue import Constant, GridConfig, NonFiniteStateError, RedConfig
+from redblue import Constant, GridConfig, NumericError, RedConfig
 from redblue.dynamics import Dynamics
 from redblue.model import GridSampled, grid_function, sample_on_half_grid
 from redblue.moments import nodes_to_half_grid
@@ -158,7 +158,7 @@ def test_adjoint_matches_the_per_stage_reference(seed, mode, n_steps, scale):
     f_nodes = scale * rng.standard_normal(n_steps + 1)
     try:
         x, _ = solve_stack(params, f_nodes, grid)
-    except NonFiniteStateError:
+    except NumericError:
         return
     want = states_or_node(reference_adjoint, params, f_nodes, x, grid)
     got = states_or_node(solve_adjoint, params, f_nodes, x, grid)
@@ -234,7 +234,7 @@ def test_fbs_converged_means_the_configured_step_is_small(
     config = RedConfig(lambda_reg=lambda_reg, penalty_kind=kind, solver="fbs")
     try:
         report = fbs_solve(params, config, grid)
-    except NonFiniteStateError:
+    except NumericError:
         return
     if report.converged:
         step = step_at_configured_weight(params, config, grid, report.f_c.values)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from redblue import (
     Constant,
-    DegenerateDenominatorError,
     GridConfig,
-    NonPositiveFcError,
+    InputError,
+    NumericError,
     RedConfig,
 )
 from redblue.model import grid_function, sample_on_grid
@@ -89,7 +89,7 @@ def test_logarithmic_update_with_grid_anchor_minimizes_nodewise_objective():
 def test_logarithmic_update_rejects_non_positive_anchor(anchor):
     # u = 1: a = h02 = 1, b = -(eta h11)/r_beta = -1
     config = RedConfig(lambda_reg=1.0, penalty_kind="logarithmic")
-    with pytest.raises(NonPositiveFcError):
+    with pytest.raises(InputError):
         closed_form_update(
             np.array([1.0]), np.array([-1.0]), np.array([anchor]), config
         )
@@ -100,10 +100,10 @@ def test_degenerate_denominator_raises():
     # b = 0 with eta = rho = 0); with a small penalty weight the nodewise
     # problem is unbounded below
     config = RedConfig(lambda_reg=0.01, penalty_kind="quadratic")
-    with pytest.raises(DegenerateDenominatorError):
+    with pytest.raises(NumericError):
         closed_form_update(np.array([-1.0]), np.array([0.0]), np.array([1.0]), config)
     log_config = RedConfig(lambda_reg=0.5, penalty_kind="logarithmic")
-    with pytest.raises(DegenerateDenominatorError):
+    with pytest.raises(NumericError):
         closed_form_update(
             np.array([-1.0]), np.array([0.0]), np.array([1.0]), log_config
         )

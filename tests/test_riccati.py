@@ -10,8 +10,8 @@ from redblue import (
     Affine,
     Constant,
     GridConfig,
-    GridMismatchError,
-    NonFiniteStateError,
+    InputError,
+    NumericError,
     Pattern,
     Sinusoid,
     ZERO_PATTERN,
@@ -116,9 +116,9 @@ def test_check_same_grid():
     params = make_params()
     coeffs = solve_value_coeffs(params, ZERO_PATTERN, GridConfig(50, 0.1))
     check_same_grid(coeffs.grid, GridConfig(50, 0.1))
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(InputError):
         check_same_grid(coeffs.grid, GridConfig(60, 0.1))
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(InputError):
         check_same_grid(coeffs.grid, GridConfig(50, 0.2))
 
 
@@ -164,7 +164,7 @@ def test_value_lines_match_the_per_stage_reference(seed, mode, n_steps, scale):
 
 def per_stage_reference(params, pattern, grid):
     """The six lines stepped by the reference loop, calling value_rhs at
-    every stage; its nodes, or its NonFiniteStateError's reason."""
+    every stage; its nodes, or its NumericError's reason."""
     dyn = Dynamics.of(params)
     forcing = list(
         zip(
@@ -182,7 +182,7 @@ def per_stage_reference(params, pattern, grid):
                 grid,
                 -1,
             )
-        except NonFiniteStateError as exc:
+        except NumericError as exc:
             return str(exc)
 
 
@@ -208,7 +208,7 @@ def test_six_line_loop_matches_the_per_stage_callback(seed, mode, n_steps, scale
     want = per_stage_reference(params, pattern, grid)
     try:
         got = value_curves(params, pattern, grid)
-    except NonFiniteStateError as exc:
+    except NumericError as exc:
         got = str(exc)
     if isinstance(want, str):
         assert got == want

@@ -11,9 +11,9 @@ from redblue import (
     Constant,
     FeedbackPolicy,
     GridConfig,
-    GridMismatchError,
+    InputError,
     ModelParams,
-    NonFiniteStateError,
+    NumericError,
     Pattern,
     Sinusoid,
     ZERO_PATTERN,
@@ -247,7 +247,7 @@ def test_non_finite_statistics_raise():
     params = make_params(v0=1e200)
     grid = GridConfig(10, 0.1)
     policy = FeedbackPolicy.solve(params, ZERO_PATTERN, grid)
-    with pytest.raises(NonFiniteStateError, match="mean_primary_cost"):
+    with pytest.raises(NumericError, match="mean_primary_cost"):
         monte_carlo(policy, ZERO_PATTERN, grid, 10, 1)
 
 
@@ -264,7 +264,7 @@ def test_ensembles_run_only_on_the_policys_grid(other):
     ]
     for ensemble in ensembles:
         ensemble(grid)
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(InputError):
             ensemble(other)
 
 
@@ -326,7 +326,7 @@ def _reference_step_paths(policy, grid, dw):
         yn += yk
         yn += dww[k]
     if not (np.all(np.isfinite(v)) and np.all(np.isfinite(y))):
-        raise NonFiniteStateError("path simulation overflowed")
+        raise NumericError("path simulation overflowed")
     return v, y, alpha, beta
 
 
