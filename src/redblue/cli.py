@@ -454,11 +454,11 @@ def _policy(cfg: RunConfig, solved: dict, pattern: Pattern) -> FeedbackPolicy:
 def _check_zero_pattern(cfg: RunConfig, solved: dict):
     policy = _policy(cfg, solved, ZERO_PATTERN)
     resid = _coeff_residual(policy.coeffs)
-    worst = 0.0
-    for t in np.linspace(0.0, cfg.grid.horizon, 7):
-        for v in (-1.0, 0.0, 2.0):
-            for y in (-2.0, 0.0, 3.0):
-                worst = max(worst, abs(optimal_beta(policy, float(t), v, y)))
+    # beta at 7 times x 3 velocities x 3 positions, in one broadcast call
+    t = np.linspace(0.0, cfg.grid.horizon, 7)[:, None, None]
+    v = np.array([-1.0, 0.0, 2.0])[:, None]
+    y = np.array([-2.0, 0.0, 3.0])
+    worst = float(np.max(np.abs(optimal_beta(policy, t, v, y))))
     ok = resid <= 1e-8 and worst <= 1e-12
     return ok, f"coefficient residual {resid:.2e}, max |beta| {worst:.2e}"
 
@@ -480,7 +480,9 @@ def _check_martingale(cfg: RunConfig, solved: dict):
     # estimable when Var(log L) is modest; a pilot run measures the quadratic
     # variation (-2 E log L under the null) and the pattern is scaled down
     base = Pattern(grid_function(fc, cfg.grid), grid_function(fd, cfg.grid))
-    pilot = log_lr_samples(policy, base, cfg.grid, 256, mix_seed(cfg.seed, 90, 0))
+    pilot = log_lr_samples(
+        policy, base, cfg.grid, 256, mix_seed(cfg.seed, 90, 0), threads=cfg.threads
+    )
     with np.errstate(over="ignore", invalid="ignore"):
         quad_var = -2.0 * float(np.mean(pilot))
     if not math.isfinite(quad_var):
@@ -491,7 +493,9 @@ def _check_martingale(cfg: RunConfig, solved: dict):
         grid_function(scale * fc, cfg.grid), grid_function(scale * fd, cfg.grid)
     )
     n = min(cfg.n_paths, 20000)
-    samples = log_lr_samples(policy, pattern, cfg.grid, n, mix_seed(cfg.seed, 90, 1))
+    samples = log_lr_samples(
+        policy, pattern, cfg.grid, n, mix_seed(cfg.seed, 90, 1), threads=cfg.threads
+    )
     with np.errstate(over="ignore", invalid="ignore"):
         # in place: the log samples are not read again
         np.exp(samples, out=samples)

@@ -94,18 +94,28 @@ def _step_moments(
     point, whose RK4 step maps ``integrate_linear`` builds and composes.
     Returns the node states (h20, h11, h02) in the layout of ``coeffs``.
     """
-    batch = coeffs.shape[2:]
+    # the initial state times ones holds one copy of it per member
+    initial = np.multiply.outer(dyn.moment_initial(), np.ones(coeffs.shape[2:]))
+    return integrate_linear(_moment_matrices(dyn, coeffs, f), initial, grid, 1)
+
+
+def _moment_matrices(dyn: Dynamics, coeffs: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """[[K, sigma], [0, 0]] at every half-grid point, in the layout of ``f``.
+
+    K's seven entries go into the matrices one by one, not through a stack
+    of them, and the half-grid coefficients and the entries are freed on
+    return, before the step maps are built beside the matrices.
+    """
     mu, eta, rho = np.moveaxis(nodes_to_half_grid(coeffs), 1, 0)
     abar = np.zeros((*f.shape, 4, 4))
     # an overflow gives inf or nan for the solve to reject
     with np.errstate(over="ignore", invalid="ignore"):
         gains = dyn.moment_gains(mu, eta, rho, f)
-    abar[..., GAIN_ROWS, GAIN_COLS] = np.stack(gains, -1)
+    for row, col, gain in zip(GAIN_ROWS, GAIN_COLS, gains):
+        abar[..., row, col] = gain
     abar[..., 0, 3] = dyn.sb2
     abar[..., 2, 3] = dyn.sw2
-    # the initial state times ones holds one copy of it per member
-    initial = np.multiply.outer(dyn.moment_initial(), np.ones(batch))
-    return integrate_linear(abar, initial, grid, 1)
+    return abar
 
 
 def _payoff_integral(dyn: Dynamics, eta, rho, h11, h02, f, grid: GridConfig):

@@ -236,6 +236,46 @@ def integrate_backward(
     return _require_finite(out, grid, -1)
 
 
+def _composed_maps(abar: np.ndarray, h: float, n: int) -> np.ndarray:
+    """The RK4 step maps of ``integrate_linear``, composed: row i maps the
+    augmented state at the start of the solve to the one after step i.
+
+    Three step-sized buffers hold every intermediate: ``shifted`` each
+    I + c K before its product, ``k`` K2, then K1 + 2 K2, then K4, and
+    ``total`` K3, then the map sum.  Each operation writes into one of them with ``out=`` and
+    keeps the operand order of I + h/6 (((K1 + 2 K2) + 2 K3) + K4), so every
+    map rounds as the same expression on fresh arrays would.  Each scan
+    pass composes into the buffer not holding the maps, and the other two
+    are freed on return, before the caller builds the node states.
+    """
+    eye = np.eye(abar.shape[-1])
+    a, m, c = abar[:-1:2], abar[1::2], abar[2::2]
+    shifted, k, total = (np.empty(a.shape) for _ in range(3))
+
+    def shift(coef: float, slope: np.ndarray) -> np.ndarray:
+        """I + coef slope, into ``shifted``."""
+        np.multiply(coef, slope, out=shifted)
+        return np.add(eye, shifted, out=shifted)
+
+    np.matmul(m, shift(0.5 * h, a), out=k)  # K2
+    np.matmul(m, shift(0.5 * h, k), out=total)  # K3
+    shift(h, total)
+    np.add(a, np.multiply(2.0, k, out=k), out=k)
+    np.add(k, np.multiply(2.0, total, out=total), out=total)
+    np.add(total, np.matmul(c, shifted, out=k), out=total)  # + K4
+    maps = np.add(eye, np.multiply(h / 6.0, total, out=total), out=total)
+    # after the pass of stride d, maps[i] composes the steps from
+    # max(0, i - 2d + 1) to i, the earliest applied first
+    spare = shifted
+    d = 1
+    while d < n:
+        spare[:d] = maps[:d]
+        np.matmul(maps[d:], maps[:-d], out=spare[d:])
+        maps, spare = spare, maps
+        d *= 2
+    return maps
+
+
 def integrate_linear(
     abar: np.ndarray, state, grid: GridConfig, direction: int
 ) -> np.ndarray:
@@ -255,7 +295,9 @@ def integrate_linear(
     is built at once with batched matrix products, and a Hillis-Steele
     prefix scan composes them in ceil(log2 n_steps) more.  numpy's stacked
     matmul multiplies each member's matrices on their own, so member b
-    equals its own solve bit for bit.
+    equals its own solve bit for bit.  Beyond ``abar``, the working memory
+    is three step-sized arrays, each of one matrix per step and member
+    (``_composed_maps``).
     """
     n = grid.n_steps
     h = direction * grid.h
@@ -264,20 +306,9 @@ def integrate_linear(
         abar = abar[::-1]
     start = np.asarray(state, dtype=float)
     width = len(start)
-    eye = np.eye(width + 1)
     # an overflow gives inf or nan for the finiteness check to reject
     with np.errstate(over="ignore", invalid="ignore"):
-        a, m, c = abar[:-1:2], abar[1::2], abar[2::2]
-        k2 = m @ (eye + (0.5 * h) * a)
-        k3 = m @ (eye + (0.5 * h) * k2)
-        k4 = c @ (eye + h * k3)
-        maps = eye + (h / 6.0) * (a + 2.0 * k2 + 2.0 * k3 + k4)
-        # after the pass of stride d, maps[i] composes the steps from
-        # max(0, i - 2d + 1) to i, the earliest applied first
-        d = 1
-        while d < n:
-            maps[d:] = maps[d:] @ maps[:-d]
-            d *= 2
+        maps = _composed_maps(abar, h, n)
         # (x, 1) at the start, one (C + 1, 1) column per member
         start_bar = np.concatenate((start, np.ones((1, *start.shape[1:]))))
         ends = maps[..., :width, :] @ np.moveaxis(start_bar, 0, -1)[..., None]

@@ -16,12 +16,14 @@ per-path statistic terms to running sums in time order.  That is the
 order of numpy's axis-0 sum over a whole path, so no statistic depends on
 the window length, the block width or the ensemble size.  Each worker
 thread reuses one set of buffers from block to block: a block's noise,
-(paths, n_steps, 2) doubles, and 12 * _WINDOW_STEPS + 8 rows of one double
-per path (3.2 MB for 1024 paths) whatever n_steps is.  A block's full
-paths are never held; only the columns of kept trajectories are copied
-out.  Blocks write into disjoint slices of preallocated arrays and
-reductions run in index order, so results are bit-identical for any
-thread count.
+(paths, n_steps, 2) doubles (16 KB per grid step for 1024 paths), and
+12 * _WINDOW_STEPS + 8 window rows of one double per path, whatever
+n_steps is.  At 16 steps per window those rows take 1.6 MB for 1024
+paths, so they stay in a 2 MB L2 cache while a window is stepped, scaled
+and folded; at 32 they would take 3.2 MB.  A block's full paths are never
+held; only the columns of kept trajectories are copied out.  Blocks write
+into disjoint slices of preallocated arrays and reductions run in index
+order, so results are bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from .model import GridConfig, ModelParams, Pattern, check_same_grid, sample_on_
 # Paths per simulation block, and per noise stream.  Fixed so that results
 # never depend on the parallelism degree.
 _BLOCK_PATHS = 1024
-# Time steps per window: a window's buffers for one block stay in cache.
-_WINDOW_STEPS = 32
+# Time steps per window: a window's buffers for one block fit a 2 MB L2.
+_WINDOW_STEPS = 16
 
 
 def mix_seed(*parts: int) -> int:
@@ -391,8 +393,10 @@ def log_lr_samples(
     grid: GridConfig,
     n_paths: int,
     master_seed: int,
+    threads: int = 1,
 ) -> np.ndarray:
-    """Per-path log likelihood ratios of the monte_carlo ensemble.
+    """Per-path log likelihood ratios of the monte_carlo ensemble, the same
+    bytes at any thread count.
 
     Raises NumericError if a sample is not finite.
     """
@@ -404,7 +408,7 @@ def log_lr_samples(
         fc=sample_on_grid(pattern.f_c, grid),
         fd=sample_on_grid(pattern.f_d, grid),
     )
-    _run_blocks(policy, grid, n_paths, master_seed, out)
+    _run_blocks(policy, grid, n_paths, master_seed, out, threads)
     bad = int(np.count_nonzero(~np.isfinite(out.loglr)))
     if bad:
         raise NumericError(

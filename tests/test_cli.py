@@ -676,7 +676,7 @@ def test_martingale_check_fails_on_an_overflowing_sample(
     # exp(1000) overflows, so the mean and the se of the sample are not finite
     monkeypatch.setattr(
         "redblue.cli.log_lr_samples",
-        lambda policy, pattern, grid, n_paths, seed: np.full(n_paths, 1000.0),
+        lambda policy, pattern, grid, n_paths, seed, threads: np.full(n_paths, 1000.0),
     )
     cfg = write_config(tmp_path, README_DOC)
     assert main(["validate", "--config", cfg]) == 2

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -246,6 +247,23 @@ def test_batched_solve_stack_matches_single_solves(seed, mode, n_steps, kinds):
     for b, (x_b, elr_b) in enumerate(singles):
         assert np.array_equal(x[:, :, b], x_b)
         assert elr[b] == elr_b
+
+
+def test_batched_solve_stack_holds_the_moment_matrices_and_three_step_maps():
+    # validate's finite-difference batch: the augmented matrices take two
+    # step-sized arrays and G's step maps three more; everything else (F's
+    # states, the half-grid coefficients, K's entries) stays under one
+    n, size = 200, 35
+    grid = GridConfig(n, 0.1)
+    rows = 1.0 + 0.01 * np.random.default_rng(3).standard_normal((size, n + 1))
+    solve_stack(make_params(), rows, grid)  # builds F's loop once
+    tracemalloc.start()
+    try:
+        solve_stack(make_params(), rows, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.0 * n * size * 16 * 8
 
 
 # The largest difference from the per-stage reference, relative to each

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -435,3 +436,24 @@ def test_linear_blow_up_names_first_non_finite_node_in_stepping_order(direction)
         starts = np.stack((np.zeros(dim), start, 1e50 * start), 1)
         first = solve_linear(batch, starts, grid, direction)
         assert first == solve_linear(abar, 1e50 * start, grid, direction)
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_linear_step_maps_work_in_three_step_sized_arrays(direction):
+    # a batch the size of validate's finite-difference patterns: beyond
+    # abar, the stages, the map sum and the scan take three arrays of one
+    # matrix per step and member, and the node states a little more
+    n, size = 200, 35
+    grid = GridConfig(n, 1.0)
+    rng = np.random.default_rng(7)
+    t = grid.half_times()
+    abar = np.stack([random_linear_system(rng, 3)(t) for _ in range(size)], 1)
+    start = rng.standard_normal((3, size))
+    step_sized = n * size * 16 * 8
+    tracemalloc.start()
+    try:
+        integrate_linear(abar, start, grid, direction)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * step_sized

@@ -241,6 +241,14 @@ def test_log_lr_samples_match_monte_carlo():
     assert float(np.mean(samples)) == summary.mean_log_lr
 
 
+def test_log_lr_samples_do_not_depend_on_threads():
+    # three blocks, the last one partial, split over two workers
+    policy, grid, pattern = _policy(40)
+    single = log_lr_samples(policy, pattern, grid, 2500, 8, threads=1)
+    pooled = log_lr_samples(policy, pattern, grid, 2500, 8, threads=2)
+    assert single.tobytes() == pooled.tobytes()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_non_finite_statistics_raise():
     # the paths stay finite, but squaring them for the cost overflows
@@ -416,6 +424,23 @@ def test_windowed_block_matches_whole_path_reference(
             assert kept.tobytes() == path[:, :n_keep].T.tobytes()
 
 
+def _window_bytes(width: int) -> int:
+    """The bytes of a block's window buffers as the module docstring gives
+    them: 12 * _WINDOW_STEPS + 8 rows of one double per path."""
+    return (12 * sde._WINDOW_STEPS + 8) * width * 8
+
+
+def test_block_window_buffers_fit_in_l2():
+    # every buffer of a worker but the noise, for a full block with both
+    # statistics: the rows the docstring counts, within a 2 MiB L2
+    policy, grid, _ = _policy(400)
+    out = _Outputs(primary=np.empty(1), loglr=np.empty(1))
+    sim = _BlockSimulator(policy, grid, 1024, out)
+    buffers = (sim.dw, *sim.paths, sim.cost_acc, sim.lr_acc)
+    assert sum(b.nbytes for b in buffers) == _window_bytes(1024)
+    assert _window_bytes(1024) <= 2 * 2**20
+
+
 def test_monte_carlo_never_holds_a_block_of_full_paths():
     # the per-block peak is the block's noise plus window buffers: the
     # paths, controls and statistic terms of a whole block never coexist
@@ -427,4 +452,4 @@ def test_monte_carlo_never_holds_a_block_of_full_paths():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * noise_bytes
+    assert peak < noise_bytes + _window_bytes(1024) + 512 * 2**10
