@@ -12,7 +12,6 @@ from .model import (
     Sinusoid,
     TimeFunction,
     ZERO_PATTERN,
-    validate_params,
 )
 from .moments import expected_log_lr, solve_moments
 from .red import RedConfig, solve_red
@@ -44,5 +43,4 @@ __all__ = [
     "solve_moments",
     "solve_red",
     "solve_value_coeffs",
-    "validate_params",
 ]

@@ -38,7 +38,6 @@ from .model import (
     ZERO_PATTERN,
     grid_function,
     sample_on_grid,
-    validate_params,
 )
 from .moments import expected_log_lr, solve_moments, solve_stack
 from .red import RedConfig, solve_red
@@ -190,7 +189,7 @@ def build_run_config(
                 fields[field] = Path(value) if kind == "path" else value
         return owner(**fields)
 
-    params = validate_params(build(ModelParams))
+    params = build(ModelParams)
     grid = build(GridConfig)
     pattern = build(Pattern)
     red = build(RedConfig)

@@ -94,8 +94,9 @@ GAIN_COLS = (0, 1, 0, 1, 2, 1, 2)
 def misdirection_gain(params: ModelParams) -> float:
     """lam / (r_beta * sigma_w^2), the weight of the pattern in beta-hat.
 
-    Zero misdirection weight short-circuits to 0.0, which keeps degenerate
-    sigma_w = 0 parameter sets usable in deterministic simulation tests.
+    Zero misdirection weight short-circuits to 0.0: a valid model whose
+    r_beta * sigma_w^2 underflows to 0.0 (r_beta 1e-300, sigma_w 1e-150)
+    bounds lam to 0, where the quotient would divide by zero.
     """
     if params.lam == 0.0:
         return 0.0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -141,6 +142,9 @@ class ModelParams:
     vbar_final    terminal velocity target
     lam           misdirection weight, in [0, r_beta * sigma_w**2]
     v0, y0        deterministic initial velocity and position
+
+    The six weights and intensities must be positive and finite, lam in its
+    range, and the targets and initial state finite with finite squares.
     """
 
     sigma_b: float
@@ -155,53 +159,51 @@ class ModelParams:
     v0: float
     y0: float
 
+    def __post_init__(self):
+        """Refuse a model outside the game's well-posed region, so every
+        instance, also one made by ``dataclasses.replace``, is valid."""
+        positives = {
+            "sigma_b": self.sigma_b,
+            "sigma_w": self.sigma_w,
+            "r_alpha": self.r_alpha,
+            "r_beta": self.r_beta,
+            "r_v": self.r_v,
+            "t_v": self.t_v,
+        }
+        for name, value in positives.items():
+            if not (value > 0.0) or not math.isfinite(value):
+                raise InputError(f"{name} must be positive, got {value}")
+        # sigma_w^2 divides the payoff and sets lam's upper bound, so it must
+        # be a positive finite float; sigma_b^2 is only added, so 0.0 is
+        # harmless there
+        if self.sigma_w * self.sigma_w in (0.0, math.inf):
+            raise InputError(
+                "sigma_w**2 must be a positive finite float, "
+                f"got sigma_w={self.sigma_w}"
+            )
+        if self.sigma_b * self.sigma_b == math.inf:
+            raise InputError(f"sigma_b**2 must be finite, got sigma_b={self.sigma_b}")
+        if not math.isfinite(self.lam) or self.lam < 0.0:
+            raise InputError(f"lam must be >= 0, got {self.lam}")
+        if self.lam > self.lam_upper:
+            raise InputError(
+                f"lam={self.lam} exceeds r_beta*sigma_w**2={self.lam_upper}"
+            )
+        for name in ("vbar_final", "v0", "y0"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite")
+        # the moment solve starts from v0**2, v0*y0 and y0**2; |v0*y0| is at
+        # most the larger square, so finite squares keep all three finite.
+        # The value function ends at t_v vbar_final**2 / 2, whose float power
+        # raises OverflowError, not inf, on a square beyond the float range
+        for name in ("vbar_final", "v0", "y0"):
+            value = getattr(self, name)
+            if value * value == math.inf:
+                raise InputError(f"{name}**2 must be finite, got {name}={value}")
+
     @property
     def lam_upper(self) -> float:
         return self.r_beta * self.sigma_w**2
-
-
-def validate_params(params: ModelParams) -> ModelParams:
-    """Check well-posedness and return the parameters unchanged.
-
-    Idempotent: a validated instance validates again to the same value.
-    """
-    positives = {
-        "sigma_b": params.sigma_b,
-        "sigma_w": params.sigma_w,
-        "r_alpha": params.r_alpha,
-        "r_beta": params.r_beta,
-        "r_v": params.r_v,
-        "t_v": params.t_v,
-    }
-    for name, value in positives.items():
-        if not (value > 0.0) or not math.isfinite(value):
-            raise InputError(f"{name} must be positive, got {value}")
-    # sigma_w^2 divides the payoff and sets lam's upper bound, so it must be a
-    # positive finite float; sigma_b^2 is only added, so 0.0 is harmless there
-    if params.sigma_w * params.sigma_w in (0.0, math.inf):
-        raise InputError(
-            f"sigma_w**2 must be a positive finite float, got sigma_w={params.sigma_w}"
-        )
-    if params.sigma_b * params.sigma_b == math.inf:
-        raise InputError(f"sigma_b**2 must be finite, got sigma_b={params.sigma_b}")
-    if not math.isfinite(params.lam) or params.lam < 0.0:
-        raise InputError(f"lam must be >= 0, got {params.lam}")
-    if params.lam > params.lam_upper:
-        raise InputError(
-            f"lam={params.lam} exceeds r_beta*sigma_w**2={params.lam_upper}"
-        )
-    for name in ("vbar_final", "v0", "y0"):
-        if not math.isfinite(getattr(params, name)):
-            raise InputError(f"{name} must be finite")
-    # the moment solve starts from v0**2, v0*y0 and y0**2; |v0*y0| is at most
-    # the larger square, so finite squares keep all three finite.  The value
-    # function ends at t_v vbar_final**2 / 2, whose float power raises
-    # OverflowError, not inf, on a square beyond the float range
-    for name in ("vbar_final", "v0", "y0"):
-        value = getattr(params, name)
-        if value * value == math.inf:
-            raise InputError(f"{name}**2 must be finite, got {name}={value}")
-    return params
 
 
 @dataclass(frozen=True)
@@ -212,6 +214,8 @@ class GridConfig:
     horizon: float
 
     def __post_init__(self):
+        if not isinstance(self.n_steps, Integral):
+            raise InputError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 2:
             raise InputError(f"n_steps must be >= 2, got {self.n_steps}")
         if self.n_steps > MAX_STEPS:

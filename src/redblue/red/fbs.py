@@ -26,17 +26,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..dynamics import GAIN_COLS, GAIN_ROWS, Dynamics
-from ..errors import InputError
 from ..model import GridConfig, ModelParams
 from ..moments import nodes_to_half_grid
 from ..odeint import integrate_linear
-from .objective import (
-    SOLVER_FBS,
-    OptimizationReport,
-    RedConfig,
-    closed_form_update,
-    sweep,
-)
+from .objective import OptimizationReport, RedConfig, closed_form_update, sweep
 
 
 def solve_adjoint(
@@ -93,8 +86,6 @@ def _hamiltonian_coeffs(
 def fbs_solve(
     params: ModelParams, config: RedConfig, grid: GridConfig
 ) -> OptimizationReport:
-    if config.solver != SOLVER_FBS:
-        raise InputError(f"config selects solver {config.solver!r}, not fbs")
     dyn = Dynamics.of(params)
     omega = config.fbs_relaxation
 

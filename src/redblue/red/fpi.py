@@ -10,22 +10,13 @@ in Euclidean norm.
 from __future__ import annotations
 
 from ..dynamics import Dynamics
-from ..errors import InputError
 from ..model import GridConfig, ModelParams
-from .objective import (
-    SOLVER_FPI,
-    OptimizationReport,
-    RedConfig,
-    closed_form_update,
-    sweep,
-)
+from .objective import OptimizationReport, RedConfig, closed_form_update, sweep
 
 
 def fpi_solve(
     params: ModelParams, config: RedConfig, grid: GridConfig
 ) -> OptimizationReport:
-    if config.solver != SOLVER_FPI:
-        raise InputError(f"config selects solver {config.solver!r}, not fpi")
     dyn = Dynamics.of(params)
 
     def update(f, x, anchor, history):

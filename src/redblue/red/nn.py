@@ -5,7 +5,8 @@ Euler-discretized objective by gradient descent with adaptive moments.  The
 parameter gradient factors as (objective sensitivity to the node vector,
 from the discrete adjoint in euler.py) chained with (network Jacobian at the
 nodes, from plain reverse accumulation here), so each half can be checked
-against finite differences on its own.
+against finite differences on its own.  ``nn_gradient`` returns the
+objective and the chained gradient that every training epoch steps on.
 
 Every weight and bias is a view into one flat parameter vector, so the
 backward pass fills one flat gradient and Adam steps all parameters in one
@@ -19,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InputError, NumericError
+from ..errors import NumericError
 from ..model import GridConfig, ModelParams
 from ..moments import require_closure
 from .euler import euler_objective_and_gradient
 from .objective import (
     PENALTY_LOGARITHMIC,
-    SOLVER_NN,
     OptimizationReport,
     RedConfig,
     anchor_values,
@@ -131,13 +131,18 @@ def _backprop(net: MlpNetwork, activations, out, upstream: np.ndarray) -> np.nda
 
 
 def nn_gradient(
-    net: MlpNetwork, params: ModelParams, config: RedConfig, grid: GridConfig
-):
-    """d J_red / d theta as (weight gradients, bias gradients)."""
-    times = grid.times()
-    f, activations, out = _forward_cache(net, times)
-    _, bar_f = euler_objective_and_gradient(f, params, config, grid)
-    return _layers(_backprop(net, activations, out, bar_f))
+    net: MlpNetwork,
+    params: ModelParams,
+    config: RedConfig,
+    grid: GridConfig,
+    anchor: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """The Euler objective J_red of the net's pattern at the grid's nodes,
+    and d J_red / d theta laid out as ``net.theta``; ``anchor`` holds the
+    anchor's node values, from ``anchor_values``."""
+    f, activations, out = _forward_cache(net, grid.times())
+    objective, bar_f = euler_objective_and_gradient(f, params, config, grid, anchor)
+    return objective, _backprop(net, activations, out, bar_f)
 
 
 class _Adam:
@@ -172,27 +177,21 @@ def nn_solve(
     seed: int,
     n_epochs: int = DEFAULT_EPOCHS,
 ) -> OptimizationReport:
-    if config.solver != SOLVER_NN:
-        raise InputError(f"config selects solver {config.solver!r}, not nn")
     # a velocity target fails here, not after training (the Euler objective
     # reads no target), and so does a log anchor that is not positive
     require_closure(params, grid)
     anchor = anchor_values(config, grid)
     net = init_network(seed, config.penalty_kind == PENALTY_LOGARITHMIC)
-    times = grid.times()
     adam = _Adam(net.theta.size, LEARNING_RATE)
     history: list[float] = []
     # an overflow gives inf or nan with no numpy warning; it is checked once,
     # after training
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(n_epochs):
-            f, activations, out = _forward_cache(net, times)
-            objective, bar_f = euler_objective_and_gradient(
-                f, params, config, grid, anchor
-            )
+            objective, grad = nn_gradient(net, params, config, grid, anchor)
             history.append(objective)
-            adam.update(net.theta, _backprop(net, activations, out, bar_f))
-        f_final, _, _ = _forward_cache(net, times)
+            adam.update(net.theta, grad)
+        f_final = nn_forward(net, grid.times())
     # an overflowed moment estimate zeroes every later step, which would
     # pass for convergence
     if not (

@@ -15,6 +15,7 @@ solvers, which are update rules of the one loop ``sweep``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -66,6 +67,8 @@ class RedConfig:
             raise InputError("lambda_reg must be >= 0")
         if not self.tolerance > 0.0:
             raise InputError("tolerance must be positive")
+        if not isinstance(self.max_iters, Integral):
+            raise InputError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise InputError("max_iters must be >= 1")
         if not 0.0 < self.fbs_relaxation <= 1.0:
@@ -141,9 +144,9 @@ def closed_form_update(
     terms for the sweep); their 1/sigma_w^2 prefactor cancels against the
     penalty scaling lambda_reg / sigma_w^2 and is omitted from both.
     Quadratic penalty: f = (2 lambda_reg anchor - b) / (a + 2 lambda_reg).
-    Logarithmic: positive root of a f^2 + b f - lambda_reg anchor = 0,
-    which needs a positive anchor only at lambda_reg > 0.
-    A non-finite update raises NumericError.
+    Logarithmic: positive root of a f^2 + b f - lambda_reg anchor = 0, which
+    needs a > 0, and an anchor from ``anchor_values``, positive at
+    lambda_reg > 0.  A non-finite update raises NumericError.
     """
     lreg = config.lambda_reg
     with np.errstate(over="ignore", invalid="ignore"):
@@ -156,12 +159,13 @@ def closed_form_update(
                 )
             f = (2.0 * lreg * anchor - b) / den
         else:
-            if lreg > 0.0 and np.any(anchor <= 0.0):
-                raise InputError("logarithmic penalty needs a positive anchor")
-            if np.any(a <= 0.0):
+            bad = np.flatnonzero(a <= 0.0)
+            if bad.size:
                 raise NumericError(
                     "logarithmic update needs a positive leading coefficient "
-                    "(requires lam > r_beta sigma_w^2 / 2)"
+                    "a = (2 lam / (r_beta sigma_w^2) - 1) E[Y^2] (plus a costate "
+                    "term under fbs), which needs lam > r_beta sigma_w^2 / 2 and "
+                    f"E[Y^2] > 0; a = {a[bad[0]]} at node {bad[0]}"
                 )
             # a > 0 and lreg * anchor >= 0 (a signed zero at lreg = 0) make
             # the discriminant >= 0 (or nan)

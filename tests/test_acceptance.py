@@ -34,8 +34,8 @@ from redblue import (
 from redblue.cli import main as cli_main
 from redblue.controls import optimal_beta
 from redblue.red.euler import euler_objective_and_gradient
-from redblue.red.nn import init_network, nn_forward, nn_gradient
-from redblue.red.objective import solve_stack
+from redblue.red.nn import _layers, init_network, nn_forward, nn_gradient
+from redblue.red.objective import anchor_values, solve_stack
 from redblue.sde import log_lr_samples, sample_paths
 from conftest import make_params, random_params, tracking_params
 
@@ -380,7 +380,9 @@ def test_criterion_10_network_gradient_check():
         )
         grid = GridConfig(30, horizon)
         net = init_network(seed=1000 + case, positive_output=penalty == "logarithmic")
-        weight_grads, _ = nn_gradient(net, params, config, grid)
+        # the objective and flat gradient that nn_solve trains on
+        _, grad = nn_gradient(net, params, config, grid, anchor_values(config, grid))
+        weight_grads, _ = _layers(grad)
 
         def objective():
             f = nn_forward(net, grid.times())

@@ -1,11 +1,30 @@
-"""The public API is the README's list, no module keeps a dead import, and
-every raise names one of the two error classes."""
+"""The public API is the README's list, no module keeps a dead import,
+every raise names one of the two error classes, and a model is refused when
+it is built or its solves raise only those two classes."""
 
 import ast
+import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
+from hypothesis import example, given
+from hypothesis import strategies as st
+
 import redblue
+from redblue import (
+    Constant,
+    FeedbackPolicy,
+    GridConfig,
+    InputError,
+    ModelParams,
+    NumericError,
+    RedConfig,
+    ZERO_PATTERN,
+    monte_carlo,
+    solve_red,
+)
+from conftest import make_params
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "redblue"
@@ -119,3 +138,57 @@ def test_every_raise_names_one_of_the_two_error_classes():
         if stray := stray_raises(path.read_text(), also.get(name, ())):
             found[name] = stray
     assert found == {}
+
+
+# every float field of a model, and vbar as a constant
+MODEL_FIELDS = [f.name for f in fields(ModelParams)]
+FIELD_VALUES = (
+    *(0.0, -0.0, -1.0, 5e-324, 1e-300, 1e-150, 1e154, 1e300, math.inf, math.nan),
+    *(0.05, 0.5, 2.0),
+)
+CONTRACT_GRID = GridConfig(4, 0.1)
+
+
+def library_calls(params: ModelParams):
+    """Blue's policy and Monte Carlo run, and every red solver under both
+    penalties, each as a call of its own."""
+    grid = CONTRACT_GRID
+
+    def blue():
+        policy = FeedbackPolicy.solve(params, ZERO_PATTERN, grid)
+        monte_carlo(policy, ZERO_PATTERN, grid, 8, 1)
+
+    yield blue
+    for solver in ("fpi", "fbs", "nn"):
+        for penalty in ("quadratic", "logarithmic"):
+            config = RedConfig(
+                lambda_reg=1.0, penalty_kind=penalty, solver=solver, max_iters=3
+            )
+            yield lambda config=config: solve_red(params, config, grid, seed=1)
+
+
+@given(
+    overrides=st.dictionaries(
+        st.sampled_from(MODEL_FIELDS), st.sampled_from(FIELD_VALUES), max_size=4
+    )
+)
+# r_beta sigma_w^2 underflows to 0.0, which bounds lam to 0
+@example(overrides={"r_beta": 1e-300, "sigma_w": 1e-150, "lam": 0.0})
+@example(overrides={"r_alpha": 0.0})
+@example(overrides={"r_beta": 0.0, "lam": 0.0})
+@example(overrides={"sigma_w": 0.0, "lam": 0.0})
+@example(overrides={"lam": 5.0})
+def test_a_model_is_refused_when_built_or_its_solves_raise_only_package_errors(
+    overrides,
+):
+    if "vbar" in overrides:
+        overrides["vbar"] = Constant(overrides["vbar"])
+    try:
+        params = make_params(**overrides)
+    except InputError:
+        return
+    for call in library_calls(params):
+        try:
+            call()
+        except (InputError, NumericError):
+            pass

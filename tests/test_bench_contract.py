@@ -1,11 +1,14 @@
 """What the benchmark harness in ``bench/`` calls still exists and works.
 
 The harness is run against each commit as it stands, so a refactor that
-renames or deletes a function it hooks, or breaks an oracle it computes,
-would otherwise show only when the benchmark runs.  Nothing here edits
+renames or deletes a function it hooks or imports, or breaks an oracle it
+computes, would otherwise show only when the benchmark runs (its lazy
+imports turn a missing name into rows that read None).  Nothing here edits
 ``bench/``.
 """
 
+import ast
+import importlib
 import math
 import sys
 from pathlib import Path
@@ -18,6 +21,73 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 # Hooks whose function is deleted on purpose, with its metrics reading None.
 # The traced RK4 loop steps backward only; every solve it ran forward went.
 EXPECTED_ABSENT = {"redblue.odeint.integrate_forward"}
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether a dotted name under ``redblue`` is a module or an attribute
+    reached from the longest importable module prefix."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def _in_redblue(dotted: str) -> bool:
+    return dotted.split(".")[0] == "redblue"
+
+
+def missing_redblue_names(source: str) -> list[str]:
+    """Names that ``source`` imports from redblue, or reaches as a
+    ``redblue.<attr>`` chain, and that do not resolve."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and _in_redblue(node.module or ""):
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names if _in_redblue(a.name))
+        elif isinstance(node, ast.Attribute):
+            chain = [node.attr]
+            value = node.value
+            while isinstance(value, ast.Attribute):
+                chain.append(value.attr)
+                value = value.value
+            if isinstance(value, ast.Name) and value.id == "redblue":
+                names.add(".".join(["redblue", *reversed(chain)]))
+    return sorted(name for name in names if not _resolves(name))
+
+
+def test_missing_names_check_flags_a_deleted_name():
+    source = (
+        "import redblue\n"
+        "import redblue.cli\n"
+        "from redblue.cli import main, gone\n"
+        "redblue.FeedbackPolicy.solve(1)\n"
+        "redblue.FeedbackPolicy.vanished\n"
+        "redblue.nowhere.deeper\n"
+    )
+    assert missing_redblue_names(source) == [
+        "redblue.FeedbackPolicy.vanished",
+        "redblue.cli.gone",
+        "redblue.nowhere",
+        "redblue.nowhere.deeper",
+    ]
+
+
+def test_every_name_bench_imports_resolves():
+    found = {
+        path.name: missing
+        for path in sorted(BENCH.glob("*.py"))
+        if (missing := missing_redblue_names(path.read_text()))
+    }
+    assert found == {}
 
 
 @pytest.fixture

@@ -670,6 +670,31 @@ def test_six_component_blow_up_reason_is_one_line(tmp_path, capsys):
     assert len(entries) == 6 and not np.isfinite(entries).any()
 
 
+@pytest.mark.parametrize("command", ["red-optimize", "stackelberg"])
+@pytest.mark.parametrize(
+    "overrides, leading",
+    [({"model.y0": 0.0}, "a = 0.0 at node 0"), ({"model.lambda": 0.04}, "a = -0.8")],
+    ids=["y0-zero", "lambda-below-half"],
+)
+def test_logarithmic_update_names_the_node_where_a_fails(
+    tmp_path, capsys, command, overrides, leading
+):
+    # a = (2u - 1) E[Y^2]: at y0 = 0, E[Y^2] is 0 at node 0 although
+    # lam = 0.1 > r_beta sigma_w^2 / 2; at lam = 0.04, 2u - 1 < 0
+    doc = dict(README_DOC, **overrides, **{"grid.n_steps": 50})
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(
+        "numeric failure: logarithmic update needs a positive leading "
+        "coefficient a = (2 lam / (r_beta sigma_w^2) - 1) E[Y^2] (plus a "
+        "costate term under fbs), which needs lam > r_beta sigma_w^2 / 2 and "
+        "E[Y^2] > 0; "
+    )
+    assert leading in err and err.endswith(" at node 0\n")
+
+
 def test_martingale_check_fails_on_an_overflowing_sample(
     tmp_path, capsys, recwarn, monkeypatch
 ):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from redblue import (
     InputError,
     ModelParams,
     Sinusoid,
-    validate_params,
 )
 from redblue.model import (
     MAX_STEPS,
@@ -70,19 +70,19 @@ def test_grid_sampled_needs_two_values():
 
 
 def test_validate_params_accepts_boundary_lambda():
-    params = make_params(lam=10.0 * 0.1**2)
-    assert validate_params(params) is params
+    # a ModelParams checks itself when it is built
+    assert make_params(lam=10.0 * 0.1**2).lam == 10.0 * 0.1**2
 
 
 def test_validate_params_rejects_bad_values():
     with pytest.raises(InputError):
-        validate_params(make_params(sigma_w=0.0))
+        make_params(sigma_w=0.0)
     with pytest.raises(InputError):
-        validate_params(make_params(r_alpha=-1.0))
+        make_params(r_alpha=-1.0)
     with pytest.raises(InputError):
-        validate_params(make_params(lam=-0.01))
+        make_params(lam=-0.01)
     with pytest.raises(InputError):
-        validate_params(make_params(lam=0.1001))
+        make_params(lam=0.1001)
     # sigma_w^2 underflows to 0.0 or overflows; sigma_b^2 or the terminal
     # target's square overflows
     bads = (
@@ -93,13 +93,32 @@ def test_validate_params_rejects_bad_values():
     )
     for bad in bads:
         with pytest.raises(InputError, match=r"\*\*2 must be"):
-            validate_params(make_params(**bad))
+            make_params(**bad)
 
 
 def test_validate_params_accepts_underflowing_sigma_b_square():
     # sigma_b^2 is only ever added, so its underflow to 0.0 is harmless
-    params = make_params(sigma_b=1e-300)
-    assert validate_params(params) is params
+    assert make_params(sigma_b=1e-300).sigma_b == 1e-300
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (dict(r_beta=0.0), "r_beta must be positive, got 0.0"),
+        (dict(t_v=-1.0), "t_v must be positive, got -1.0"),
+        (dict(lam=5.0), "lam=5.0 exceeds r_beta*sigma_w**2="),
+        (dict(v0=math.nan), "v0 must be finite"),
+    ],
+    ids=["r_beta", "t_v", "lam", "v0"],
+)
+def test_replace_checks_the_model_again(bad, message):
+    # dataclasses.replace builds a new instance, so it is refused as a
+    # direct build is, with the same message
+    params = make_params()
+    with pytest.raises(InputError, match=re.escape(message)):
+        dataclasses.replace(params, **bad)
+    with pytest.raises(InputError, match=re.escape(message)):
+        make_params(**bad)
 
 
 def test_lam_upper():
@@ -132,6 +151,13 @@ def test_grid_config_rejects_a_half_grid_too_large_to_index():
     for n_steps in (MAX_STEPS + 1, 2**64):
         with pytest.raises(InputError, match="n_steps must be <="):
             GridConfig(n_steps, 1.0)
+
+
+def test_grid_config_refuses_a_non_integer_n_steps():
+    for n_steps in (10.5, 10.0, "10"):
+        with pytest.raises(InputError, match="n_steps must be an integer"):
+            GridConfig(n_steps, 1.0)
+    assert GridConfig(np.int64(10), 1.0) == GridConfig(10, 1.0)
 
 
 def test_sampling_affine_exact():

@@ -57,9 +57,10 @@ def test_moment_cascade_closed_form():
     #   E[V^2]  = e^(-2t)
     #   E[VY]   = e^(-t) - e^(-2t)
     #   E[Y^2]  = (1 - e^(-t))^2
-    # (noise intensities are negligible, initial state (1, 0))
+    # (noise intensities are negligible, sigma_b**2 underflows to 0.0,
+    # initial state (1, 0))
     params = ModelParams(
-        sigma_b=0.0,
+        sigma_b=1e-300,
         sigma_w=1e-9,
         r_alpha=1.0,
         r_beta=10.0,

@@ -48,12 +48,6 @@ def test_adjoint_vanishes_for_zero_pattern():
     assert np.all(adjoint == 0.0)
 
 
-def test_fbs_solve_requires_matching_solver():
-    config = RedConfig(lambda_reg=1.0, solver="fpi")
-    with pytest.raises(ValueError):
-        fbs_solve(make_params(), config, GridConfig(50, 0.1))
-
-
 def test_huge_penalty_freezes_anchor():
     params = full_intensity_params()
     grid = GridConfig(100, 0.1)

@@ -85,14 +85,10 @@ def test_logarithmic_update_with_grid_anchor_minimizes_nodewise_objective():
         assert fk == pytest.approx(_golden_minimum(phi, 1e-9, 50.0), rel=1e-6)
 
 
-@pytest.mark.parametrize("anchor", [0.0, -0.1, -5.0])
-def test_logarithmic_update_rejects_non_positive_anchor(anchor):
-    # u = 1: a = h02 = 1, b = -(eta h11)/r_beta = -1
-    config = RedConfig(lambda_reg=1.0, penalty_kind="logarithmic")
-    with pytest.raises(InputError):
-        closed_form_update(
-            np.array([1.0]), np.array([-1.0]), np.array([anchor]), config
-        )
+def test_red_config_refuses_a_non_integer_max_iters():
+    with pytest.raises(InputError, match="max_iters must be an integer, got 2.5"):
+        RedConfig(lambda_reg=1.0, max_iters=2.5)
+    assert RedConfig(lambda_reg=1.0, max_iters=np.int64(3)).max_iters == 3
 
 
 def test_degenerate_denominator_raises():
@@ -149,13 +145,6 @@ def test_penalty_values():
     log = RedConfig(lambda_reg=1.0, penalty_kind="logarithmic")
     e = float(np.exp(1.0))
     assert penalty(Constant(e), log) == pytest.approx(-0.1, rel=1e-12)
-
-
-def test_fpi_solve_requires_matching_solver():
-    params = full_intensity_params()
-    config = RedConfig(lambda_reg=1.0, solver="fbs")
-    with pytest.raises(ValueError):
-        fpi_solve(params, config, GridConfig(50, 0.1))
 
 
 def test_fpi_solve_full_intensity_log_analytic():

@@ -7,11 +7,13 @@ from redblue.red.nn import (
     CONVERGENCE_WINDOW,
     HIDDEN_WIDTH,
     _forward_cache,
+    _layers,
     init_network,
     nn_forward,
     nn_gradient,
     nn_solve,
 )
+from redblue.red.objective import anchor_values
 from conftest import make_params
 
 
@@ -80,12 +82,17 @@ def test_chained_gradient_matches_finite_differences():
     grid = GridConfig(30, 0.1)
     config = RedConfig(lambda_reg=0.5, penalty_kind="logarithmic", solver="nn")
     net = init_network(seed=4, positive_output=True)
-    grad_w, grad_b = nn_gradient(net, params, config, grid)
+    objective_now, grad = nn_gradient(
+        net, params, config, grid, anchor_values(config, grid)
+    )
+    grad_w, grad_b = _layers(grad)
     times = grid.times()
 
     def objective():
         f, _, _ = _forward_cache(net, times)
         return euler_objective_and_gradient(f, params, config, grid)[0]
+
+    assert objective_now == objective()
 
     rng = np.random.default_rng(9)
     step = 1e-6
@@ -142,12 +149,6 @@ def test_nn_solve_descends():
     report = nn_solve(params, config, grid, seed=1, n_epochs=60)
     history = report.objective_history
     assert history[-1] < history[0]
-
-
-def test_nn_solve_requires_matching_solver():
-    config = RedConfig(lambda_reg=1.0, solver="fpi")
-    with pytest.raises(ValueError):
-        nn_solve(make_params(), config, GridConfig(50, 0.1), seed=0)
 
 
 def reference_training(seed, params, config, grid, n_epochs):

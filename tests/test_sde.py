@@ -45,16 +45,17 @@ def test_mix_seed_deterministic_and_distinct():
 
 
 def test_degenerate_noise_paths_are_deterministic():
-    # with both noise intensities zero and no control pressure the state is
-    # a straight line; sigma=0 skips validation on purpose, so the params
-    # are constructed directly
+    # with noise too small to move a float and no control pressure the state
+    # is a straight line: the noise intensities are positive, with
+    # sigma_w**2 = 1e-300 > 0 as a model needs, the tracking weights are the
+    # least positive float, and r_alpha = 4 rounds the gain mu / r_alpha to 0
     params = ModelParams(
-        sigma_b=0.0,
-        sigma_w=0.0,
-        r_alpha=1.0,
+        sigma_b=1e-300,
+        sigma_w=1e-150,
+        r_alpha=4.0,
         r_beta=10.0,
-        r_v=0.0,
-        t_v=0.0,
+        r_v=5e-324,
+        t_v=5e-324,
         vbar=Constant(0.0),
         vbar_final=0.0,
         lam=0.0,
@@ -94,6 +95,7 @@ def test_primary_cost_hand_computed():
     params = make_params(
         r_alpha=2.0,
         r_beta=4.0,
+        lam=0.04,
         r_v=1.0,
         t_v=3.0,
         vbar=Constant(1.0),
@@ -251,8 +253,9 @@ def test_log_lr_samples_do_not_depend_on_threads():
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_non_finite_statistics_raise():
-    # the paths stay finite, but squaring them for the cost overflows
-    params = make_params(v0=1e200)
+    # v0**2 and the paths stay finite, but the costs summed from their
+    # squares overflow
+    params = make_params(v0=1e154)
     grid = GridConfig(10, 0.1)
     policy = FeedbackPolicy.solve(params, ZERO_PATTERN, grid)
     with pytest.raises(NumericError, match="mean_primary_cost"):
