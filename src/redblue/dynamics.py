@@ -71,11 +71,12 @@ state, is evaluated per RK4 stage; the costates read its Jacobian from
 ``coeff_rhs``, with ``+``, ``-``, ``*`` and ``/`` on (mu, eta, rho, f) and
 the ``Dynamics`` fields.  The Euler recursions call it;
 ``moments.solve_stack`` hands it to ``odeint.integrate_backward`` with
-the pattern as its forcing, and riccati hands ``value_rhs`` with the forcing
-(f_c, f_d, vbar); odeint traces their expressions, inlining the methods they
-call, into written-out RK4 loops.  Likewise ``payoff_coeffs`` states L's
-coefficients (a, b) once, and ``payoff_from`` and ``payoff_grad_f`` take
-them.  Every function works elementwise on floats and on numpy arrays.
+the pattern as its forcing column, and riccati hands ``value_rhs`` with
+the columns f_c, f_d and vbar; odeint traces both on a ``Dynamics`` of
+symbolic terms, inlining the methods they call, into RK4 loops.  Likewise
+``payoff_coeffs`` states L's coefficients (a, b) once, and ``payoff_from``
+and ``payoff_grad_f`` take them.  Every function works elementwise on
+floats and on numpy arrays.
 """
 
 from __future__ import annotations
@@ -173,12 +174,11 @@ class Dynamics:
         """(a_0, b_0): the state-free terms of alpha and beta."""
         return -(gamma / self.r_alpha), self.u * f_d - theta / self.r_beta
 
-    def value_rhs(self, mu, eta, rho, gamma, theta, xi, forcing):
+    def value_rhs(self, mu, eta, rho, gamma, theta, xi, f_c, f_d, vbar):
         """Time derivatives of the six value-function coefficients under
-        the forcing (f_c, f_d, vbar): F, then the linear and constant terms,
+        the forcing f_c, f_d and vbar: F, then the linear and constant terms,
         (gamma, theta)' = -A^T (gamma, theta) plus the forcing of the
         velocity target and the pattern offset."""
-        f_c, f_d, vbar = forcing
         a_v, a_y, b_v, b_y = self.state_gains(mu, eta, rho, f_c)
         ra, rb, r_v, u, c2 = self.r_alpha, self.r_beta, self.r_v, self.u, self.c2
         d_gamma = -(a_v * gamma + (1.0 + b_v) * theta) + r_v * vbar - u * eta * f_d

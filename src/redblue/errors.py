@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its check of counts and seeds.
 
 Every error raised on purpose by this package is one of two classes, and
 the class alone decides the command line's exit code:
@@ -11,6 +11,8 @@ the class alone decides the command line's exit code:
 Both derive from RedBlueError, so callers can catch the family with one
 clause.
 """
+
+from numbers import Integral
 
 
 class RedBlueError(Exception):
@@ -25,3 +27,12 @@ class InputError(RedBlueError, ValueError):
 class NumericError(RedBlueError, ArithmeticError):
     """A run on an accepted input failed: a non-finite state or a
     degenerate update."""
+
+
+def require_count(name: str, value, least: int) -> None:
+    """Refuse ``value``, a count or a seed, unless it is an integer of at
+    least ``least``."""
+    if not isinstance(value, Integral):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InputError(f"{name} must be >= {least}")

@@ -162,8 +162,8 @@ def solve_stack(params: ModelParams, f_nodes: np.ndarray, grid: GridConfig):
     dyn = Dynamics.of(params)
     coeffs = integrate_backward(
         dyn.coeff_rhs,
-        # one float, or one (B,) row, per half-grid point
-        list(f) if batch else f.tolist(),
+        # one column: a float, or a (B,) row, per half-grid point
+        [list(f) if batch else f.tolist()],
         np.multiply.outer(dyn.coeff_terminal(), np.ones(batch)),
         grid,
     )

@@ -7,18 +7,19 @@ nodes and midpoints, the half grid t = j h / 2.
 
 Every nonlinear solve of the package runs backward from a terminal state at
 t = T, with the signed step -h.  ``integrate_backward`` takes its
-right-hand side as ``rates``, a method bound to an object of float fields,
-called as ``rates(*state, forcing[j])`` at the stage of half-grid index j,
-and ``forcing``, its value at every half-grid point: a float, a ``(B,)``
-row or a tuple of them.  The method is stated with ``+``, ``-``, ``*``,
-``/`` and unary minus, and may call other methods of its class.  The loop
-traces it once with symbolic terms, inlining each method it calls, and
-compiles itself with every stage of every component written out,
-``x_i + half * k1_i`` and so on, cached per method and state width.
-Each expression keeps its operands in their order, so every node equals,
-bit for bit, the float computation of calling the method at each stage,
-without a call per stage.  ``moments.solve_stack`` steps F this way, and
-``riccati`` all six value-function lines.
+right-hand side as ``rates``, a method of a dataclass of float fields,
+called as ``rates(*state, *inputs)``, and ``forcing``, one column per
+input, holding its value at every half-grid point: a float, or a ``(B,)``
+row for a batch.  The method is stated with ``+``, ``-``, ``*``, ``/`` and
+unary minus, and may call other methods of its class.  The loop traces it
+once, by calling it on an instance of its class whose fields are symbolic
+terms, which inlines every method it calls, and compiles itself with every
+stage of every component written out, ``x_i + half * k1_i`` and so on,
+cached per method, state width and number of forcing columns.  Each
+expression keeps its operands in their order, so every node equals, bit for
+bit, the float computation of calling the method at each stage, without a
+call per stage.  ``moments.solve_stack`` steps F this way, and ``riccati``
+all six value-function lines.
 
 States are tuples of C Python floats: the same IEEE arithmetic as numpy
 scalars, at a fraction of the per-operation cost on systems of a few
@@ -48,9 +49,9 @@ from __future__ import annotations
 
 import ast
 import functools
-import inspect
 import sys
 from collections.abc import Callable, Sequence
+from dataclasses import fields
 
 import numpy as np
 
@@ -105,34 +106,18 @@ def _name(name: str) -> _Term:
     return _Term(ast.Name(name, ast.Load()))
 
 
-class _Fields:
-    """Stands in for the owner of a rates method being traced: every field
-    the method reads is the local ``_<field>``, bound once per solve, and
-    every other method of the owner's class it calls is traced in place,
-    with this stand-in as its ``self``."""
-
-    def __init__(self, owner: type):
-        self._owner = owner
-        self._read: dict[str, _Term] = {}
-
-    def __getattr__(self, name: str):
-        method = inspect.getattr_static(self._owner, name, None)
-        if inspect.isfunction(method):
-            return functools.partial(method, self)
-        return self._read.setdefault(name, _name(f"_{name}"))
-
-
 @functools.cache
-def _loop(width: int, owner: type, rates: Callable, forcing_width: int | None):
+def _loop(width: int, owner: type, rates: Callable, columns: int):
     """The backward RK4 loop for states of ``width`` components, written
     out per component: ``loop(owner, rhs, s, out, n, half, h, sixth)``
     steps from ``s`` at node n back to node 0, writing each node's state to
     ``out``.  Every component keeps the operand order ``x + half * k`` and
     ``x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``: a reordered sum would
-    round differently in the last bit.  ``rhs`` holds the forcing, and each
-    stage is ``rates(owner, *state, rhs[j])``, inlined as traced; a forcing
-    of ``forcing_width`` values per point is read into that many locals.
-    Only the skeleton is parsed; the rest of the syntax tree is built here.
+    round differently in the last bit.  Each stage is ``rates(owner,
+    *state, rhs0[j], rhs1[j], ...)`` over the ``columns`` forcing columns,
+    traced by calling ``rates`` on an ``owner`` whose every field is the
+    term ``_<field>``, a local bound once per solve like ``rhs0``.  Only
+    the skeleton is parsed; the rest of the syntax tree is built here.
     """
     module = ast.parse(
         "def loop(owner, rhs, s, out, n, half, h, sixth):\n"
@@ -148,18 +133,18 @@ def _loop(width: int, owner: type, rates: Callable, forcing_width: int | None):
         where.append(ast.Assign([ast.Name(name, ast.Store())], _term(value).node))
         return _name(name)
 
-    fields = _Fields(owner)
+    names = [field.name for field in fields(owner)]
+    traced = owner(**{name: _name(f"_{name}") for name in names})
     rhs, s, node = _name("rhs"), _name("s"), _name("node")
     half, h, sixth = map(_name, ("half", "h", "sixth"))
+    forcing = [let(f"rhs{c}", rhs[c], prologue) for c in range(columns)]
 
     def slopes(stage: int, state: list, j) -> list:
         if stage > 1:
             # the rates read each stage value more than once
             state = [let(f"y{stage}_{i}", value) for i, value in enumerate(state)]
-        forcing = let(f"f{stage}", rhs[j])
-        if forcing_width is not None:
-            forcing = [let(f"f{stage}_{i}", forcing[i]) for i in range(forcing_width)]
-        rate_terms = rates(fields, *state, forcing)
+        f = [let(f"f{stage}_{c}", column[j]) for c, column in enumerate(forcing)]
+        rate_terms = rates(traced, *state, *f)
         return [let(f"k{stage}_{i}", rate) for i, rate in enumerate(rate_terms)]
 
     def shifted(coef: _Term, k: list) -> list:
@@ -176,9 +161,9 @@ def _loop(width: int, owner: type, rates: Callable, forcing_width: int | None):
         let(f"x{i}", x[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]))
     out = ast.Subscript(ast.Name("out", ast.Load()), node.node, ast.Store())
     body.append(ast.Assign([out], _term(tuple(x)).node))
-    owner = ast.Name("owner", ast.Load())
-    for field in fields._read:
-        let(f"_{field}", _Term(ast.Attribute(owner, field, ast.Load())), prologue)
+    owner_node = ast.Name("owner", ast.Load())
+    for name in names:
+        let(f"_{name}", _Term(ast.Attribute(owner_node, name, ast.Load())), prologue)
     loop.body = body
     function.body = [*prologue, loop]
     # compile needs only where each node starts; two attributes rather than
@@ -212,8 +197,9 @@ def _require_finite(out: np.ndarray, grid: GridConfig, direction: int) -> np.nda
 def integrate_backward(
     rates: Callable, forcing: Sequence, terminal_state, grid: GridConfig
 ) -> np.ndarray:
-    """RK4 solution of x' = rates(*x, forcing) backward from t = T, at every
-    node; row k is the state at node k, and row n_steps is the terminal
+    """RK4 solution of x' = rates(*x, *inputs) backward from t = T, at every
+    node, each input read from its column of ``forcing`` by half-grid
+    index; row k is the state at node k, and row n_steps is the terminal
     state.
 
     ``terminal_state`` is a 1-D sequence of floats, or a ``(C, B)`` array of
@@ -229,10 +215,10 @@ def integrate_backward(
     # values of the current step are alive as Python objects
     out = np.empty((n + 1, *start.shape))
     out[n] = s
-    width = len(forcing[0]) if isinstance(forcing[0], tuple) else None
-    loop = _loop(len(s), type(rates.__self__), rates.__func__, width)
+    owner = rates.__self__
+    loop = _loop(len(s), type(owner), rates.__func__, len(forcing))
     with np.errstate(over="ignore", invalid="ignore"):
-        loop(rates.__self__, forcing, s, out, n, half, h, sixth)
+        loop(owner, forcing, s, out, n, half, h, sixth)
     return _require_finite(out, grid, -1)
 
 

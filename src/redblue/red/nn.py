@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NumericError
+from ..errors import NumericError, require_count
 from ..model import GridConfig, ModelParams
 from ..moments import require_closure
 from .euler import euler_objective_and_gradient
@@ -177,8 +177,9 @@ def nn_solve(
     seed: int,
     n_epochs: int = DEFAULT_EPOCHS,
 ) -> OptimizationReport:
-    # a velocity target fails here, not after training (the Euler objective
-    # reads no target), and so does a log anchor that is not positive
+    # a bad seed, a velocity target and a log anchor that is not positive
+    # fail here, not after training (the Euler objective reads no target)
+    require_count("seed", seed, 0)
     require_closure(params, grid)
     anchor = anchor_values(config, grid)
     net = init_network(seed, config.penalty_kind == PENALTY_LOGARITHMIC)

@@ -60,14 +60,13 @@ def solve_value_coeffs(
     target curves are pre-sampled at nodes and midpoints, the only times the
     integrator touches.
     """
-    # the forcing (f_c, f_d, vbar) at every half-grid point
-    forcing = zip(
-        sample_on_half_grid(pattern.f_c, grid).tolist(),
-        sample_on_half_grid(pattern.f_d, grid).tolist(),
-        sample_on_half_grid(params.vbar, grid).tolist(),
-    )
+    # the forcing columns f_c, f_d and vbar at every half-grid point
+    forcing = [
+        sample_on_half_grid(curve, grid).tolist()
+        for curve in (pattern.f_c, pattern.f_d, params.vbar)
+    ]
     states = integrate_backward(
-        Dynamics.of(params).value_rhs, list(forcing), terminal_conditions(params), grid
+        Dynamics.of(params).value_rhs, forcing, terminal_conditions(params), grid
     )
     # one contiguous row per curve
     return ValueCoeffs(grid, *states.T.copy())

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controls import FeedbackPolicy
-from .errors import InputError, NumericError
+from .errors import NumericError, require_count
 from .model import GridConfig, ModelParams, Pattern, check_same_grid, sample_on_grid
 
 # Paths per simulation block, and per noise stream.  Fixed so that results
@@ -46,7 +46,10 @@ _WINDOW_STEPS = 16
 
 
 def mix_seed(*parts: int) -> int:
-    """Deterministic 64-bit child seed from non-negative integer components."""
+    """Deterministic 64-bit child seed from non-negative integer components;
+    any other component is refused."""
+    for part in parts:
+        require_count("seed", part, 0)
     ss = np.random.SeedSequence([int(p) for p in parts])
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -380,8 +383,7 @@ def sample_paths(
     Row i is ensemble member i of monte_carlo with the same master seed.
     """
     check_same_grid(policy.grid, grid)
-    if n_paths < 1:
-        raise InputError("n_paths must be >= 1")
+    require_count("n_paths", n_paths, 1)
     v_all, y_all, _, _ = _kept_paths(n_paths, grid)
     _run_blocks(policy, grid, n_paths, master_seed, _Outputs(keep=(v_all, y_all)))
     return v_all, y_all
@@ -401,8 +403,7 @@ def log_lr_samples(
     Raises NumericError if a sample is not finite.
     """
     check_same_grid(policy.grid, grid)
-    if n_paths < 1:
-        raise InputError("n_paths must be >= 1")
+    require_count("n_paths", n_paths, 1)
     out = _Outputs(
         loglr=np.empty(n_paths),
         fc=sample_on_grid(pattern.f_c, grid),
@@ -436,10 +437,8 @@ def monte_carlo(
     statistics.  Raises NumericError if a statistic is not finite.
     """
     check_same_grid(policy.grid, grid)
-    if n_paths < 2:
-        raise InputError("n_paths must be >= 2")
-    if n_sample < 0:
-        raise InputError("n_sample must be >= 0")
+    require_count("n_paths", n_paths, 2)
+    require_count("n_sample", n_sample, 0)
     params = policy.params
     total = max(n_paths, n_sample)
     out = _Outputs(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .controls import FeedbackPolicy
-from .errors import InputError
+from .errors import require_count
 from .model import (
     Constant,
     GridConfig,
@@ -77,8 +77,7 @@ def play_rounds(
     runs, an anchor that its penalty refuses.  Later anchors are optimizer
     outputs, which the penalty has accepted.
     """
-    if n_rounds < 1:
-        raise InputError("n_rounds must be >= 1")
+    require_count("n_rounds", n_rounds, 1)
     require_closure(params, grid)
     if n_rounds > 1:
         anchor_values(replace(red_config, f_c_initial=initial_f_c), grid)

@@ -8,6 +8,7 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -22,8 +23,10 @@ from redblue import (
     RedConfig,
     ZERO_PATTERN,
     monte_carlo,
+    play_rounds,
     solve_red,
 )
+from redblue.sde import log_lr_samples
 from conftest import make_params
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -192,3 +195,36 @@ def test_a_model_is_refused_when_built_or_its_solves_raise_only_package_errors(
             call()
         except (InputError, NumericError):
             pass
+
+
+NN_CONFIG = RedConfig(lambda_reg=1.0, penalty_kind="quadratic", solver="nn")
+# a seed or a count that is not a non-negative integer, in each entry point
+# that takes one; the command line refuses all of them before any call
+REFUSED = {
+    "float master_seed": lambda p: monte_carlo(p, ZERO_PATTERN, CONTRACT_GRID, 8, 7.9),
+    "negative master_seed": lambda p: monte_carlo(
+        p, ZERO_PATTERN, CONTRACT_GRID, 8, -1
+    ),
+    "float nn seed": lambda p: solve_red(p.params, NN_CONFIG, CONTRACT_GRID, 3.7),
+    "negative nn seed": lambda p: solve_red(p.params, NN_CONFIG, CONTRACT_GRID, -1),
+    "float n_paths": lambda p: monte_carlo(p, ZERO_PATTERN, CONTRACT_GRID, 2.5, 1),
+    "float log_lr_samples n_paths": lambda p: log_lr_samples(
+        p, ZERO_PATTERN, CONTRACT_GRID, 2.5, 1
+    ),
+    "float n_sample": lambda p: monte_carlo(
+        p, ZERO_PATTERN, CONTRACT_GRID, 8, 1, n_sample=1.5
+    ),
+    "float n_rounds": lambda p: play_rounds(
+        p.params, Constant(1.0), NN_CONFIG, 1.5, 8, 1, CONTRACT_GRID
+    ),
+    "negative round seed": lambda p: play_rounds(
+        p.params, Constant(1.0), NN_CONFIG, 1, 8, -1, CONTRACT_GRID
+    ),
+}
+
+
+@pytest.mark.parametrize("call", REFUSED.values(), ids=REFUSED.keys())
+def test_a_seed_or_count_that_is_not_a_non_negative_integer_is_refused(call):
+    policy = FeedbackPolicy.solve(make_params(), ZERO_PATTERN, CONTRACT_GRID)
+    with pytest.raises(InputError):
+        call(policy)

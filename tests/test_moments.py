@@ -362,7 +362,7 @@ def test_generated_coeff_loop_matches_the_callback_loop(seed, mode, n_steps, siz
     for column in f.T:
         rows = column.tolist()
         got = rk4_or_message(
-            integrate_backward, dyn.coeff_rhs, rows, dyn.coeff_terminal(), grid
+            integrate_backward, dyn.coeff_rhs, [rows], dyn.coeff_terminal(), grid
         )
         with np.errstate(all="ignore"):
             want = rk4_or_message(
@@ -379,7 +379,7 @@ def test_generated_coeff_loop_matches_the_callback_loop(seed, mode, n_steps, siz
             assert got.tobytes() == want.tobytes()
         singles.append(got)
     start = np.multiply.outer(dyn.coeff_terminal(), np.ones(size))
-    got = rk4_or_message(integrate_backward, dyn.coeff_rhs, list(f), start, grid)
+    got = rk4_or_message(integrate_backward, dyn.coeff_rhs, [list(f)], start, grid)
     failed = [single for single in singles if isinstance(single, str)]
     if failed:
         times = [float(single.split("t=")[1].split(":")[0]) for single in failed]

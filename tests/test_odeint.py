@@ -1,19 +1,23 @@
+import dis
 import math
 import tracemalloc
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from redblue import GridConfig, NumericError
-from redblue.odeint import integrate_backward, integrate_linear
+from redblue.dynamics import Dynamics
+from redblue.odeint import _loop, integrate_backward, integrate_linear
 from rk4_reference import reference_rk4
 
 
+@dataclass(frozen=True)
 class Systems:
     """Rates methods of small test systems, each called as
-    ``rates(*state, forcing[j])``."""
+    ``rates(*state, forcing[0][j])``."""
 
     def forcing(self, x, f):
         return (2.0 * f,)
@@ -32,7 +36,7 @@ SYSTEMS = Systems()
 
 
 def unforced(grid: GridConfig) -> list:
-    return [0.0] * (2 * grid.n_steps + 1)
+    return [[0.0] * (2 * grid.n_steps + 1)]
 
 
 def linear_system(grid: GridConfig, a=0.0, b=np.zeros_like) -> np.ndarray:
@@ -109,7 +113,7 @@ def test_stage_indices_walk_the_half_grid():
     grid = GridConfig(n, 1.0)
     seen = []
     probes = [Probe(j, seen) for j in range(2 * n + 1)]
-    integrate_backward(SYSTEMS.forcing, probes, [0.0], grid)
+    integrate_backward(SYSTEMS.forcing, [probes], [0.0], grid)
     steps = [(2 * k, 2 * k - 1, 2 * k - 1, 2 * k - 2) for k in range(n, 0, -1)]
     assert seen == [j for step in steps for j in step]
 
@@ -120,7 +124,7 @@ def oscillator(grid: GridConfig) -> tuple:
     forcing = np.sin(grid.half_times())
     abar = np.zeros((forcing.size, 3, 3))
     abar[:, 0, 1], abar[:, 1, 0], abar[:, 1, 2] = 1.0, -1.0, forcing
-    return SYSTEMS.oscillator, forcing.tolist(), abar
+    return SYSTEMS.oscillator, [forcing.tolist()], abar
 
 
 def test_backward_forward_round_trip():
@@ -177,9 +181,10 @@ def polynomial_systems(draw):
 
 
 def polynomial_rhs(components, half_times, kind=list):
-    """The pair (rates, half_times) of a polynomial system.  The loop is
+    """The pair (rates, [half_times]) of a polynomial system.  The loop is
     cached per rates method, so each system gets a class of its own."""
 
+    @dataclass(frozen=True)
     class Polynomial:
         def rates(self, *args):
             *x, t = args
@@ -191,13 +196,13 @@ def polynomial_rhs(components, half_times, kind=list):
                 out.append(acc)
             return kind(out)
 
-    return Polynomial().rates, half_times
+    return Polynomial().rates, [half_times]
 
 
 def as_callback(rhs):
     """The pair ``rhs`` as a right-hand side of the reference loop, which
     calls it at every stage."""
-    rates, forcing = rhs
+    rates, (forcing,) = rhs
     return lambda j, x: rates(*x, forcing[j])
 
 
@@ -247,6 +252,25 @@ def test_blow_up_names_first_non_finite_node_in_stepping_order():
     got, want = run_both(rhs, [-10.0], grid)
     assert isinstance(want, str) and got == want
     assert got.startswith(f"non-finite state at t={33 * grid.h}: ")
+
+
+@pytest.mark.parametrize(
+    "rates, width, columns",
+    [(Dynamics.coeff_rhs, 3, 1), (Dynamics.value_rhs, 6, 3)],
+    ids=["coeff_rhs", "value_rhs"],
+)
+def test_generated_loop_steps_without_calls_or_lookups(rates, width, columns):
+    # the loop is written out so that a step makes no call, and reads no
+    # attribute or global: the prologue binds every field once.  The
+    # opcode names cover Python 3.10 (CALL_FUNCTION, CALL_METHOD), 3.11
+    # (PRECALL, CALL) and 3.12 (CALL, LOAD_ATTR for methods too)
+    loop = _loop(width, Dynamics, rates, columns)
+    ops = [op.opname for op in dis.get_instructions(loop)]
+    start = ops.index("FOR_ITER")
+    banned = ("PRECALL", "LOAD_ATTR", "LOAD_METHOD", "LOAD_GLOBAL")
+    inside = [op for op in ops[start:] if op.startswith("CALL") or op in banned]
+    assert inside == []
+    assert "LOAD_ATTR" in ops[:start]
 
 
 @st.composite

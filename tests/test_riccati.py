@@ -177,7 +177,7 @@ def per_stage_reference(params, pattern, grid):
     with np.errstate(all="ignore"):
         try:
             return reference_rk4(
-                lambda j, s: dyn.value_rhs(*s, forcing[j]),
+                lambda j, s: dyn.value_rhs(*s, *forcing[j]),
                 terminal_conditions(params),
                 grid,
                 -1,
