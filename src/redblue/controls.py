@@ -76,12 +76,6 @@ class FeedbackPolicy:
         )
 
 
-def optimal_alpha(policy: FeedbackPolicy, t, v, y):
-    """Primary control at (t, v, y); coefficient curves interpolated in t."""
-    a_v, a_y, _, _, a_0, _ = policy._gains(t)
-    return a_v * v + a_y * y + a_0
-
-
 def optimal_beta(policy: FeedbackPolicy, t, v, y):
     """Misdirection control at (t, v, y); pattern terms evaluated exactly."""
     _, _, b_v, b_y, _, b_0 = policy._gains(t)

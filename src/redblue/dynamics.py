@@ -41,42 +41,19 @@ dG/d(mu, eta, rho) on m only.  The payoff integrand
 L = -(eta h11 + rho h02) f/r_beta + (u - 1/2) h02 f^2, divided by
 sigma_w^2, is the rate of the expected log likelihood ratio.
 
-The gains are computed only here: ``controls.FeedbackPolicy`` tables them
-for the Monte Carlo paths and the pointwise controls, ``moment_gains`` reads
-K off them, and ``value_rhs`` steps gamma and theta with them.
-
-G is stepped by RK4, and the payoff integrated, only in ``redblue.moments``:
-its ``solve_stack`` steps F and then G for the pattern optimizers and the
-Stackelberg loop, one pattern or a batch, and its public ``solve_moments``
-steps G through the same function, from the curves of
-``riccati.solve_value_coeffs``, which steps ``value_rhs``.
-The Euler recursions of the network objective and their reverse sweeps, and
-the forward-backward sweep's costates, evaluate the same functions and their
-transposed-Jacobian products; nothing else restates them.  Each product, and
-the payoff gradient, is split by the block it differentiates against: the
-suffix ``_s`` is the coefficient block, ``_m`` the moment block and ``_f``
-the pattern.  A caller evaluates only the blocks it reads, and can step one
-block per node while evaluating another once over all nodes.
-
-K's entries are stated once, in ``moment_gains``, and those of
-dG/d(mu, eta, rho) in ``moment_jac_s``; ``GAIN_ROWS`` and ``GAIN_COLS``
-place both in their matrices.  Every solve builds these entries once over
-its grid, as numpy arrays.  The RK4 solves of G and of the fbs costates
-lay them out as matrices of a linear system, whose step maps
-``odeint.integrate_linear`` composes; the Euler recursions apply them
-through ``moment_rhs`` (K m + sigma), ``moment_vjp_m`` (K^T p) and
-``moment_vjp_s``.  Only the Riccati block F, which is nonlinear in its own
-state, is evaluated per RK4 stage; the costates read its Jacobian from
-``coeff_vjp_s`` at unit covectors.  F's three rates are stated only in
-``coeff_rhs``, with ``+``, ``-``, ``*`` and ``/`` on (mu, eta, rho, f) and
-the ``Dynamics`` fields.  The Euler recursions call it;
-``moments.solve_stack`` hands it to ``odeint.integrate_backward`` with
-the pattern as its forcing column, and riccati hands ``value_rhs`` with
-the columns f_c, f_d and vbar; odeint traces both on a ``Dynamics`` of
-symbolic terms, inlining the methods they call, into RK4 loops.  Likewise
-``payoff_coeffs`` states L's coefficients (a, b) once, and ``payoff_from``
-and ``payoff_grad_f`` take them.  Every function works elementwise on
-floats and on numpy arrays.
+This module states rates and nothing else, each once, with ``+``, ``-``,
+``*`` and ``/`` on its arguments and the ``Dynamics`` fields, dividing
+only by fields and constants: F in ``coeff_rhs``, G in ``moment_rhs``, the
+six value lines in ``value_rhs`` and L in ``payoff``, from its
+coefficients (a, b) in ``payoff_coeffs``.  The gains are computed only in
+``state_gains`` and ``offset_gains``, which ``controls.FeedbackPolicy``
+tables for the paths and the controls.  ``odeint`` traces the rates on a
+``Dynamics`` of symbolic terms, inlining the methods they call, into the
+RK4 loops of ``integrate_backward`` and into every derivative the package
+reads, through ``jacobian``: K = dG/dm for ``redblue.moments``, and F's,
+G's and L's Jacobians for the fbs costates and the Euler sweeps of
+``redblue.red``.  Every function works elementwise on floats and on numpy
+arrays.
 """
 
 from __future__ import annotations
@@ -84,12 +61,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import ModelParams
-
-# The places (row, column) of the seven entries of ``moment_gains`` in K,
-# and of ``moment_jac_s`` in dG/d(mu, eta, rho), in their order; index a
-# (..., 3, 3) array with them to lay the entries out as a matrix.
-GAIN_ROWS = (0, 0, 1, 1, 1, 2, 2)
-GAIN_COLS = (0, 1, 0, 1, 2, 1, 2)
 
 
 def misdirection_gain(params: ModelParams) -> float:
@@ -157,7 +128,8 @@ class Dynamics:
     def coeff_rhs(self, mu, eta, rho, f):
         """F: time derivatives of (mu, eta, rho).  The only statement of F:
         ``odeint`` traces these expressions, operands in their order, into
-        the generated loops that step F, alone or in ``value_rhs``."""
+        the generated loops that step F, alone or in ``value_rhs``, and
+        into F's Jacobian."""
         ra, rb, u = self.r_alpha, self.r_beta, self.u
         d_mu = mu * mu / ra + eta * eta / rb - 2.0 * eta - self.r_v
         d_eta = mu * eta / ra + rho * eta / rb - rho - u * eta * f
@@ -194,91 +166,23 @@ class Dynamics:
         )
         return (*self.coeff_rhs(mu, eta, rho, f_c), d_gamma, d_theta, d_xi)
 
-    def moment_gains(self, mu, eta, rho, f):
-        """The seven nonzero entries of K, row by row, with G = K m + sigma:
-        A, from ``state_gains``, acting on the second moments,
+    def moment_rhs(self, h20, h11, h02, mu, eta, rho, f):
+        """G: time derivatives of (h20, h11, h02), K m + sigma with A from
+        ``state_gains``,
 
             K = [[2 a_v,   2 a_y,       0    ],
                  [1 + b_v, b_y + a_v,   a_y  ],
                  [0,       2 (1 + b_v), 2 b_y]].
 
-        K m and K^T p built from these entries equal, bit for bit, G and
-        its vjp with every factor computed in place from (mu, eta, rho, f),
-        outside the subnormal range (and short of overflow).  The in-place
-        factors differ from the entries only by exact power-of-two scalings
-        and signs: (-2 mu)/r_alpha against 2 a_v = 2 (-(mu/r_alpha)), (2 p3) b
-        against p3 (2 b), and (-eta)/r_alpha against a_y = -(eta/r_alpha).
-        A negative entry added equals its magnitude subtracted, since x - y
-        is x + (-y) in IEEE arithmetic.
+        ``odeint.jacobian`` reads K off these expressions as dG/dm, each
+        entry the factor written here, and dG/d(mu, eta, rho, f) beside it.
         """
         a_v, a_y, b_v, b_y = self.state_gains(mu, eta, rho, f)
         leak = 1.0 + b_v
-        return 2.0 * a_v, 2.0 * a_y, leak, b_y + a_v, a_y, 2.0 * leak, 2.0 * b_y
-
-    def moment_rhs(self, h20, h11, h02, gains):
-        """G = K m + sigma: time derivatives of (h20, h11, h02), given the
-        entries of K from ``moment_gains``."""
-        k00, k01, k10, k11, k12, k21, k22 = gains
-        d20 = k00 * h20 + k01 * h11 + self.sb2
-        d11 = k11 * h11 + k10 * h20 + k12 * h02
-        d02 = k21 * h11 + k22 * h02 + self.sw2
+        d20 = 2.0 * a_v * h20 + 2.0 * a_y * h11 + self.sb2
+        d11 = (b_y + a_v) * h11 + leak * h20 + a_y * h02
+        d02 = 2.0 * leak * h11 + 2.0 * b_y * h02 + self.sw2
         return d20, d11, d02
-
-    def coeff_vjp_s(self, q, mu, eta, rho, f):
-        """q . dF/d(mu, eta, rho) for a covector q over (mu, eta, rho)."""
-        ra, rb, u = self.r_alpha, self.r_beta, self.u
-        q1, q2, q3 = q
-        d_mu = q1 * 2.0 * mu / ra + q2 * eta / ra
-        d_eta = (
-            q1 * (2.0 * eta / rb - 2.0)
-            + q2 * (mu / ra + rho / rb - u * f)
-            + q3 * 2.0 * eta / ra
-        )
-        d_rho = q2 * (eta / rb - 1.0) + q3 * (2.0 * rho / rb - 2.0 * u * f)
-        return d_mu, d_eta, d_rho
-
-    def coeff_vjp_f(self, q, eta, rho, f):
-        """q . dF/df for a covector q over (mu, eta, rho)."""
-        u = self.u
-        _, q2, q3 = q
-        return q2 * (-u * eta) + q3 * (-2.0 * u * rho + 2.0 * self.c2 * f)
-
-    def moment_vjp_m(self, p, gains):
-        """p . dG/d(h20, h11, h02) = K^T p for a covector p over h, given
-        the entries of K from ``moment_gains``."""
-        k00, k01, k10, k11, k12, k21, k22 = gains
-        p1, p2, p3 = p
-        d_h20 = p1 * k00 + p2 * k10
-        d_h11 = p1 * k01 + p2 * k11 + p3 * k21
-        d_h02 = p2 * k12 + p3 * k22
-        return d_h20, d_h11, d_h02
-
-    def moment_jac_s(self, h20, h11, h02):
-        """The seven nonzero entries of dG/d(mu, eta, rho), row by row, in
-        the places of K's: dG/d(mu, eta, rho) has K's zero corners.  They
-        depend on the state only through m, so a solve builds them once
-        over the grid and ``moment_vjp_s`` only applies them."""
-        ra, rb = self.r_alpha, self.r_beta
-        return (
-            -2.0 * h20 / ra,
-            -2.0 * h11 / ra,
-            -h11 / ra,
-            -h20 / rb - h02 / ra,
-            -h11 / rb,
-            -2.0 * h11 / rb,
-            -2.0 * h02 / rb,
-        )
-
-    # p . dG/d(mu, eta, rho) for a covector p over h, given the entries of
-    # ``moment_jac_s``: the same transposed product as K^T p, since the two
-    # matrices share their zero corners
-    moment_vjp_s = moment_vjp_m
-
-    def moment_vjp_f(self, p, h11, h02):
-        """p . dG/df for a covector p over h."""
-        u = self.u
-        _, p2, p3 = p
-        return p2 * u * h11 + p3 * 2.0 * u * h02
 
     def payoff_coeffs(self, eta, rho, h11, h02):
         """(a, b) with L = b f + (a/2) f^2, the payoff integrand."""
@@ -288,24 +192,5 @@ class Dynamics:
 
     def payoff(self, eta, rho, h11, h02, f):
         """L; L / sigma_w^2 is the rate of the expected log likelihood ratio."""
-        return self.payoff_from(*self.payoff_coeffs(eta, rho, h11, h02), f)
-
-    @staticmethod
-    def payoff_from(a, b, f):
-        """L from the coefficients (a, b) of ``payoff_coeffs``."""
+        a, b = self.payoff_coeffs(eta, rho, h11, h02)
         return b * f + 0.5 * a * f * f
-
-    def payoff_grad_s(self, h11, h02, f):
-        """dL/d(eta, rho); L does not depend on mu."""
-        rb = self.r_beta
-        return -h11 * f / rb, -h02 * f / rb
-
-    def payoff_grad_m(self, eta, rho, f):
-        """dL/d(h11, h02); L does not depend on h20."""
-        rb = self.r_beta
-        return -eta * f / rb, -rho * f / rb + (self.u - 0.5) * f * f
-
-    @staticmethod
-    def payoff_grad_f(a, b, f):
-        """dL/df from the coefficients (a, b) of ``payoff_coeffs``."""
-        return b + a * f

@@ -16,10 +16,11 @@ step through the RK4 loop generated from their expressions.  The public
 ``solve_moments`` and ``expected_log_lr`` take one pattern and the six
 coefficient curves of ``solve_value_coeffs``, and go through the same G
 stepper and payoff integral.  G = K m + sigma is linear in the moments, and
-its matrix K (``dynamics.moment_gains``) depends only on the coefficients
-and the pattern, so the G stepper lays K and sigma out over the half grid,
-with numpy, and ``odeint.integrate_linear`` turns them into the RK4 step
-maps and composes those.
+its matrix K, dG/dm of ``dynamics.Dynamics.moment_rhs`` from
+``odeint.jacobian``, depends only on the coefficients and the pattern, so
+the G stepper lays K and sigma out over the half grid, with numpy, and
+``odeint.integrate_linear`` turns them into the RK4 step maps and
+composes those.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import GAIN_COLS, GAIN_ROWS, Dynamics
+from .dynamics import Dynamics
 from .errors import InputError
 from .model import (
     GridConfig,
@@ -39,7 +40,7 @@ from .model import (
     grid_function,
     sample_on_half_grid,
 )
-from .odeint import integrate_backward, integrate_linear
+from .odeint import integrate_backward, integrate_linear, jacobian
 from .riccati import ValueCoeffs
 
 NOT_SIMPLIFIED = (
@@ -102,17 +103,15 @@ def _step_moments(
 def _moment_matrices(dyn: Dynamics, coeffs: np.ndarray, f: np.ndarray) -> np.ndarray:
     """[[K, sigma], [0, 0]] at every half-grid point, in the layout of ``f``.
 
-    K's seven entries go into the matrices one by one, not through a stack
-    of them, and the half-grid coefficients and the entries are freed on
-    return, before the step maps are built beside the matrices.
+    K's entries go into the matrices one by one, not through a stack of
+    them, and the half-grid coefficients and the entries are freed on
+    return, before the step maps are built beside the matrices.  K reads
+    no moment, so the moments are passed as zeros.
     """
     mu, eta, rho = np.moveaxis(nodes_to_half_grid(coeffs), 1, 0)
     abar = np.zeros((*f.shape, 4, 4))
-    # an overflow gives inf or nan for the solve to reject
-    with np.errstate(over="ignore", invalid="ignore"):
-        gains = dyn.moment_gains(mu, eta, rho, f)
-    for row, col, gain in zip(GAIN_ROWS, GAIN_COLS, gains):
-        abar[..., row, col] = gain
+    args = (0.0, 0.0, 0.0, mu, eta, rho, f)
+    jacobian(dyn.moment_rhs, args, (0, 1, 2), out=abar[..., :3, :3])
     abar[..., 0, 3] = dyn.sb2
     abar[..., 2, 3] = dyn.sw2
     return abar

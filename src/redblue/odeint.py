@@ -43,6 +43,12 @@ one affine map with batched matrix products, and composes the maps with a
 prefix scan.  It is the same scheme, rounded differently, steps forward or
 backward, and ends with the same finiteness check.  The package steps the
 moment block forward and the fbs costates backward this way.
+
+Their factors are Jacobians of the same rates, which ``jacobian`` derives
+from the traced terms by forward-mode rules (Griewank and Walther,
+Evaluating Derivatives, 2nd ed., 2008), dividing only by terms free of the
+variable, and compiles into one straight-line function, cached as the loop
+is.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import InputError, NumericError
 from .model import GridConfig
 
 
@@ -106,6 +112,28 @@ def _name(name: str) -> _Term:
     return _Term(ast.Name(name, ast.Load()))
 
 
+def _traced(owner: type) -> tuple:
+    """An ``owner`` whose every field is the term ``_<field>``, and the
+    statements that bind those locals from the argument ``owner``."""
+    names = [field.name for field in fields(owner)]
+    prologue = ast.parse("".join(f"_{name} = owner.{name}\n" for name in names))
+    return owner(**{name: _name(f"_{name}") for name in names}), prologue.body
+
+
+def _compiled(module: ast.Module, filename: str):
+    """The function that ``module``, a single ``def``, defines, compiled
+    once its nodes have line numbers."""
+    # compile needs only where each node starts; two attributes rather than
+    # ast.fix_missing_locations' four keep each node's dict, and the peak
+    # memory of building the function, smaller
+    for part in ast.walk(module):
+        if "lineno" in part._attributes and not hasattr(part, "lineno"):
+            part.lineno, part.col_offset = 1, 0
+    namespace: dict = {}
+    exec(compile(module, filename, "exec"), namespace)
+    return namespace[module.body[0].name]
+
+
 @functools.cache
 def _loop(width: int, owner: type, rates: Callable, columns: int):
     """The backward RK4 loop for states of ``width`` components, written
@@ -117,7 +145,8 @@ def _loop(width: int, owner: type, rates: Callable, columns: int):
     *state, rhs0[j], rhs1[j], ...)`` over the ``columns`` forcing columns,
     traced by calling ``rates`` on an ``owner`` whose every field is the
     term ``_<field>``, a local bound once per solve like ``rhs0``.  Only
-    the skeleton is parsed; the rest of the syntax tree is built here.
+    the skeleton and the field bindings are parsed; the rest of the syntax
+    tree is built here.
     """
     module = ast.parse(
         "def loop(owner, rhs, s, out, n, half, h, sixth):\n"
@@ -126,15 +155,13 @@ def _loop(width: int, owner: type, rates: Callable, columns: int):
     )
     (function,) = module.body
     (loop,) = function.body
-    prologue: list[ast.stmt] = []
+    traced, prologue = _traced(owner)
     body: list[ast.stmt] = []
 
     def let(name: str, value, where: list = body) -> _Term:
         where.append(ast.Assign([ast.Name(name, ast.Store())], _term(value).node))
         return _name(name)
 
-    names = [field.name for field in fields(owner)]
-    traced = owner(**{name: _name(f"_{name}") for name in names})
     rhs, s, node = _name("rhs"), _name("s"), _name("node")
     half, h, sixth = map(_name, ("half", "h", "sixth"))
     forcing = [let(f"rhs{c}", rhs[c], prologue) for c in range(columns)]
@@ -161,20 +188,98 @@ def _loop(width: int, owner: type, rates: Callable, columns: int):
         let(f"x{i}", x[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]))
     out = ast.Subscript(ast.Name("out", ast.Load()), node.node, ast.Store())
     body.append(ast.Assign([out], _term(tuple(x)).node))
-    owner_node = ast.Name("owner", ast.Load())
-    for name in names:
-        let(f"_{name}", _Term(ast.Attribute(owner_node, name, ast.Load())), prologue)
     loop.body = body
     function.body = [*prologue, loop]
-    # compile needs only where each node starts; two attributes rather than
-    # ast.fix_missing_locations' four keep each node's dict, and the peak
-    # memory of building the loop, smaller
-    for part in ast.walk(function):
-        if "lineno" in part._attributes and not hasattr(part, "lineno"):
-            part.lineno, part.col_offset = 1, 0
-    namespace: dict = {}
-    exec(compile(module, "<rk4 loop>", "exec"), namespace)
-    return namespace["loop"]
+    return _compiled(module, "<rk4 loop>")
+
+
+_ONE = ast.Constant(1.0)
+
+
+def _product(a: ast.expr | None, b: ast.expr | None) -> ast.expr | None:
+    """a * b, with None a structural zero and 1.0 folded away."""
+    if a is None or b is None:
+        return None
+    return b if a is _ONE else a if b is _ONE else ast.BinOp(a, ast.Mult(), b)
+
+
+def _derive(node: ast.expr, name: str) -> ast.expr | None:
+    """The derivative of a traced expression in the local ``name``, by
+    forward-mode rules: the syntax tree of an expression in the same
+    locals, or None where it is structurally zero.
+
+    A divisor must be free of ``name``: every divisor of the rates is a
+    field or a constant, so the quotient rule is not needed.
+    """
+    if isinstance(node, ast.Constant):
+        return None
+    if isinstance(node, ast.Name):
+        return _ONE if node.id == name else None
+    if isinstance(node, ast.UnaryOp):
+        # -x, the one unary operator on terms, is 0 - x
+        da, db, op = None, _derive(node.operand, name), ast.Sub()
+    else:
+        da, db, op = _derive(node.left, name), _derive(node.right, name), node.op
+        if isinstance(op, ast.Mult):
+            da, db, op = _product(da, node.right), _product(node.left, db), ast.Add()
+        elif isinstance(op, ast.Div):
+            if db is not None:
+                raise InputError(f"{ast.unparse(node)} divides by a term in {name}")
+            return None if da is None else ast.BinOp(da, op, node.right)
+    if db is None:
+        return da
+    if da is None:
+        return ast.UnaryOp(ast.USub(), db) if isinstance(op, ast.Sub) else db
+    return ast.BinOp(da, op, db)
+
+
+@functools.cache
+def _partials(owner: type, rates: Callable, arity: int, wrt: tuple):
+    """The nonzero entries of the Jacobian of ``rates`` in its arguments
+    ``wrt`` (indices into its ``arity`` arguments), compiled as one
+    straight-line function ``partials(owner, a0, a1, ...)`` that returns
+    them in a tuple, and their (row, column) places.  ``rates`` is traced
+    on an ``owner`` of symbolic fields, as ``_loop`` traces it, and a
+    structural zero has no entry.  Returns (partials, places, rows).
+    """
+    traced, prologue = _traced(owner)
+    args = [f"a{i}" for i in range(arity)]
+    terms = rates(traced, *map(_name, args))
+    terms = terms if isinstance(terms, (tuple, list)) else (terms,)
+    places, entries = [], []
+    for row, term in enumerate(terms):
+        for col, i in enumerate(wrt):
+            entry = _derive(_term(term).node, args[i])
+            if entry is not None:
+                places.append((row, col))
+                entries.append(entry)
+    module = ast.parse(f"def partials(owner, {', '.join(args)}):\n    pass\n")
+    module.body[0].body = [*prologue, ast.Return(ast.Tuple(entries, ast.Load()))]
+    return _compiled(module, "<partials>"), tuple(places), len(terms)
+
+
+def jacobian(rates: Callable, args: Sequence, wrt: Sequence[int], out=None):
+    """The Jacobian of ``rates``, a method as ``integrate_backward`` takes
+    it, in its arguments ``wrt`` (indices into ``args``), at ``args``:
+    floats or arrays of one shape S.  A rate is a row; a method that
+    returns one value has one.
+
+    Returns the dense (*S, rows, len(wrt)) array, structural zeros 0.0, or
+    writes it into ``out``, a zeroed view of that shape, such as a
+    transposed block of an augmented matrix.  An entry that overflows is
+    inf or nan, without a warning, for the solve that reads it to reject.
+    """
+    owner = rates.__self__
+    partials, places, rows = _partials(
+        type(owner), rates.__func__, len(args), tuple(wrt)
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = partials(owner, *args)
+    if out is None:
+        out = np.zeros((*np.broadcast(*args).shape, rows, len(wrt)))
+    for (row, col), entry in zip(places, entries):
+        out[..., row, col] = entry
+    return out
 
 
 def _require_finite(out: np.ndarray, grid: GridConfig, direction: int) -> np.ndarray:

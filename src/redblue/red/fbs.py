@@ -14,21 +14,23 @@ the tolerance, and reports converged only if the step at the configured
 weight is too.
 
 The costate equations are linear in the costates, and every factor is
-known once the states are: F's Jacobian, the moment block's matrix K,
-dG/d(mu, eta, rho) and the payoff gradient, all from ``redblue.dynamics``.
-The adjoint lays them out over the half grid as one linear system, whose
+known once the states are: F's Jacobian, G's in (mu, eta, rho) and in the
+moments (the matrix K) and the payoff gradient.  ``odeint.jacobian``
+derives each from the rates of ``redblue.dynamics`` and writes it,
+transposed, into its block of one linear system over the half grid, whose
 moment costates never read the coefficient ones, and
-``odeint.integrate_linear`` composes its RK4 step maps.
+``odeint.integrate_linear`` composes its RK4 step maps.  The Hamiltonian's
+linear term in the pattern reads the f columns of the same Jacobians.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..dynamics import GAIN_COLS, GAIN_ROWS, Dynamics
+from ..dynamics import Dynamics
 from ..model import GridConfig, ModelParams
 from ..moments import nodes_to_half_grid
-from ..odeint import integrate_linear
+from ..odeint import integrate_linear, jacobian
 from .objective import OptimizationReport, RedConfig, closed_form_update, sweep
 
 
@@ -45,24 +47,18 @@ def solve_adjoint(
     f = nodes_to_half_grid(f_nodes)
     mu, eta, rho, h20, h11, h02 = nodes_to_half_grid(x).T
     dyn = Dynamics.of(params)
-    rows, cols = np.array(GAIN_ROWS), np.array(GAIN_COLS)
     # psi' = -abar (psi, 1) with psi = (q, p), q over (mu, eta, rho) and p
     # over (h20, h11, h02): the q rows read J_F^T, (dG/ds)^T and dL/ds, the
     # p rows only K^T and dL/dm: their entries left of column 3 are zero,
-    # since the moment costates never read q.  An overflow gives inf or nan
-    # for the solve to reject.
+    # since the moment costates never read q
     abar = np.zeros((len(f), 7, 7))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, unit in enumerate(np.eye(3)):
-            # row i of J_F, the vjp of the i-th unit covector, is column i
-            # of J_F^T
-            abar[:, :3, i] = np.stack(dyn.coeff_vjp_s(unit, mu, eta, rho, f), -1)
-        abar[:, cols, 3 + rows] = np.stack(dyn.moment_jac_s(h20, h11, h02), -1)
-        abar[:, 3 + cols, 3 + rows] = np.stack(dyn.moment_gains(mu, eta, rho, f), -1)
-        # L reads neither mu nor h20
-        abar[:, (1, 2, 4, 5), 6] = np.stack(
-            (*dyn.payoff_grad_s(h11, h02, f), *dyn.payoff_grad_m(eta, rho, f)), -1
-        )
+    jacobian(dyn.coeff_rhs, (mu, eta, rho, f), (0, 1, 2), out=abar[:, :3, :3].mT)
+    # dG/d(mu, eta, rho, h20, h11, h02), transposed
+    g_args = (h20, h11, h02, mu, eta, rho, f)
+    jacobian(dyn.moment_rhs, g_args, (3, 4, 5, 0, 1, 2), out=abar[:, :6, 3:6].mT)
+    # L reads neither mu nor h20
+    l_x = jacobian(dyn.payoff, (eta, rho, h11, h02, f), (0, 1, 2, 3))
+    abar[:, (1, 2, 4, 5), 6] = l_x[:, 0]
     return integrate_linear(-abar, np.zeros(6), grid, -1)
 
 
@@ -71,16 +67,18 @@ def _hamiltonian_coeffs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nodewise (a, b) of the Hamiltonian L + psi . (F, G) = (a/2) f^2 + b f + ...
 
-    The costates enter b through the f blocks of the vjps at f = 0, and
-    a through psi3 c2 f^2, the only term of F or G quadratic in f.  With all
+    The costates enter b through psi . d(F, G)/df at f = 0, and a through
+    psi3 c2 f^2, the only term of F or G quadratic in f.  With all
     costates zero these are the payoff's coefficients, as in the fixed-point
     update.
     """
-    _, eta, rho, _, h11, h02 = x.T
+    mu, eta, rho, h20, h11, h02 = x.T
     a, b = dyn.payoff_coeffs(eta, rho, h11, h02)
-    c_f = dyn.coeff_vjp_f(psi.T[:3], eta, rho, np.zeros_like(a))
-    g_f = dyn.moment_vjp_f(psi.T[3:], h11, h02)
-    return a + 2.0 * dyn.c2 * psi[:, 2], b + c_f + g_f
+    zero = np.zeros_like(a)
+    c_f = jacobian(dyn.coeff_rhs, (mu, eta, rho, zero), (3,))[..., 0]
+    g_f = jacobian(dyn.moment_rhs, (h20, h11, h02, mu, eta, rho, zero), (6,))[..., 0]
+    q_f, p_f = (psi[:, :3] * c_f).sum(axis=1), (psi[:, 3:] * g_f).sum(axis=1)
+    return a + 2.0 * dyn.c2 * psi[:, 2], b + q_f + p_f
 
 
 def fbs_solve(

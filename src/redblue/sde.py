@@ -339,6 +339,7 @@ def _run_blocks(
     With threads > 1, worker w runs blocks w, w + workers, ...; each block
     writes only its own rows, so the assignment changes no result.
     """
+    require_count("threads", threads, 1)
     n_blocks = -(-n_paths // _BLOCK_PATHS)
     workers = max(1, min(threads, n_blocks))
     width = min(_BLOCK_PATHS, n_paths)

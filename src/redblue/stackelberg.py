@@ -78,6 +78,7 @@ def play_rounds(
     outputs, which the penalty has accepted.
     """
     require_count("n_rounds", n_rounds, 1)
+    require_count("threads", threads, 1)
     require_closure(params, grid)
     if n_rounds > 1:
         anchor_values(replace(red_config, f_c_initial=initial_f_c), grid)

@@ -15,9 +15,11 @@ from redblue import (
     Sinusoid,
     ZERO_PATTERN,
 )
-from redblue.controls import optimal_alpha, optimal_beta
+from redblue.controls import optimal_beta
 from redblue.dynamics import Dynamics
 from redblue.model import sample_on_grid
+from redblue.odeint import jacobian
+import moment_reference as reference
 from conftest import make_params, random_params
 
 
@@ -26,13 +28,20 @@ def solve_policy(params, pattern, n=200, horizon=0.1):
     return FeedbackPolicy.solve(params, pattern, grid)
 
 
+def alpha(policy, t, v, y):
+    """Blue's primary control at (t, v, y), from the a-columns of the
+    policy's gains at t."""
+    a_v, a_y, _, _, a_0, _ = policy._gains(t)
+    return a_v * v + a_y * y + a_0
+
+
 def test_alpha_is_affine_in_state():
     policy = solve_policy(make_params(), ZERO_PATTERN)
     t = 0.037
-    base = optimal_alpha(policy, t, 0.0, 0.0)
-    dv = optimal_alpha(policy, t, 1.0, 0.0) - base
-    dy = optimal_alpha(policy, t, 0.0, 1.0) - base
-    combined = optimal_alpha(policy, t, 2.0, -3.0)
+    base = alpha(policy, t, 0.0, 0.0)
+    dv = alpha(policy, t, 1.0, 0.0) - base
+    dy = alpha(policy, t, 0.0, 1.0) - base
+    combined = alpha(policy, t, 2.0, -3.0)
     assert combined == pytest.approx(base + 2.0 * dv - 3.0 * dy, rel=1e-12)
 
 
@@ -44,7 +53,7 @@ def test_alpha_matches_coefficients_at_nodes():
     t = policy.grid.times()[k]
     v, y = 0.8, -1.1
     manual = -(coeffs.mu[k] * v + coeffs.eta[k] * y + coeffs.gamma[k]) / params.r_alpha
-    assert optimal_alpha(policy, t, v, y) == pytest.approx(manual, rel=1e-12)
+    assert alpha(policy, t, v, y) == pytest.approx(manual, rel=1e-12)
 
 
 def test_beta_zero_for_zero_pattern():
@@ -78,20 +87,20 @@ def test_controls_interpolate_between_nodes():
     policy = solve_policy(make_params(), ZERO_PATTERN, n=10)
     times = policy.grid.times()
     v, y = 1.0, 2.0
-    left = optimal_alpha(policy, float(times[3]), v, y)
-    right = optimal_alpha(policy, float(times[4]), v, y)
-    mid = optimal_alpha(policy, float(0.5 * (times[3] + times[4])), v, y)
+    left = alpha(policy, float(times[3]), v, y)
+    right = alpha(policy, float(times[4]), v, y)
+    mid = alpha(policy, float(0.5 * (times[3] + times[4])), v, y)
     assert mid == pytest.approx(0.5 * (left + right), rel=1e-12)
 
 
 def test_out_of_domain_query_rejected():
     policy = solve_policy(make_params(), ZERO_PATTERN)
     with pytest.raises(InputError):
-        optimal_alpha(policy, 0.11, 0.0, 0.0)
+        policy._gains(0.11)
     with pytest.raises(InputError):
         optimal_beta(policy, -0.01, 0.0, 0.0)
     # queries within rounding slack of the ends are fine
-    optimal_alpha(policy, 0.1 + 1e-12, 0.0, 0.0)
+    policy._gains(0.1 + 1e-12)
 
 
 def test_policy_rejects_mismatched_grid():
@@ -140,7 +149,9 @@ def test_paths_controls_and_moments_share_one_closed_loop(seed, mode, n_steps):
         )
     )
     a_v, a_y, b_v, b_y, a_0, b_0 = p.gains.T
-    assert bits(dyn.moment_gains(c.mu, c.eta, c.rho, f_c)) == bits(
+    # K = dG/dm, derived from G, at the places of today's table of gains
+    k = jacobian(dyn.moment_rhs, (0.0, 0.0, 0.0, c.mu, c.eta, c.rho, f_c), (0, 1, 2))
+    assert bits(k[:, reference.GAIN_ROWS, reference.GAIN_COLS].T) == bits(
         (
             2.0 * a_v,
             2.0 * a_y,
@@ -153,6 +164,6 @@ def test_paths_controls_and_moments_share_one_closed_loop(seed, mode, n_steps):
     )
     t = p.grid.times()
     v, y = rng.uniform(-2.0, 2.0, t.size), rng.uniform(-3.0, 3.0, t.size)
-    assert bits((optimal_alpha(p, t, v, y), optimal_beta(p, t, v, y))) == bits(
+    assert bits((alpha(p, t, v, y), optimal_beta(p, t, v, y))) == bits(
         (a_v * v + a_y * y + a_0, b_v * v + b_y * y + b_0)
     )

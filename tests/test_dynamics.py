@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from redblue.dynamics import Dynamics
+from redblue.odeint import jacobian
 import moment_reference as reference
 from conftest import make_params
 
@@ -45,10 +46,8 @@ EPS = 1e-3
 def test_coeff_vjp_matches_finite_differences(dyn, x, d, q):
     x, d, q = np.array(x), np.array(d), np.array(q)
     fd = q @ central_difference(dyn.coeff_rhs, x, d, EPS)
-    mu, eta, rho, f = x
-    # the full q . dF/d(mu, eta, rho, f), assembled from its blocks
-    blocks = [*dyn.coeff_vjp_s(q, mu, eta, rho, f), dyn.coeff_vjp_f(q, eta, rho, f)]
-    vjp = np.array(blocks) @ d
+    # the full q . dF/d(mu, eta, rho, f), derived from F
+    vjp = q @ jacobian(dyn.coeff_rhs, x, range(4)) @ d
     assert vjp == pytest.approx(fd, rel=1e-8, abs=1e-9)
 
 
@@ -56,19 +55,9 @@ def test_coeff_vjp_matches_finite_differences(dyn, x, d, q):
        st.lists(unit, min_size=3, max_size=3))
 def test_moment_vjp_matches_finite_differences(dyn, x, d, p):
     x, d, p = np.array(x), np.array(d), np.array(p)
-
-    def moment_rhs(h20, h11, h02, mu, eta, rho, f):
-        return dyn.moment_rhs(h20, h11, h02, dyn.moment_gains(mu, eta, rho, f))
-
-    fd = p @ central_difference(moment_rhs, x, d, EPS)
-    h20, h11, h02, mu, eta, rho, f = x
-    # the full p . dG/d(h20, h11, h02, mu, eta, rho, f), assembled from its blocks
-    blocks = [
-        *dyn.moment_vjp_m(p, dyn.moment_gains(mu, eta, rho, f)),
-        *dyn.moment_vjp_s(p, dyn.moment_jac_s(h20, h11, h02)),
-        dyn.moment_vjp_f(p, h11, h02),
-    ]
-    vjp = np.array(blocks) @ d
+    fd = p @ central_difference(dyn.moment_rhs, x, d, EPS)
+    # the full p . dG/d(h20, h11, h02, mu, eta, rho, f), derived from G
+    vjp = p @ jacobian(dyn.moment_rhs, x, range(7)) @ d
     assert vjp == pytest.approx(fd, rel=1e-8, abs=1e-9)
 
 
@@ -78,14 +67,8 @@ def test_payoff_grad_matches_finite_differences(dyn, x, d):
     # eps^2 truncation term
     x, d = np.array(x), np.array(d)
     fd = central_difference(lambda *a: [dyn.payoff(*a)], x, d, 1e-5)[0]
-    eta, rho, h11, h02, f = x
-    # the full dL/d(eta, rho, h11, h02, f), assembled from its blocks
-    blocks = [
-        *dyn.payoff_grad_s(h11, h02, f),
-        *dyn.payoff_grad_m(eta, rho, f),
-        dyn.payoff_grad_f(*dyn.payoff_coeffs(eta, rho, h11, h02), f),
-    ]
-    grad = np.array(blocks) @ d
+    # the full dL/d(eta, rho, h11, h02, f), derived from L
+    (grad,) = jacobian(dyn.payoff, x, range(5)) @ d
     assert grad == pytest.approx(fd, rel=1e-6, abs=1e-7)
 
 
@@ -100,21 +83,48 @@ def same_bits(got, want) -> bool:
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+# The derived dG/d(mu, eta, rho) rounds its entries otherwise than the
+# per-stage reference (2.0 * -(1.0 / r_alpha) * h20 against
+# -2.0 * h20 / r_alpha), so its products differ in the last bits.  Each
+# entry is linear in the moments with negative coefficients, so at |m| it
+# is minus the sum of its terms' magnitudes, and |p| . |dG/ds(|m|)| bounds
+# the magnitude of every term of a product.  Over 300000 draws made as
+# these tests make them the difference was at most 1.96 roundings of it.
+JAC_S_BOUND = 4 * np.finfo(float).eps
+
+
 def check_tables_match_the_reference(dyn, h, s, p):
     h20, h11, h02 = h
     mu, eta, rho, f = s
-    gains = dyn.moment_gains(mu, eta, rho, f)
-    jac = dyn.moment_jac_s(h20, h11, h02)
+    args = (*h, *s)
+    (k00, k01, _), (k10, k11, k12), (_, k21, k22) = np.moveaxis(
+        jacobian(dyn.moment_rhs, args, (0, 1, 2)), (-2, -1), (0, 1)
+    )
+    p1, p2, p3 = p
+    want = reference.moment_rhs(dyn, h20, h11, h02, mu, eta, rho, f)
+    assert same_bits(dyn.moment_rhs(*args), want)
+    # K m + sigma and K^T p as the Euler recursions apply the derived K
     assert same_bits(
-        dyn.moment_rhs(h20, h11, h02, gains),
-        reference.moment_rhs(dyn, h20, h11, h02, mu, eta, rho, f),
+        (
+            k00 * h20 + k01 * h11 + dyn.sb2,
+            k11 * h11 + k10 * h20 + k12 * h02,
+            k21 * h11 + k22 * h02 + dyn.sw2,
+        ),
+        want,
     )
     assert same_bits(
-        dyn.moment_vjp_m(p, gains), reference.moment_vjp_m(dyn, p, mu, eta, rho, f)
+        (p1 * k00 + p2 * k10, p1 * k01 + p2 * k11 + p3 * k21, p2 * k12 + p3 * k22),
+        reference.moment_vjp_m(dyn, p, mu, eta, rho, f),
     )
-    assert same_bits(
-        dyn.moment_vjp_s(p, jac), reference.moment_vjp_s(dyn, p, h20, h11, h02)
-    )
+
+    def jac_s(*m):
+        rows = jacobian(dyn.moment_rhs, (*m, *s), (3, 4, 5))
+        return np.moveaxis(rows, (-2, -1), (0, 1))
+
+    got = sum(p_i * row for p_i, row in zip(p, jac_s(*h)))
+    scale = sum(np.abs(p_i) * -row for p_i, row in zip(p, jac_s(*map(np.abs, h))))
+    want = np.array(reference.moment_vjp_s(dyn, p, h20, h11, h02))
+    assert np.all(np.abs(got - want) <= JAC_S_BOUND * scale)
 
 
 @settings(max_examples=300)
@@ -135,6 +145,35 @@ def test_moment_tables_match_the_per_stage_reference_on_arrays(dyn, size, data):
         return [data.draw(row) for _ in range(count)]
 
     check_tables_match_the_reference(dyn, rows(3), rows(4), rows(3))
+
+
+# Any float but nan: K's entries round alike for every magnitude, subnormal
+# or infinite.
+anything = st.floats(allow_nan=False)
+
+
+@given(dynamics(), st.lists(anything, min_size=4, max_size=4))
+def test_derived_k_equals_the_reference_gains_bit_for_bit(dyn, s):
+    # K = dG/dm, derived from G, is today's table of gains laid out at its
+    # places, and zero at its two corners
+    want = np.zeros((3, 3))
+    with np.errstate(all="ignore"):
+        gains = reference.moment_gains(dyn, *s)
+    want[reference.GAIN_ROWS, reference.GAIN_COLS] = gains
+    got = jacobian(dyn.moment_rhs, (0.0, 0.0, 0.0, *s), (0, 1, 2))
+    assert same_bits(got, want)
+
+
+@given(dynamics(), st.integers(1, 8), st.data())
+def test_derived_k_equals_the_reference_gains_on_arrays(dyn, size, data):
+    row = st.lists(anything, min_size=size, max_size=size).map(np.array)
+    s = [data.draw(row) for _ in range(4)]
+    want = np.zeros((size, 3, 3))
+    with np.errstate(all="ignore"):
+        gains = reference.moment_gains(dyn, *s)
+    want[:, reference.GAIN_ROWS, reference.GAIN_COLS] = np.stack(gains, -1)
+    got = jacobian(dyn.moment_rhs, (0.0, 0.0, 0.0, *s), (0, 1, 2))
+    assert same_bits(got, want)
 
 
 def test_boundary_states():

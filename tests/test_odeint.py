@@ -8,9 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from redblue import GridConfig, NumericError
+from redblue import GridConfig, InputError, NumericError
 from redblue.dynamics import Dynamics
-from redblue.odeint import _loop, integrate_backward, integrate_linear
+from redblue.odeint import (
+    _loop,
+    _partials,
+    integrate_backward,
+    integrate_linear,
+    jacobian,
+)
 from rk4_reference import reference_rk4
 
 
@@ -271,6 +277,64 @@ def test_generated_loop_steps_without_calls_or_lookups(rates, width, columns):
     inside = [op for op in ops[start:] if op.startswith("CALL") or op in banned]
     assert inside == []
     assert "LOAD_ATTR" in ops[:start]
+
+
+@given(system=polynomial_systems(), t=st.floats(0.0, 1.0), data=st.data())
+def test_jacobian_matches_central_differences(system, t, data):
+    # the systems are quadratic, so a central difference is exact up to
+    # rounding; the tolerance only has to absorb cancellation
+    components, start, kind = system
+    dim = len(start)
+    rates, _ = polynomial_rhs(components, None, kind)
+    d = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+    x, eps = np.array(start), 1e-3
+    up, down = np.array(rates(*(x + eps * d), t)), np.array(rates(*(x - eps * d), t))
+    jac = jacobian(rates, (*start, t), range(dim))
+    assert jac.shape == (dim, dim)
+    np.testing.assert_allclose(jac @ d, (up - down) / (2.0 * eps), rtol=1e-8, atol=1e-9)
+
+
+# every Jacobian the package reads: (rates, arity, wrt)
+PARTIALS = [
+    (Dynamics.coeff_rhs, 4, (0, 1, 2)),
+    (Dynamics.coeff_rhs, 4, (0, 1, 2, 3)),
+    (Dynamics.coeff_rhs, 4, (3,)),
+    (Dynamics.moment_rhs, 7, (0, 1, 2)),
+    (Dynamics.moment_rhs, 7, (3, 4, 5, 0, 1, 2)),
+    (Dynamics.moment_rhs, 7, (3, 4, 5, 6)),
+    (Dynamics.moment_rhs, 7, (6,)),
+    (Dynamics.payoff, 5, (0, 1, 2, 3)),
+    (Dynamics.payoff, 5, (0, 1, 2, 3, 4)),
+]
+
+
+@pytest.mark.parametrize("rates, arity, wrt", PARTIALS)
+def test_derived_partials_make_no_call_or_lookup(rates, arity, wrt):
+    # the entries are one straight-line function: it makes no call and no
+    # global lookup, and reads attributes only to bind the fields once
+    partials, places, _ = _partials(Dynamics, rates, arity, wrt)
+    ops = [op.opname for op in dis.get_instructions(partials)]
+    banned = ("PRECALL", "LOAD_METHOD", "LOAD_GLOBAL")
+    assert [op for op in ops if op.startswith("CALL") or op in banned] == []
+    assert ops.count("LOAD_ATTR") == len(Dynamics.__dataclass_fields__)
+    assert places
+
+
+@dataclass(frozen=True)
+class Quotients:
+    scale: float
+
+    def rates(self, x, v):
+        return (x / self.scale, v / 2.0 - self.scale / x)
+
+
+def test_jacobian_refuses_a_divisor_in_the_variable():
+    # a divisor free of the variable is differentiated; one in it would
+    # need the quotient rule, which the differentiator does not apply
+    rates = Quotients(4.0).rates
+    np.testing.assert_array_equal(jacobian(rates, (1.0, 3.0), (1,)), [[0.0], [0.5]])
+    with pytest.raises(InputError, match="divides by a term in a0"):
+        jacobian(rates, (1.0, 3.0), (0, 1))
 
 
 @st.composite

@@ -99,9 +99,9 @@ def test_fbs_quadratic_anchor_need_not_be_one():
 
 
 def reference_adjoint(params, f_nodes, x, grid):
-    """solve_adjoint stepped by the reference loop, with the per-stage
-    reference products of G, which restate K and dG/ds at every stage, and
-    the payoff gradient per stage."""
+    """solve_adjoint stepped by the reference loop, with the hand-written
+    per-stage products of F and G, which restate J_F, K and dG/ds at every
+    stage, and the hand-written payoff gradient per stage."""
     fc_h = sample_on_half_grid(GridSampled(f_nodes, grid.horizon), grid)
     rows = np.column_stack((nodes_to_half_grid(x), fc_h)).tolist()
     dyn = Dynamics.of(params)
@@ -109,11 +109,11 @@ def reference_adjoint(params, f_nodes, x, grid):
     def rhs(j, psi):
         mu, eta, rho, h20, h11, h02, f = rows[j]
         q, p = psi[:3], psi[3:]
-        c_mu, c_eta, c_rho = dyn.coeff_vjp_s(q, mu, eta, rho, f)
+        c_mu, c_eta, c_rho = reference.coeff_vjp_s(dyn, q, mu, eta, rho, f)
         g20, g11, g02 = reference.moment_vjp_m(dyn, p, mu, eta, rho, f)
         g_mu, g_eta, g_rho = reference.moment_vjp_s(dyn, p, h20, h11, h02)
-        l_eta, l_rho = dyn.payoff_grad_s(h11, h02, f)
-        l_h11, l_h02 = dyn.payoff_grad_m(eta, rho, f)
+        l_eta, l_rho = reference.payoff_grad_s(dyn, h11, h02, f)
+        l_h11, l_h02 = reference.payoff_grad_m(dyn, eta, rho, f)
         return (
             -(c_mu + g_mu),
             -(c_eta + g_eta + l_eta),

@@ -279,6 +279,20 @@ def test_ensembles_run_only_on_the_policys_grid(other):
             ensemble(other)
 
 
+@pytest.mark.parametrize("threads", [1.5, 0, -3])
+def test_ensembles_refuse_a_thread_count_that_is_not_a_positive_integer(threads):
+    # refused before any block runs: a fractional count would end in a bare
+    # TypeError from range, and zero or a negative one would run one worker
+    policy, grid, pattern = _policy(4)
+    ensembles = [
+        lambda: monte_carlo(policy, pattern, grid, 3000, 1, threads=threads),
+        lambda: log_lr_samples(policy, pattern, grid, 3000, 1, threads=threads),
+    ]
+    for ensemble in ensembles:
+        with pytest.raises(InputError, match="^threads must be"):
+            ensemble()
+
+
 def test_blue_cost_identity():
     params = make_params(lam=0.08)
     grid = GridConfig(100, 0.1)

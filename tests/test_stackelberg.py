@@ -7,6 +7,7 @@ from redblue import (
     Affine,
     Constant,
     GridConfig,
+    InputError,
     Pattern,
     RedConfig,
     baseline_summary,
@@ -177,4 +178,23 @@ def test_rejects_zero_rounds():
             100,
             1,
             GridConfig(50, 0.1),
+        )
+
+
+@pytest.mark.parametrize("threads", [1.5, 0, -3])
+def test_rounds_refuse_a_bad_thread_count_before_solving(threads, monkeypatch):
+    def solve(*args):
+        raise AssertionError("a round solved before the thread count was checked")
+
+    monkeypatch.setattr(stackelberg.FeedbackPolicy, "solve", solve)
+    with pytest.raises(InputError, match="^threads must be"):
+        play_rounds(
+            make_params(),
+            Constant(1.0),
+            quick_config(),
+            2,
+            100,
+            1,
+            GridConfig(50, 0.1),
+            threads=threads,
         )
